@@ -6,9 +6,9 @@ payoffs as independent uniform random variables over known intervals, and
 returns the point estimate of the licensor's share that minimizes the
 chosen estimation-error cost (mode, median, or mean of the induced share
 distribution).  Closed forms live in :mod:`nashroyalty.estimators`; two
-independent verification channels, adaptive quadrature and seeded Monte
-Carlo, live in :mod:`nashroyalty.posterior` and
-:mod:`nashroyalty.montecarlo`.
+independent verification channels, a batched error-controlled CDF
+quadrature and seeded Monte Carlo, live in :mod:`nashroyalty.posterior`
+and :mod:`nashroyalty.montecarlo`.
 """
 
 from .bargaining import (
@@ -35,6 +35,7 @@ from .errors import (
     DegeneratePayoffsError,
     DisorderedBoundsError,
     EmptySampleError,
+    NumericalAccuracyError,
     OutOfRangeError,
     RoyaltyModelError,
     SurplusViolationError,
@@ -150,4 +151,5 @@ __all__ = [
     "DegeneratePayoffsError",
     "DegenerateDistributionError",
     "EmptySampleError",
+    "NumericalAccuracyError",
 ]

@@ -12,7 +12,8 @@ Subcommands:
   (a=0, b=0.2, c=0, d=0.8) and check all 18 cells.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or
-configuration, 3 degenerate model or distribution, 4 filesystem failure.
+configuration, 3 degenerate model or distribution, 4 filesystem failure,
+5 a numeric engine missed its documented error target.
 Human-readable numbers are shown to three decimals; machine outputs keep
 full precision.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +38,7 @@ from .bargaining import (
     royalty_rate,
     validate_bounds,
 )
-from .errors import BoundsValidationError, DegeneracyError
+from .errors import BoundsValidationError, DegeneracyError, NumericalAccuracyError
 from .estimators import NOTE_NUMERIC, EstimateResult, RiskProfile, estimate
 from .montecarlo import random_valid_bounds, sample_thetas
 from .posterior import (
@@ -57,9 +59,14 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
 
 _EXACT_TOL = 1e-5
 _CASE1_ABS_REL_TOL = 0.04
+
+# Size caps that keep every run bounded in time and memory.
+_MAX_GRID_POINTS = 1_000_001
+_MAX_D_GRID = 10_001
 
 # Golden worked example: published three-decimal estimates and overpayment
 # probabilities for payoff bounds a=0, b=0.2, c=0, d=0.8.
@@ -150,13 +157,15 @@ def _load_config_file(path: Path) -> dict:
     return data
 
 
-def _positive_int(name: str, value, minimum: int) -> int:
+def _positive_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
     try:
         value = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"field '{name}' must be an integer, got {value!r}") from None
     if value < minimum:
         raise ConfigError(f"field '{name}' must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"field '{name}' must be at most {maximum}, got {value}")
     return value
 
 
@@ -236,12 +245,12 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
             )
         financials = FinancialStatement(**fin_map)
 
-    def setting(name: str, default: int, minimum: int) -> int:
+    def setting(name: str, default: int, minimum: int, maximum=None) -> int:
         override = getattr(args, name, None)
         if override is not None:
-            return _positive_int(name, override, minimum)
+            return _positive_int(name, override, minimum, maximum)
         if name in data:
-            return _positive_int(name, data[name], minimum)
+            return _positive_int(name, data[name], minimum, maximum)
         return default
 
     return ScenarioConfig(
@@ -252,7 +261,7 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
         perceptions=perceptions,
         mc_n=setting("mc_n", 1_000_000, 1),
         seed=setting("seed", 42, 0),
-        grid_points=setting("grid_points", 2001, 3),
+        grid_points=setting("grid_points", 2001, 3, _MAX_GRID_POINTS),
     )
 
 
@@ -386,9 +395,17 @@ def _cmd_sweep(args) -> int:
     if args.d_max is not None or args.d_step is not None:
         step = args.d_step if args.d_step is not None else 0.01
         top = args.d_max if args.d_max is not None else 1.0 - config.bounds.b
-        if step <= 0.0:
-            raise ConfigError(f"--d-step must be positive, got {step!r}")
-        count = int(round(top / step)) + 1
+        if not (math.isfinite(step) and step > 0.0):
+            raise ConfigError(f"--d-step must be a positive number, got {step!r}")
+        if not (math.isfinite(top) and top >= 0.0):
+            raise ConfigError(f"--d-max must be a nonnegative number, got {top!r}")
+        ratio = top / step  # inf when the step is far below the range
+        count = round(ratio) + 1 if math.isfinite(ratio) else math.inf
+        if count > _MAX_D_GRID:
+            raise ConfigError(
+                f"a d grid up to {top!r} in steps of {step!r} has more than "
+                f"{_MAX_D_GRID} points (--d-max / --d-step)"
+            )
         d_grid = tuple(round(k * step, 12) for k in range(count))
     table = family_sweep(
         config.model,
@@ -610,6 +627,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericalAccuracyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entrypoint() -> None:

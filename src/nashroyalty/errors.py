@@ -42,3 +42,7 @@ class DegenerateDistributionError(DegeneracyError):
 
 class EmptySampleError(RoyaltyModelError, ValueError):
     """A sample statistic was requested from an empty sample."""
+
+
+class NumericalAccuracyError(RoyaltyModelError):
+    """A numeric engine could not reach its documented error target."""

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: output, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nashroyalty import cli
+import nashroyalty
+from nashroyalty import NumericalAccuracyError, cli
 from nashroyalty.bargaining import FinancialStatement, royalty_rate
 from nashroyalty.estimators import RiskProfile
 from nashroyalty import ModelKind, estimate, validate_bounds
@@ -377,6 +382,55 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "--c-values" in err
+
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--d-step", "nan"], "--d-step"),
+            (["--d-max", "nan"], "--d-max"),
+            (["--d-max", "-1"], "--d-max"),
+            (["--d-step", "1e-300"], "10001 points"),
+            (["--grid-points", "1000002"], "grid_points"),
+        ],
+    )
+    def test_bad_grid_sizes_exit_2(self, capsys, tmp_path, flags, named):
+        out = tmp_path / "family.csv"
+        argv = ["sweep", "--model", "nbs", "--risk", "mse", *GOLDEN_ARGS]
+        code, _, err = run(capsys, [*argv, *flags, "--out", str(out)])
+        assert code == 2
+        assert named in err
+        assert not out.exists()
+
+
+class TestNumericalHealth:
+    def test_missed_error_target_exits_5(self, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalAccuracyError("quadrature missed its error target")
+
+        monkeypatch.setattr(cli, "cdf_at", fail)
+        code, out, err = run(
+            capsys, ["estimate", "--model", "nbs", "--risk", "mse", *GOLDEN_ARGS]
+        )
+        assert code == 5
+        assert out == ""
+        assert "error: quadrature missed its error target" in err
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        probe = "import sys, nashroyalty.cli; print('scipy' in sys.modules)"
+        src = Path(nashroyalty.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestVerifyCommand:
