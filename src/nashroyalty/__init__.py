@@ -5,10 +5,11 @@ generalized Nash bargaining solution, treats both parties' disagreement
 payoffs as independent uniform random variables over known intervals, and
 returns the point estimate of the licensor's share that minimizes the
 chosen estimation-error cost (mode, median, or mean of the induced share
-distribution).  Closed forms live in :mod:`nashroyalty.estimators`; two
-independent verification channels, a batched error-controlled CDF
-quadrature and seeded Monte Carlo, live in :mod:`nashroyalty.posterior`
-and :mod:`nashroyalty.montecarlo`.
+distribution).  Each model's share rule is written once, as a
+:class:`ShareModel` in :mod:`nashroyalty.bargaining`.  Closed forms live in
+:mod:`nashroyalty.estimators`; two independent verification channels, a
+batched error-controlled CDF quadrature and seeded Monte Carlo, live in
+:mod:`nashroyalty.posterior` and :mod:`nashroyalty.montecarlo`.
 """
 
 from .bargaining import (
@@ -17,12 +18,10 @@ from .bargaining import (
     NormalizedPayoffs,
     PayoffBounds,
     PerceptionMatrix,
-    ProfitPartition,
+    ShareModel,
     alpha_case1,
     alpha_case2,
     alpha_from_perceptions,
-    optimal_partition,
-    party2_share,
     royalty_rate,
     theta_general,
     theta_model,
@@ -93,16 +92,14 @@ __all__ = [
     "NormalizedPayoffs",
     "PerceptionMatrix",
     "PayoffBounds",
-    "ProfitPartition",
+    "ShareModel",
     "validate_bounds",
     "alpha_from_perceptions",
     "alpha_case1",
     "alpha_case2",
     "theta_general",
     "theta_model",
-    "optimal_partition",
     "royalty_rate",
-    "party2_share",
     # estimators
     "RiskProfile",
     "EstimateResult",

@@ -15,7 +15,10 @@ Three weight rules are supported:
 * ``CASE1`` - alpha = 1/2 + (d1 - d2) / 2: outside options shift weight.
 * ``CASE2`` - alpha = d1 / (d1 + d2): weight proportional to payoff size.
 
-All quantities here are dimensionless fractions of operating income;
+Each rule's share, and the geometry of its level sets, is written down
+once, as a :class:`ShareModel` in this module; the closed forms, the
+quadrature engine and the Monte Carlo sampler all read it from here.  All
+quantities are dimensionless fractions of operating income;
 :func:`royalty_rate` converts a share into a royalty rate on revenue.
 """
 
@@ -24,6 +27,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegeneratePayoffsError,
@@ -38,16 +43,16 @@ __all__ = [
     "NormalizedPayoffs",
     "PerceptionMatrix",
     "PayoffBounds",
-    "ProfitPartition",
+    "ShareModel",
+    "FixedAlphaModel",
+    "as_share_model",
     "validate_bounds",
     "alpha_from_perceptions",
     "alpha_case1",
     "alpha_case2",
     "theta_general",
     "theta_model",
-    "optimal_partition",
     "royalty_rate",
-    "party2_share",
 ]
 
 # Slack for d1 + d2 <= 1: points sampled on the edge of a valid payoff
@@ -204,14 +209,6 @@ class PayoffBounds:
         return PayoffBounds(self.c, self.d, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class ProfitPartition:
-    """Absolute profit awarded to each party; sums to operating income."""
-
-    pi1: float
-    pi2: float
-
-
 def validate_bounds(a: float, b: float, c: float, d: float) -> PayoffBounds:
     """Check payoff bounds and return them as a :class:`PayoffBounds`.
 
@@ -233,25 +230,192 @@ def alpha_from_perceptions(perceptions: PerceptionMatrix) -> float:
 
 
 def alpha_case1(d1: float, d2: float) -> float:
-    """Weight shifted by the outside-option gap: 1/2 + (d1 - d2) / 2."""
-    payoffs = NormalizedPayoffs(d1, d2)
-    return _clip01(0.5 + (payoffs.d1 - payoffs.d2) / 2.0)
+    """Weight shifted by the outside-option gap: 1/2 + (d1 - d2) / 2.
+
+    The same function as the symmetric model's share, so it is computed
+    by ``theta_model(ModelKind.NBS, d1, d2)``.
+    """
+    return theta_model(ModelKind.NBS, d1, d2)
 
 
 def alpha_case2(d1: float, d2: float) -> float:
     """Weight proportional to payoff size: d1 / (d1 + d2).
 
-    Raises :class:`DegeneratePayoffsError` at d1 = d2 = 0 where the ratio
-    is 0/0.
+    The same function as the proportional model's share, so it is computed
+    by ``theta_model(ModelKind.CASE2, d1, d2)``; raises
+    :class:`DegeneratePayoffsError` at d1 = d2 = 0 where the ratio is 0/0.
     """
-    payoffs = NormalizedPayoffs(d1, d2)
-    total = payoffs.d1 + payoffs.d2
-    if total == 0.0:
-        raise DegeneratePayoffsError(
-            "the proportional bargaining weight d1 / (d1 + d2) is undefined "
-            "at d1 = d2 = 0"
-        )
-    return _clip01(payoffs.d1 / total)
+    return theta_model(ModelKind.CASE2, d1, d2)
+
+
+class ShareModel:
+    """Party 1's share under one weight rule, and where its level sets lie.
+
+    Subclasses define three methods:
+
+    * ``theta(d1, d2)``, the share in plain arithmetic, neither validated
+      nor clipped, so that one expression serves floats and numpy arrays;
+    * ``d2_threshold(x, t)``: every rule is nondecreasing in d1 and
+      nonincreasing in d2, so for d1 = x the event {theta <= t} is
+      {d2 >= d2_threshold(x, t)};
+    * ``d1_threshold(y, t)``: for d2 = y the event is
+      {d1 <= d1_threshold(y, t)}.
+
+    The crossings take arrays (or scalars), broadcast them, and return
+    +-inf where the level set misses the line.
+    """
+
+    def at(self, x: float, y: float) -> float:
+        """The share at one payoff pair, clipped to [0, 1] against roundoff."""
+        return _clip01(self.theta(x, y))
+
+    def support(self, bounds: PayoffBounds) -> tuple[float, float]:
+        """Smallest and largest share on the payoff rectangle.
+
+        By monotonicity these sit at the corners (a, d) and (b, c).
+        """
+        return self.at(bounds.a, bounds.d), self.at(bounds.b, bounds.c)
+
+
+class _Nbs(ShareModel):
+    """The symmetric split of the surplus: alpha = 1/2."""
+
+    @staticmethod
+    def theta(x, y):
+        return 0.5 + (x - y) / 2.0
+
+    @staticmethod
+    def d2_threshold(x, t):
+        return x + 1.0 - 2.0 * t
+
+    @staticmethod
+    def d1_threshold(y, t):
+        return y + 2.0 * t - 1.0
+
+
+class _Case1(ShareModel):
+    """Weight shifted by the outside-option gap: alpha = 1/2 + (d1 - d2) / 2."""
+
+    @staticmethod
+    def theta(x, y):
+        return (y * y - x * x + 2.0 * (x - y) + 1.0) / 2.0
+
+    @staticmethod
+    def d2_threshold(x, t):
+        # Level sets are hyperbolas centred at (1, 1): theta <= t  <=>
+        # (1 - y)^2 <= (1 - x)^2 + 2 t - 1, written without the cancellation
+        # of the 1s that would swamp small x and t.
+        arg = 2.0 * (t - x) + x * x
+        return np.where(arg < 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+
+    @staticmethod
+    def d1_threshold(y, t):
+        arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
+        return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+
+
+class _Case2(ShareModel):
+    """Weight proportional to payoff size: alpha = d1 / (d1 + d2).
+
+    The share is constant on rays from the origin and undefined at the
+    origin itself; this class is the one place that knows it.
+    """
+
+    @staticmethod
+    def theta(x, y):
+        return x / (x + y)
+
+    @staticmethod
+    def d2_threshold(x, t):
+        # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
+        # always, and theta <= 0 only on the axis x = 0.
+        inner = (t > 0.0) & (t < 1.0)
+        safe_t = np.where(inner, t, 1.0)
+        edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
+        return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
+
+    @staticmethod
+    def d1_threshold(y, t):
+        below = t < 1.0
+        safe_gap = np.where(below, 1.0 - t, 1.0)
+        return np.where(below, t * y / safe_gap, np.inf)
+
+    def at(self, x: float, y: float) -> float:
+        if x + y == 0.0:
+            raise DegeneratePayoffsError(
+                "the proportional-weight share d1 / (d1 + d2) is undefined "
+                "at d1 = d2 = 0"
+            )
+        return super().at(x, y)
+
+    def support(self, bounds: PayoffBounds) -> tuple[float, float]:
+        """As for every model, except at the origin.
+
+        A rectangle equal to the origin has no defined share at all and
+        raises :class:`DegeneratePayoffsError`.  A corner at the origin takes
+        the limit from inside the rectangle, which then lies on one axis:
+        d2 = 0 while d1 > 0 almost surely, or the reverse.
+        """
+        a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+        if b == 0.0 and d == 0.0:
+            raise DegeneratePayoffsError(
+                "the proportional-weight share is undefined when both payoffs "
+                "are identically 0 (a = b = 0 and c = d = 0)"
+            )
+        lo = 1.0 if a == d == 0.0 else self.at(a, d)
+        hi = 0.0 if b == c == 0.0 else self.at(b, c)
+        return lo, hi
+
+
+@dataclass(frozen=True)
+class FixedAlphaModel(ShareModel):
+    """Share model with an externally fixed bargaining weight.
+
+    Used when perception scores pin alpha directly instead of deriving it
+    from the payoffs; theta = d1 + alpha * (1 - d1 - d2) stays monotone in
+    both payoffs for any alpha in [0, 1].
+    """
+
+    alpha: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _require_unit("alpha", self.alpha))
+
+    def theta(self, x, y):
+        return x + self.alpha * (1.0 - x - y)
+
+    def d2_threshold(self, x, t):
+        if self.alpha == 0.0:
+            return np.where(x <= t, -np.inf, np.inf)
+        return 1.0 - (t - (1.0 - self.alpha) * x) / self.alpha
+
+    def d1_threshold(self, y, t):
+        if self.alpha == 1.0:
+            return np.where(1.0 - y <= t, np.inf, -np.inf)
+        return (t - self.alpha * (1.0 - y)) / (1.0 - self.alpha)
+
+
+_SHARES = {
+    ModelKind.NBS: _Nbs(),
+    ModelKind.CASE1: _Case1(),
+    ModelKind.CASE2: _Case2(),
+}
+
+
+def as_share_model(model) -> ShareModel:
+    """The share model of a :class:`ModelKind` (or its string value).
+
+    A :class:`ShareModel` instance, such as a :class:`FixedAlphaModel`,
+    passes through unchanged.
+    """
+    if isinstance(model, ShareModel):
+        return model
+    try:
+        return _SHARES[ModelKind(model)]
+    except ValueError:
+        raise OutOfRangeError(
+            f"model must be a ModelKind or a ShareModel, got {model!r}"
+        ) from None
 
 
 def theta_general(d1: float, d2: float, alpha: float) -> float:
@@ -261,64 +425,19 @@ def theta_general(d1: float, d2: float, alpha: float) -> float:
     both parties do at least as well as their disagreement payoffs.
     """
     payoffs = NormalizedPayoffs(d1, d2)
-    alpha = _require_unit("alpha", alpha)
-    surplus = 1.0 - payoffs.d1 - payoffs.d2
-    return _clip01(payoffs.d1 + alpha * surplus)
+    return FixedAlphaModel(alpha).at(payoffs.d1, payoffs.d2)
 
 
 def theta_model(model: ModelKind, d1: float, d2: float) -> float:
     """Party 1's share under one of the three built-in weight rules.
 
-    Evaluates each model's reduced closed form; agrees with
-    ``theta_general(d1, d2, alpha_<model>(d1, d2))`` to roundoff.
+    Validates the payoffs, clips the share to [0, 1], and raises
+    :class:`DegeneratePayoffsError` for ``CASE2`` at d1 = d2 = 0.  Agrees
+    with ``theta_general(d1, d2, alpha_<model>(d1, d2))`` to roundoff.
     """
     model = ModelKind(model)
     payoffs = NormalizedPayoffs(d1, d2)
-    x, y = payoffs.d1, payoffs.d2
-    if model is ModelKind.NBS:
-        return _clip01(0.5 + (x - y) / 2.0)
-    if model is ModelKind.CASE1:
-        return _clip01((y * y - x * x + 2.0 * (x - y) + 1.0) / 2.0)
-    total = x + y
-    if total == 0.0:
-        raise DegeneratePayoffsError(
-            "the proportional-weight share d1 / (d1 + d2) is undefined "
-            "at d1 = d2 = 0"
-        )
-    return _clip01(x / total)
-
-
-def optimal_partition(
-    operating_income: float, d1_abs: float, d2_abs: float, alpha: float
-) -> ProfitPartition:
-    """Split absolute operating income given absolute disagreement payoffs.
-
-    Each party receives its disagreement payoff plus its weighted share of
-    the remaining surplus; pi1 + pi2 equals operating income exactly.
-    """
-    operating_income = _as_float("operating_income", operating_income)
-    if not (math.isfinite(operating_income) and operating_income > 0.0):
-        raise OutOfRangeError(
-            f"operating_income must be positive, got {operating_income!r}"
-        )
-    d1_abs = _as_float("d1_abs", d1_abs)
-    d2_abs = _as_float("d2_abs", d2_abs)
-    for name, value in (("d1_abs", d1_abs), ("d2_abs", d2_abs)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise OutOfRangeError(
-                f"{name} must be a finite nonnegative number, got {value!r}"
-            )
-    if d1_abs + d2_abs > operating_income * (1.0 + _SUM_SLACK):
-        raise SurplusViolationError(
-            "disagreement payoffs must not exceed operating income: "
-            f"d1_abs + d2_abs = {d1_abs + d2_abs!r} > {operating_income!r}"
-        )
-    alpha = _require_unit("alpha", alpha)
-    surplus = operating_income - d1_abs - d2_abs
-    return ProfitPartition(
-        pi1=d1_abs + alpha * surplus,
-        pi2=d2_abs + (1.0 - alpha) * surplus,
-    )
+    return _SHARES[model].at(payoffs.d1, payoffs.d2)
 
 
 def royalty_rate(theta1: float, financials: FinancialStatement) -> float:
@@ -329,8 +448,3 @@ def royalty_rate(theta1: float, financials: FinancialStatement) -> float:
     theta1 = _require_unit("theta1", theta1)
     return theta1 * financials.operating_margin
 
-
-def party2_share(theta1: float) -> float:
-    """Party 2's share of operating income, 1 - theta1."""
-    theta1 = _require_unit("theta1", theta1)
-    return 1.0 - theta1

@@ -45,12 +45,12 @@ from .posterior import (
     FixedAlphaModel,
     cdf_at,
     mode_from_curve,
+    numeric_estimate,
     numeric_mean,
     numeric_median,
-    numeric_mode,
     pdf_curve,
 )
-from .sweep import family_sweep, write_csv, write_json, write_map_csv
+from .sweep import family_sweep, write_csv, write_json, write_map_csv, write_rows
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_parser", "main", "entrypoint"]
 
@@ -67,6 +67,8 @@ _CASE1_ABS_REL_TOL = 0.04
 # Size caps that keep every run bounded in time and memory.
 _MAX_GRID_POINTS = 1_000_001
 _MAX_D_GRID = 10_001
+_MAX_MC_N = 10_000_000
+_MAX_SAMPLES = 100_000
 
 # Golden worked example: published three-decimal estimates and overpayment
 # probabilities for payoff bounds a=0, b=0.2, c=0, d=0.8.
@@ -108,20 +110,14 @@ class ScenarioConfig:
     risk: RiskProfile | None
     financials: FinancialStatement | None = None
     perceptions: PerceptionMatrix | None = None
-    mc_n: int = 1_000_000
-    seed: int = 42
     grid_points: int = 2001
 
 
-_CONFIG_KEYS = {
-    "bounds",
-    "model",
-    "risk",
-    "financials",
-    "perceptions",
-    "mc_n",
-    "seed",
-    "grid_points",
+_CONFIG_KEYS = {"bounds", "model", "risk", "financials", "perceptions", "grid_points"}
+_NUMERIC_BLOCKS = {
+    "bounds": {"a", "b", "c", "d"},
+    "financials": {"operating_revenue", "operating_cost"},
+    "perceptions": {"p11", "p12", "p21", "p22"},
 }
 
 
@@ -145,27 +141,31 @@ def _load_config_file(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     _check_keys(data, _CONFIG_KEYS, str(path))
-    for block, keys in (
-        ("bounds", {"a", "b", "c", "d"}),
-        ("financials", {"operating_revenue", "operating_cost"}),
-        ("perceptions", {"p11", "p12", "p21", "p22"}),
-    ):
+    numbers = {"grid_points": data["grid_points"]} if "grid_points" in data else {}
+    for block, keys in _NUMERIC_BLOCKS.items():
         if block in data:
             if not isinstance(data[block], dict):
                 raise ConfigError(f"{path}: field '{block}' must be an object")
             _check_keys(data[block], keys, f"{path}: field '{block}'")
+            numbers.update((f"{block}.{k}", v) for k, v in data[block].items())
+    for name, value in numbers.items():
+        # JSON true/false would pass as 1/0 and "0" as 0 further on.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(
+                f"{path}: field '{name}' must be a number, got {value!r}"
+            )
     return data
 
 
-def _positive_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
+def _positive_int(label: str, value, minimum: int, maximum: int | None = None) -> int:
     try:
         value = int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"field '{name}' must be an integer, got {value!r}") from None
+        raise ConfigError(f"{label} must be an integer, got {value!r}") from None
     if value < minimum:
-        raise ConfigError(f"field '{name}' must be at least {minimum}, got {value}")
+        raise ConfigError(f"{label} must be at least {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"field '{name}' must be at most {maximum}, got {value}")
+        raise ConfigError(f"{label} must be at most {maximum}, got {value}")
     return value
 
 
@@ -245,23 +245,18 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
             )
         financials = FinancialStatement(**fin_map)
 
-    def setting(name: str, default: int, minimum: int, maximum=None) -> int:
-        override = getattr(args, name, None)
-        if override is not None:
-            return _positive_int(name, override, minimum, maximum)
-        if name in data:
-            return _positive_int(name, data[name], minimum, maximum)
-        return default
-
+    grid_points = getattr(args, "grid_points", None)
+    if grid_points is None:
+        grid_points = data.get("grid_points", 2001)
     return ScenarioConfig(
         bounds=bounds,
         model=model,
         risk=risk,
         financials=financials,
         perceptions=perceptions,
-        mc_n=setting("mc_n", 1_000_000, 1),
-        seed=setting("seed", 42, 0),
-        grid_points=setting("grid_points", 2001, 3, _MAX_GRID_POINTS),
+        grid_points=_positive_int(
+            "field 'grid_points'", grid_points, 3, _MAX_GRID_POINTS
+        ),
     )
 
 
@@ -282,22 +277,14 @@ def _model_label(config: ScenarioConfig) -> str:
 # --- estimate ---------------------------------------------------------------
 
 
-def _numeric_estimate(model, config: ScenarioConfig) -> EstimateResult:
-    if config.risk is RiskProfile.MAP:
-        value = numeric_mode(model, config.bounds, config.grid_points).value
-    elif config.risk is RiskProfile.ABS:
-        value = numeric_median(model, config.bounds)
-    else:
-        value = numeric_mean(model, config.bounds)
-    value = min(1.0, max(0.0, float(value)))
-    return EstimateResult(theta1=value, theta2=1.0 - value, method_note=NOTE_NUMERIC)
-
-
 def _cmd_estimate(args) -> int:
     config = _scenario_from(args, need_risk=True)
     model = _engine_model(config)
     if config.perceptions is not None:
-        result = _numeric_estimate(model, config)
+        value = numeric_estimate(model, config.risk, config.bounds, config.grid_points)
+        result = EstimateResult(
+            theta1=value, theta2=1.0 - value, method_note=NOTE_NUMERIC
+        )
     else:
         result = estimate(config.model, config.risk, config.bounds)
     overpayment = cdf_at(model, config.bounds, result.theta1)
@@ -336,20 +323,13 @@ def _cmd_estimate(args) -> int:
 # --- posterior --------------------------------------------------------------
 
 
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _cmd_posterior(args) -> int:
     config = _scenario_from(args, need_risk=False)
     model = _engine_model(config)
     bounds = config.bounds
     curve = pdf_curve(model, bounds, config.grid_points)
 
-    lines = ["theta,pdf,cdf"]
-    for t, p, f in zip(curve.thetas, curve.pdf, curve.cdf):
-        lines.append(",".join((_fmt17(t), _fmt17(p), _fmt17(f))))
-    Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_rows(args.out, "theta,pdf,cdf", zip(curve.thetas, curve.pdf, curve.cdf))
 
     mode = mode_from_curve(curve)
     median = numeric_median(model, bounds)
@@ -439,9 +419,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples = _positive_int("samples", args.samples, 1)
-    mc_n = _positive_int("mc_n", args.mc_n, 2)
-    seed = _positive_int("seed", args.seed, 0)
+    samples = _positive_int("--samples", args.samples, 1, _MAX_SAMPLES)
+    mc_n = _positive_int("--mc-n", args.mc_n, 2, _MAX_MC_N)
+    seed = _positive_int("--seed", args.seed, 0)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tuples = [random_valid_bounds(rng) for _ in range(samples)]
@@ -559,8 +539,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--oc", dest="operating_cost", type=float, help="operating cost"
     )
-    parser.add_argument("--mc-n", dest="mc_n", type=int)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--grid-points", dest="grid_points", type=int)
 
 

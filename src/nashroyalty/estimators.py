@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .bargaining import ModelKind, PayoffBounds, theta_model
-from .errors import DegeneratePayoffsError, OutOfRangeError
+from .bargaining import ModelKind, PayoffBounds, as_share_model, theta_model
+from .errors import OutOfRangeError
 
 __all__ = [
     "RiskProfile",
@@ -40,6 +41,16 @@ __all__ = [
 NOTE_EXACT = "exact closed form"
 NOTE_APPROXIMATION = "closed-form approximation"
 NOTE_NUMERIC = "numeric"
+
+# A case2 mean formula is trusted while its rounding error, estimated as
+# this many ulps of its terms' magnitudes over its denominator, stays within
+# its limit.  The rectangle form's estimate is pessimistic (paired corners
+# share squares whose rounding cancels), so its limit is the looser one.
+_ROUNDING_ULPS = 4.0
+_RECTANGLE_ROUNDING = 1e-11
+_DIFFERENCE_ROUNDING = 1e-12
+# Below this largest bound the rectangle form's squares lose precision.
+_CASE2_TINY = 1e-100
 
 
 class RiskProfile(enum.Enum):
@@ -82,68 +93,113 @@ def _nbs_mean(bounds: PayoffBounds) -> float:
 def _case2_mean(bounds: PayoffBounds) -> float:
     """E[d1 / (d1 + d2)] for independent uniform payoffs.
 
-    Closed form from integrating x/(x+y) over the rectangle; the point-mass
-    cases are the limits of the rectangle formula as a side collapses.
+    Two forms of the exact integral are tried, each only where its
+    estimated rounding error is small: the rectangle closed form, then the
+    same integral with its logarithm differences taken by ``log1p``, on
+    bounds scaled so that the largest is 1 (the share is scale invariant).
+    Thin sides and point masses fall through to the expansion of
+    :func:`_case2_thin_mean`.  Within about 1e-12 of the exact mean (README,
+    *Accuracy notes*).  Raises :class:`DegeneratePayoffsError` on the
+    origin rectangle.
     """
-    if bounds.is_point_mass1 and bounds.is_point_mass2:
-        return theta_model(ModelKind.CASE2, bounds.a, bounds.c)
-    return _case2_mean_raw(bounds.a, bounds.b, bounds.c, bounds.d)
-
-
-def _case2_mean_raw(a: float, b: float, c: float, d: float) -> float:
-    if a == b and c == d:
-        return a / (a + c)  # callers exclude the origin
-    if a == b:
-        if a == 0.0:
-            return 0.0  # d1 = 0 and d2 > 0 almost surely
-        ratio = (d - c) / (a + c)
-        if math.isfinite(ratio):
-            spread = math.log1p(ratio)
-        else:
-            spread = math.log(a + d) - math.log(a + c)
-        return a * spread / (d - c)
-    if c == d:
-        if d == 0.0:
-            return 1.0  # d2 = 0 and d1 > 0 almost surely
-        ratio = (b - a) / (a + d)
-        if math.isfinite(ratio):
-            spread = math.log1p(ratio)
-        else:
-            spread = math.log(b + d) - math.log(a + d)
-        return 1.0 - d * spread / (b - a)
-
-    def xlog(coefficient: float, argument: float) -> float:
-        # x * log(x) -> 0 convention; the argument is 0 only when the
-        # coefficient is exactly 0 (at a = c = 0).
-        if coefficient == 0.0:
-            return 0.0
-        return coefficient * math.log(argument)
-
-    denominator = 2.0 * (d - c) * (b - a)
-    if denominator != 0.0:
-        numerator = (
-            xlog(a * a - c * c, a + c)
-            + xlog(d * d - a * a, a + d)
-            + xlog(c * c - b * b, b + c)
-            + xlog(b * b - d * d, b + d)
-            + (c - d) * (a - b)
-        )
-        value = numerator / denominator
-        if math.isfinite(value):
-            return value
-    # The rectangle's area underflowed (or cancellation noise was amplified
-    # past overflow).  The share is scale invariant, so renormalize to put
-    # the largest bound at 1; if that is not enough, the remaining width is
-    # below any representable area and the narrower side acts as a point
-    # mass at its midpoint.
+    lo, hi = as_share_model(ModelKind.CASE2).support(bounds)
+    if lo == hi:  # a deterministic share, such as two point masses
+        return lo
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     scale = max(b, d)
-    if scale != 1.0:
-        return _case2_mean_raw(a / scale, b / scale, c / scale, d / scale)
-    if (b - a) / b <= (d - c) / d:
-        mid = (a + b) / 2.0
-        return _case2_mean_raw(mid, mid, c, d)
-    mid = (c + d) / 2.0
-    return _case2_mean_raw(a, b, mid, mid)
+    value = None
+    if scale >= _CASE2_TINY:
+        value = _case2_rectangle_mean(a, b, c, d)
+    if value is None:
+        value = _case2_difference_mean(a / scale, b / scale, c / scale, d / scale)
+    if value is not None:
+        return value
+    # Expand along the side that is narrower relative to its distance from
+    # the origin, where the share is singular.
+    if d > c and (b - a) / (c + _middle(a, b)) <= (d - c) / (a + _middle(c, d)):
+        return _case2_thin_mean(a, b, c, d)
+    return 1.0 - _case2_thin_mean(c, d, a, b)
+
+
+def _middle(lo: float, hi: float) -> float:
+    # The midpoint of [0, 5e-324] rounds to 0; hi keeps it inside (0, hi].
+    return (lo + hi) / 2.0 or hi
+
+
+def _accurate(size: float, denominator: float, limit: float) -> bool:
+    """Whether a few ulps of ``size``, over ``denominator``, stay within
+    ``limit``."""
+    rounding = _ROUNDING_ULPS * sys.float_info.epsilon * size
+    return denominator > 0.0 and rounding <= limit * denominator
+
+
+def _case2_rectangle_mean(a: float, b: float, c: float, d: float) -> float | None:
+    """Closed form from integrating x/(x+y) over the rectangle, or None.
+
+    The corner terms (x^2 - y^2) log(x + y) cancel down to twice the
+    rectangle's area, so each carries a few ulps of its coefficient times
+    (1 + |log|) into the rounding estimate.
+    """
+    area = (c - d) * (a - b)
+    numerator, size = 0.0, area
+    for x, y, sign in ((a, c, 1.0), (a, d, -1.0), (b, c, -1.0), (b, d, 1.0)):
+        # x + y is 0 only at the origin, where the term is 0 in the limit.
+        log = math.log(x + y) if x + y > 0.0 else 0.0
+        coefficient = x * x - y * y
+        numerator += sign * coefficient * log
+        size += abs(coefficient) * (1.0 + abs(log))
+    denominator = 2.0 * area
+    if not _accurate(size, denominator, _RECTANGLE_ROUNDING):
+        return None
+    return (numerator + area) / denominator
+
+
+def _case2_difference_mean(a: float, b: float, c: float, d: float) -> float | None:
+    """The rectangle closed form with its logarithm differences by log1p.
+
+    Grouping the corner terms by shared bound leaves
+    b^2 L(b) - a^2 L(a) - d^2 log1p(w1 / (a + d)) + c^2 log1p(w1 / (a + c))
+    over 2 w1 w2, plus 1/2, with L(x) = log1p(w2 / (x + c)).  No logarithm
+    of a sum absorbs a small bound, so the rounding error grows only like
+    one over the relative widths.  None when a side is a point mass or the
+    estimate exceeds ``_DIFFERENCE_ROUNDING``.
+    """
+    width, height = b - a, d - c
+    if width == 0.0 or height == 0.0:
+        return None
+    terms = (
+        b * b * math.log1p(height / (b + c)),
+        # a^2 L(a) -> 0 at a = c = 0, and so does c^2 log1p(.) at c = 0.
+        -a * a * math.log1p(height / (a + c)) if a > 0.0 else 0.0,
+        -d * d * math.log1p(width / (a + d)),
+        c * c * math.log1p(width / (a + c)) if c > 0.0 else 0.0,
+    )
+    denominator = 2.0 * width * height
+    if not _accurate(sum(map(abs, terms)), denominator, _DIFFERENCE_ROUNDING):
+        return None
+    return 0.5 + sum(terms) / denominator
+
+
+def _case2_thin_mean(a: float, b: float, c: float, d: float) -> float:
+    """E[x / (x + y)] for x uniform on [a, b], y on [c, d], with d > c.
+
+    Exact in y at x's midpoint m, plus the second-order term in x,
+    (b - a)^2 / 24 times the mean of d^2/dx^2 x/(x+y) over y; the next
+    term is of order ((b - a) / (m + c))^4.  Exact when a = b.
+    """
+    m = _middle(a, b)
+    width, height = b - a, d - c
+    ratio = height / (m + c)
+    if math.isfinite(ratio):
+        spread = math.log1p(ratio)
+    else:
+        spread = math.log(m + d) - math.log(m + c)
+    # The y-mean of the second derivative, -2y/(m+y)^3, is
+    # [(m + 2y) / (m + y)^2] from c to d over the height.
+    curvature = (width / (m + d)) ** 2 * (m + 2.0 * d) - (width / (m + c)) ** 2 * (
+        m + 2.0 * c
+    )
+    return m * spread / height + curvature / (24.0 * height)
 
 
 def map_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
@@ -184,11 +240,6 @@ def mse_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
         quadratic = (c * c + c * d + d * d - a * a - a * b - b * b) / 6.0
         linear = (a + b - c - d + 1.0) / 2.0
         return _result(quadratic + linear, NOTE_EXACT)
-    if b == 0.0 and d == 0.0:
-        raise DegeneratePayoffsError(
-            "the proportional-weight share is undefined when both payoffs "
-            "are identically 0 (a = b = 0 and c = d = 0)"
-        )
     return _result(_case2_mean(bounds), NOTE_EXACT)
 
 

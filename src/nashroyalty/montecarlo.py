@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import ModelKind, PayoffBounds, validate_bounds
-from .errors import DegeneratePayoffsError, EmptySampleError, OutOfRangeError
-from .posterior import FixedAlphaModel
+from .bargaining import PayoffBounds, as_share_model, validate_bounds
+from .errors import EmptySampleError, OutOfRangeError
 
 __all__ = [
     "SHARD_SIZE",
@@ -45,39 +44,20 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _theta_array(model, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    if isinstance(model, FixedAlphaModel):
-        raw = d1 + model.alpha * (1.0 - d1 - d2)
-    else:
-        model = ModelKind(model)
-        if model is ModelKind.NBS:
-            raw = 0.5 + (d1 - d2) / 2.0
-        elif model is ModelKind.CASE1:
-            raw = (d2 * d2 - d1 * d1 + 2.0 * (d1 - d2) + 1.0) / 2.0
-        else:
-            raw = d1 / (d1 + d2)  # callers guarantee no (0, 0) pair
-    return np.clip(raw, 0.0, 1.0)
-
-
 def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     """Draw n share values under independent uniform payoffs.
 
-    Deterministic in (model, bounds, n, seed).  For the proportional model
-    a drawn pair at exactly (0, 0), possible only when a = c = 0, is
-    redrawn within its shard; a rectangle pinned to the origin has no
-    defined share and raises :class:`DegeneratePayoffsError`.
+    Deterministic in (model, bounds, n, seed).  A drawn pair where the
+    share is undefined (the proportional model at exactly (0, 0), possible
+    only when a = c = 0) is redrawn within its shard; a rectangle on which
+    the share is nowhere defined raises :class:`DegeneratePayoffsError`.
     """
-    if not isinstance(model, FixedAlphaModel):
-        model = ModelKind(model)
+    share = as_share_model(model)
     n = int(n)
     if n < 1:
         raise OutOfRangeError(f"n must be at least 1, got {n!r}")
+    share.support(bounds)  # raises where the share is nowhere defined
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
-    if model is ModelKind.CASE2 and b == 0.0 and d == 0.0:
-        raise DegeneratePayoffsError(
-            "the proportional-weight share is undefined when both payoffs "
-            "are identically 0 (a = b = 0 and c = d = 0)"
-        )
     out = np.empty(n, dtype=np.float64)
     for index in range((n + SHARD_SIZE - 1) // SHARD_SIZE):
         start = index * SHARD_SIZE
@@ -87,15 +67,21 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
         # Full fixed-size blocks keep short samples prefixes of long ones.
         d1 = rng.uniform(a, b, SHARD_SIZE)[:m]
         d2 = rng.uniform(c, d, SHARD_SIZE)[:m]
-        if model is ModelKind.CASE2:
-            stuck = (d1 == 0.0) & (d2 == 0.0)
-            while stuck.any():
-                k = int(stuck.sum())
-                d1[stuck] = rng.uniform(a, b, k)
-                d2[stuck] = rng.uniform(c, d, k)
-                stuck = (d1 == 0.0) & (d2 == 0.0)
-        out[start:stop] = _theta_array(model, d1, d2)
+        out[start:stop] = _shard_thetas(share, bounds, rng, d1, d2)
     return out
+
+
+def _shard_thetas(share, bounds: PayoffBounds, rng, d1, d2) -> np.ndarray:
+    """Clipped shares of one shard's pairs, redrawing undefined pairs."""
+    with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
+        theta = share.theta(d1, d2)
+        while math.isnan(theta.sum()):  # rare, so no mask unless needed
+            stuck = np.isnan(theta)
+            k = int(stuck.sum())
+            d1[stuck] = rng.uniform(bounds.a, bounds.b, k)
+            d2[stuck] = rng.uniform(bounds.c, bounds.d, k)
+            theta[stuck] = share.theta(d1[stuck], d2[stuck])
+    return np.clip(theta, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,12 +101,6 @@ class SampleSummary:
     histogram_mode: float
     bin_count: int
     seed: int | None = None
-
-    def quantile(self, prob: float) -> float:
-        for p, value in self.quantiles:
-            if p == prob:
-                return value
-        raise KeyError(f"quantile {prob!r} was not requested in this summary")
 
 
 def summarize(

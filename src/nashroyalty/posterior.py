@@ -1,7 +1,8 @@
 """Numeric posterior distribution of party 1's share.
 
-Every supported model maps the payoff pair (d1, d2) to a share that is
-nondecreasing in d1 and nonincreasing in d2.  For fixed d1 = x the event
+Every share model (:class:`~nashroyalty.bargaining.ShareModel`) maps the
+payoff pair (d1, d2) to a share that is nondecreasing in d1 and
+nonincreasing in d2.  For fixed d1 = x the event
 {theta <= t} is therefore {d2 >= y0(x, t)} for a crossing point y0, so the
 CDF is a 1-D integral of clipped cross-section lengths over the payoff
 rectangle.  One vectorized kernel evaluates that integral for a whole
@@ -21,20 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import ModelKind, PayoffBounds, theta_general, theta_model
+from .bargaining import FixedAlphaModel, PayoffBounds, ShareModel, as_share_model
 from .errors import (
     DegenerateDistributionError,
     DegeneratePayoffsError,
     NumericalAccuracyError,
     OutOfRangeError,
 )
+from .estimators import RiskProfile
 
 __all__ = [
     "FixedAlphaModel",
     "MonotoneShareFunction",
     "PosteriorCurve",
     "ModeResult",
-    "as_posterior_model",
     "support_range",
     "cdf_at",
     "pdf_curve",
@@ -42,6 +43,7 @@ __all__ = [
     "numeric_mean",
     "numeric_mode",
     "mode_from_curve",
+    "numeric_estimate",
     "overpayment_prob",
 ]
 
@@ -76,114 +78,7 @@ _MEDIAN_OFFSETS = np.concatenate(
 _MODE_TIE_TOL = 1e-9
 
 
-class _NbsOps:
-    """Share and level-crossing geometry for the symmetric model.
-
-    The crossing methods here and in the other models take arrays (or
-    scalars) and broadcast them.
-    """
-
-    name = "nbs"
-
-    @staticmethod
-    def theta(x: float, y: float) -> float:
-        return theta_model(ModelKind.NBS, x, y)
-
-    @staticmethod
-    def d2_threshold(x, t):
-        # theta <= t  <=>  y >= x + 1 - 2 t
-        return x + 1.0 - 2.0 * t
-
-    @staticmethod
-    def d1_threshold(y, t):
-        # theta <= t  <=>  x <= y + 2 t - 1
-        return y + 2.0 * t - 1.0
-
-
-class _Case1Ops:
-    """Geometry for the outside-option-shifted weight model."""
-
-    name = "case1"
-
-    @staticmethod
-    def theta(x: float, y: float) -> float:
-        return theta_model(ModelKind.CASE1, x, y)
-
-    @staticmethod
-    def d2_threshold(x, t):
-        # Level sets are hyperbolas centred at (1, 1): theta <= t  <=>
-        # (1 - y)^2 <= (1 - x)^2 + 2 t - 1, written without the cancellation
-        # of the 1s that would swamp small x and t.
-        arg = 2.0 * (t - x) + x * x
-        return np.where(arg < 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
-
-    @staticmethod
-    def d1_threshold(y, t):
-        arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
-        return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
-
-
-class _Case2Ops:
-    """Geometry for the proportional weight model (rays from the origin)."""
-
-    name = "case2"
-
-    @staticmethod
-    def theta(x: float, y: float) -> float:
-        return theta_model(ModelKind.CASE2, x, y)
-
-    @staticmethod
-    def d2_threshold(x, t):
-        # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
-        # always, and theta <= 0 only on the axis x = 0.
-        inner = (t > 0.0) & (t < 1.0)
-        safe_t = np.where(inner, t, 1.0)
-        edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
-        return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
-
-    @staticmethod
-    def d1_threshold(y, t):
-        below = t < 1.0
-        safe_gap = np.where(below, 1.0 - t, 1.0)
-        return np.where(below, t * y / safe_gap, np.inf)
-
-
-@dataclass(frozen=True)
-class FixedAlphaModel:
-    """Share model with an externally fixed bargaining weight.
-
-    Used when perception scores pin alpha directly instead of deriving it
-    from the payoffs; theta = d1 + alpha * (1 - d1 - d2) stays monotone in
-    both payoffs for any alpha in [0, 1].
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        if not (math.isfinite(alpha) and 0.0 <= alpha <= 1.0):
-            raise OutOfRangeError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def name(self) -> str:
-        return f"fixed-alpha({self.alpha!r})"
-
-    def theta(self, x: float, y: float) -> float:
-        return theta_general(x, y, self.alpha)
-
-    def d2_threshold(self, x, t):
-        if self.alpha == 0.0:
-            return np.where(x <= t, -np.inf, np.inf)
-        return 1.0 - (t - (1.0 - self.alpha) * x) / self.alpha
-
-    def d1_threshold(self, y, t):
-        if self.alpha == 1.0:
-            return np.where(1.0 - y <= t, np.inf, -np.inf)
-        return (t - self.alpha * (1.0 - y)) / (1.0 - self.alpha)
-
-
-class MonotoneShareFunction:
+class MonotoneShareFunction(ShareModel):
     """Posterior-engine adapter for an arbitrary monotone share function.
 
     ``fn(d1, d2)`` must be nondecreasing in d1, nonincreasing in d2, and
@@ -255,55 +150,13 @@ class MonotoneShareFunction:
         return out.reshape(shape)
 
 
-_BUILTIN_OPS = {
-    ModelKind.NBS: _NbsOps(),
-    ModelKind.CASE1: _Case1Ops(),
-    ModelKind.CASE2: _Case2Ops(),
-}
-
-
-def as_posterior_model(model):
-    """Resolve a model argument to an object with share/crossing methods.
-
-    Accepts a :class:`ModelKind` (or its string value), a
-    :class:`FixedAlphaModel`, a :class:`MonotoneShareFunction`, or any
-    object already exposing ``theta``/``d2_threshold``/``d1_threshold``.
-    The crossing methods must accept arrays of payoffs and of t, broadcast
-    them, and return the crossing for each element.
-    """
-    if isinstance(model, ModelKind):
-        return _BUILTIN_OPS[model]
-    if isinstance(model, str):
-        return _BUILTIN_OPS[ModelKind(model)]
-    for attr in ("theta", "d2_threshold", "d1_threshold"):
-        if not callable(getattr(model, attr, None)):
-            raise OutOfRangeError(
-                f"model must be a ModelKind or expose theta/d2_threshold/"
-                f"d1_threshold, got {model!r}"
-            )
-    return model
-
-
 def support_range(model, bounds: PayoffBounds) -> tuple[float, float]:
     """Smallest and largest share values the payoff rectangle can produce.
 
-    By monotonicity these sit at the corners (a, d) and (b, c).  For the
-    proportional model a corner at the origin is replaced by the limit
-    along the rectangle's interior; a rectangle equal to the origin has no
-    defined share at all and raises :class:`DegeneratePayoffsError`.
+    See :meth:`ShareModel.support`; the proportional model raises
+    :class:`DegeneratePayoffsError` on a rectangle equal to the origin.
     """
-    ops = as_posterior_model(model)
-    try:
-        lo = ops.theta(bounds.a, bounds.d)
-    except DegeneratePayoffsError:
-        if bounds.b == 0.0:  # the whole rectangle is the origin
-            raise
-        lo = 1.0  # d2 = 0 surely while d1 > 0 almost surely
-    try:
-        hi = ops.theta(bounds.b, bounds.c)
-    except DegeneratePayoffsError:
-        hi = 0.0  # d1 = 0 surely while d2 > 0 almost surely
-    return lo, hi
+    return as_share_model(model).support(bounds)
 
 
 def _require_prob_point(t: float) -> float:
@@ -407,7 +260,7 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
     1-D length ratios, and a deterministic share yields the step value 0
     or 1.  A value is the same whatever other points share the call.
     """
-    lo, hi = support_range(ops, bounds)
+    lo, hi = ops.support(bounds)
     if lo == hi:  # deterministic share: CDF is a step
         return np.where(ts >= lo, 1.0, 0.0)
     out = np.where(ts >= hi, 1.0, 0.0)
@@ -433,7 +286,7 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     Accurate to 1e-12 absolute (see :func:`_cdf`); raises
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
     """
-    ops = as_posterior_model(model)
+    ops = as_share_model(model)
     t = _require_prob_point(t)
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
@@ -445,7 +298,7 @@ class PosteriorCurve:
     thetas: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
-    model: object
+    model: ShareModel
     bounds: PayoffBounds
 
 
@@ -459,11 +312,11 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     the share is deterministic (point-mass rectangle, or a proportional-
     model rectangle pinned to one axis) since no density curve exists.
     """
-    ops = as_posterior_model(model)
+    ops = as_share_model(model)
     n_points = int(n_points)
     if n_points < 3:
         raise OutOfRangeError(f"n_points must be at least 3, got {n_points!r}")
-    lo, hi = support_range(ops, bounds)
+    lo, hi = ops.support(bounds)
     if lo == hi:
         raise DegenerateDistributionError(
             f"the share is deterministically {lo!r} on these bounds; "
@@ -481,14 +334,18 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
 
     Each round evaluates the CDF at the bracket midpoint and at a ladder
     of points around the linearly interpolated crossing, all in one call,
-    and keeps the tightest bracket.  Stops once |CDF - 1/2| <= 1e-9;
-    returns the deterministic share value outright when the distribution
-    is a point mass.
+    and keeps the tightest bracket.  Stops once |CDF - 1/2| <= 1e-9, or
+    within the CDF's own error target when that is looser (on rectangles
+    with a side thinner than about 4e-6, see :func:`_cdf`); raises
+    :class:`NumericalAccuracyError` when the bracket collapses first.
+    Returns the support's midpoint outright when the support is at most
+    a few ulps wide, as for a point mass.
     """
-    ops = as_posterior_model(model)
-    lo, hi = support_range(ops, bounds)
-    if lo == hi:
-        return lo
+    ops = as_share_model(model)
+    lo, hi = ops.support(bounds)
+    if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
+        return 0.5 * (lo + hi)
+    target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2))
     f_lo, f_hi = 0.0, 1.0
     for _ in range(100):  # each round at least halves the bracket
         if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
@@ -499,7 +356,7 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
         probs = _cdf(ops, bounds, ts)
         gaps = np.abs(probs - 0.5)
         best = int(np.argmin(gaps))
-        if gaps[best] <= _MEDIAN_TOL:
+        if gaps[best] <= target:
             return float(ts[best])
         below = np.flatnonzero(probs < 0.5)
         above = np.flatnonzero(probs > 0.5)
@@ -507,7 +364,10 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
             lo, f_lo = float(ts[below[-1]]), float(probs[below[-1]])
         if above.size:
             hi, f_hi = float(ts[above[0]]), float(probs[above[0]])
-    return 0.5 * (lo + hi)
+    raise NumericalAccuracyError(
+        f"the median bracket closed at [{lo!r}, {hi!r}] with CDF values "
+        f"{f_lo!r} and {f_hi!r}, none within {target:.1e} of 1/2"
+    )
 
 
 def numeric_mean(model, bounds: PayoffBounds) -> float:
@@ -519,14 +379,14 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     over the support's width when that is narrower still).  A
     deterministic share returns its value.
     """
-    ops = as_posterior_model(model)
-    lo, hi = support_range(ops, bounds)
+    ops = as_share_model(model)
+    lo, hi = ops.support(bounds)
     if lo == hi:
         return lo
     cuts = [lo, hi]
     for x, y in ((bounds.a, bounds.c), (bounds.b, bounds.d)):
         try:
-            cuts.append(ops.theta(x, y))
+            cuts.append(ops.at(x, y))
         except DegeneratePayoffsError:
             pass  # the proportional model's corner at the origin
     edges = np.unique(np.clip(cuts, lo, hi))
@@ -572,13 +432,13 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
 
     Same tie and corner conventions as :func:`numeric_mode`.
     """
-    ops = as_posterior_model(curve.model)
+    ops = as_share_model(curve.model)
     bounds = curve.bounds
     peak = float(curve.pdf.max())
     tied = np.flatnonzero(curve.pdf >= peak - _MODE_TIE_TOL)
     plateau = tied.size > 1
     step = curve.thetas[1] - curve.thetas[0]
-    corner = ops.theta(bounds.b, bounds.d)
+    corner = ops.at(bounds.b, bounds.d)
     ts = np.array([corner - step, corner, corner + step])
     valid = (ts >= 0.0) & (ts <= 1.0)
     probs = np.full(3, np.nan)
@@ -588,6 +448,21 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     if one_sided.size and one_sided.max() >= peak - _MODE_TIE_TOL:
         return ModeResult(value=corner, plateau=plateau)
     return ModeResult(value=float(curve.thetas[tied[-1]]), plateau=plateau)
+
+
+def numeric_estimate(
+    model, risk: RiskProfile, bounds: PayoffBounds, n_points: int = 2001
+) -> float:
+    """The engine's estimate for one risk profile.
+
+    The density mode on a grid of ``n_points`` for ``MAP``, the median for
+    ``ABS``, and the mean for ``MSE``.
+    """
+    if risk is RiskProfile.MAP:
+        return numeric_mode(model, bounds, n_points).value
+    if risk is RiskProfile.ABS:
+        return numeric_median(model, bounds)
+    return numeric_mean(model, bounds)
 
 
 def overpayment_prob(model, bounds: PayoffBounds, theta_hat: float) -> float:

@@ -13,14 +13,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bargaining import ModelKind, theta_model, validate_bounds
+from .bargaining import ModelKind, as_share_model, validate_bounds
 from .errors import (
     BoundsValidationError,
     DegeneratePayoffsError,
     OutOfRangeError,
 )
 from .estimators import RiskProfile, estimate
-from .posterior import numeric_mean, numeric_median, numeric_mode
+from .posterior import numeric_estimate
 
 __all__ = [
     "SweepRow",
@@ -31,6 +31,7 @@ __all__ = [
     "family_sweep",
     "write_csv",
     "write_map_csv",
+    "write_rows",
     "to_json_dict",
     "write_json",
 ]
@@ -90,14 +91,6 @@ def _default_c_values(b: float) -> tuple[float, ...]:
     )
 
 
-def _numeric_value(model, risk: RiskProfile, bounds) -> float:
-    if risk is RiskProfile.MAP:
-        return numeric_mode(model, bounds).value
-    if risk is RiskProfile.ABS:
-        return numeric_median(model, bounds)
-    return numeric_mean(model, bounds)
-
-
 def family_sweep(
     model: ModelKind,
     risk: RiskProfile,
@@ -141,25 +134,24 @@ def family_sweep(
                 if engine == "closed_form":
                     value = estimate(model, risk, bounds).theta1
                 else:
-                    value = _numeric_value(model, risk, bounds)
+                    value = numeric_estimate(model, risk, bounds)
             except DegeneratePayoffsError as exc:
                 omitted.append(OmittedCell(c=c, d=d, reason=str(exc)))
                 continue
             rows.append(SweepRow(d=d, theta_hat=value))
         series.append(SweepSeries(c=c, rows=tuple(rows)))
 
+    share = as_share_model(model)
     map_reference = []
     for d in d_grid:
         try:
-            bounds = validate_bounds(a, b, 0.0, d)
+            validate_bounds(a, b, 0.0, d)
         except BoundsValidationError as exc:
             raise type(exc)(f"map reference point d={d!r}: {exc}") from exc
         try:
-            map_reference.append(
-                MapReferencePoint(d=d, theta_map=theta_model(model, b, d))
-            )
+            map_reference.append(MapReferencePoint(d=d, theta_map=share.at(b, d)))
         except DegeneratePayoffsError:
-            continue  # undefined reference point (proportional model, b = d = 0)
+            continue  # the share is undefined at this reference point
 
     return SweepTable(
         model=model,
@@ -172,37 +164,33 @@ def family_sweep(
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _fmt(value) -> str:
+    """Strings verbatim, numbers at full (.17g) precision."""
+    return value if isinstance(value, str) else format(float(value), ".17g")
+
+
+def write_rows(path, header: str, rows) -> None:
+    """Write a CSV header and rows of fields as UTF-8 with LF line endings."""
+    lines = [header]
+    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_csv(table: SweepTable, path) -> None:
     """Write the sweep rows as CSV: one line per kept (c, d) cell."""
-    lines = ["model,risk,a,b,c,d,theta_hat"]
-    for block in table.series:
-        for row in block.rows:
-            lines.append(
-                ",".join(
-                    (
-                        table.model.value,
-                        table.risk.value,
-                        _fmt(table.a),
-                        _fmt(table.b),
-                        _fmt(block.c),
-                        _fmt(row.d),
-                        _fmt(row.theta_hat),
-                    )
-                )
-            )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    head = (table.model.value, table.risk.value, table.a, table.b)
+    rows = (
+        (*head, block.c, row.d, row.theta_hat)
+        for block in table.series
+        for row in block.rows
+    )
+    write_rows(path, "model,risk,a,b,c,d,theta_hat", rows)
 
 
 def write_map_csv(table: SweepTable, path) -> None:
     """Write the MAP reference line as CSV with columns d,theta_map."""
-    lines = ["d,theta_map"]
-    for point in table.map_reference:
-        lines.append(",".join((_fmt(point.d), _fmt(point.theta_map))))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    rows = ((point.d, point.theta_map) for point in table.map_reference)
+    write_rows(path, "d,theta_map", rows)
 
 
 def to_json_dict(table: SweepTable) -> dict:

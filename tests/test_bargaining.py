@@ -1,4 +1,4 @@
-"""Core bargaining-model behavior: validation, weights, shares, partition."""
+"""Core bargaining-model behavior: validation, weights, shares, financials."""
 
 import math
 
@@ -18,8 +18,6 @@ from nashroyalty import (
     alpha_case1,
     alpha_case2,
     alpha_from_perceptions,
-    optimal_partition,
-    party2_share,
     royalty_rate,
     theta_general,
     theta_model,
@@ -184,40 +182,6 @@ class TestThetaModel:
             )
 
 
-class TestOptimalPartition:
-    def test_example_split(self):
-        part = optimal_partition(100.0, 20.0, 30.0, 0.5)
-        assert part.pi1 == pytest.approx(45.0, abs=1e-12)
-        assert part.pi2 == pytest.approx(55.0, abs=1e-12)
-
-    def test_full_weight_gives_whole_surplus_to_party1(self):
-        part = optimal_partition(100.0, 20.0, 30.0, 1.0)
-        assert part.pi1 == pytest.approx(70.0)
-        assert part.pi2 == pytest.approx(30.0)
-
-    @given(
-        st.floats(min_value=1e-6, max_value=1e9, allow_nan=False),
-        UNIT,
-        UNIT,
-        UNIT,
-    )
-    def test_conserves_operating_income(self, oi, f1, f2, alpha):
-        d1_abs = f1 * oi
-        d2_abs = f2 * (oi - d1_abs)
-        part = optimal_partition(oi, d1_abs, d2_abs, alpha)
-        assert abs(part.pi1 + part.pi2 - oi) <= 1e-12 * oi
-        assert part.pi1 >= d1_abs - 1e-12 * oi
-        assert part.pi2 >= d2_abs - 1e-12 * oi
-
-    def test_payoffs_exceeding_income_rejected(self):
-        with pytest.raises(SurplusViolationError, match="operating income"):
-            optimal_partition(100.0, 60.0, 50.0, 0.5)
-
-    def test_nonpositive_income_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            optimal_partition(0.0, 0.0, 0.0, 0.5)
-
-
 class TestFinancials:
     def test_margin_and_royalty_rate(self):
         fs = FinancialStatement(operating_revenue=100.0, operating_cost=80.0)
@@ -232,7 +196,3 @@ class TestFinancials:
     def test_negative_inputs_rejected(self):
         with pytest.raises(OutOfRangeError):
             FinancialStatement(operating_revenue=-1.0, operating_cost=0.0)
-
-    @given(UNIT)
-    def test_party2_share_complements_exactly(self, theta1):
-        assert theta1 + party2_share(theta1) == 1.0

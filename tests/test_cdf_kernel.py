@@ -26,11 +26,11 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
+from nashroyalty.bargaining import ShareModel, as_share_model
 from nashroyalty.posterior import (
     MonotoneShareFunction,
     _cdf,
     _integrate,
-    as_posterior_model,
     support_range,
 )
 
@@ -140,7 +140,7 @@ def _probe_points(model: ModelKind, bounds) -> np.ndarray:
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_kernel_matches_scalar_quad_reference(model, bounds):
     ts = _probe_points(model, bounds)
-    batched = _cdf(as_posterior_model(model), bounds, ts)
+    batched = _cdf(as_share_model(model), bounds, ts)
     reference = np.array([reference_cdf(model, bounds, float(t)) for t in ts])
     assert np.max(np.abs(batched - reference)) <= 1e-11
 
@@ -160,13 +160,17 @@ def test_mean_from_cdf_matches_closed_form(model, bounds):
         (ModelKind.CASE1, validate_bounds(0.95, 1.0 - 2.0**-53, 0.0, 0.0)),
         (ModelKind.CASE1, validate_bounds(0.0, 1e-6, 0.5, 1.0 - 1e-6)),
         (ModelKind.CASE2, validate_bounds(0.41859712955009293, 0.95, 1e-9, 1e-9)),
+        (ModelKind.CASE2, validate_bounds(0.1, 0.1 + 1e-12, 0.3, 0.3 + 1e-12)),
+        (ModelKind.CASE2, validate_bounds(1e-300, 2e-300, 0.0, 0.5)),
     ],
 )
 def test_mean_on_singular_and_thin_edge_boxes(model, bounds):
     # case1's CDF has square-root endpoints on the simplex edge.  The thin
     # box's target is 16 eps / 1e-6 per unit t (README, Accuracy notes).
-    # The last box's support is about 1e-9 wide just below 1, where the
-    # spacing of floats is 1e-7 of it.
+    # The third box's support is about 1e-9 wide just below 1, where the
+    # spacing of floats is 1e-7 of it.  On the last two boxes the case2
+    # closed form's corner terms cancel far below its area, or square to
+    # below the smallest float.
     closed = mse_estimate(model, bounds).theta1
     assert abs(numeric_mean(model, bounds) - closed) <= 1e-9
 
@@ -177,14 +181,14 @@ def test_mean_on_singular_and_thin_edge_boxes(model, bounds):
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_a_value_does_not_depend_on_its_batch(model):
     ts = np.linspace(0.0, 1.0, 257)
-    batched = _cdf(as_posterior_model(model), GOLDEN, ts)
+    batched = _cdf(as_share_model(model), GOLDEN, ts)
     alone = np.array([cdf_at(model, GOLDEN, float(t)) for t in ts[::16]])
     assert np.array_equal(batched[::16], alone)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_array_crossings_match_scalar_reference(model):
-    ops = as_posterior_model(model)
+    ops = as_share_model(model)
     payoffs = np.linspace(0.0, 1.0, 11)
     for t in (0.0, 0.3, 0.5, 1.0):
         d2 = ops.d2_threshold(payoffs, np.full(payoffs.shape, t))
@@ -204,7 +208,7 @@ def test_monotone_share_function_bisects_arrays_with_a_scalar_fn():
     wrapped = MonotoneShareFunction(share)
     xs = np.linspace(0.0, 0.2, 7)
     ts = np.linspace(0.1, 0.4, 7)  # crossings inside the feasible triangle
-    exact = as_posterior_model(ModelKind.CASE1).d2_threshold(xs, ts)
+    exact = as_share_model(ModelKind.CASE1).d2_threshold(xs, ts)
     assert np.all((exact > 0.0) & (exact < 1.0 - xs))
     assert np.allclose(wrapped.d2_threshold(xs, ts), exact, rtol=0.0, atol=1e-12)
     assert set(calls) == {(float, float)}
@@ -221,7 +225,7 @@ def test_quadrature_closes_a_square_root_endpoint():
     assert abs(value[0] - 2.0 / 3.0) <= 1e-12
 
 
-class _WigglyOps:
+class _WigglyOps(ShareModel):
     """The symmetric model with a crossing that oscillates within one panel."""
 
     name = "wiggly"
@@ -276,7 +280,7 @@ MODELS = st.sampled_from(list(ModelKind))
 @given(grid_boxes(), MODELS, PROBS)
 def test_cdf_is_a_monotone_probability(bounds, model, ts):
     ts = np.sort(np.array(ts))
-    values = _cdf(as_posterior_model(model), bounds, ts)
+    values = _cdf(as_share_model(model), bounds, ts)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values) >= -2e-12)
 
@@ -284,7 +288,7 @@ def test_cdf_is_a_monotone_probability(bounds, model, ts):
 @settings(deadline=None)
 @given(grid_boxes(), MODELS, PROBS)
 def test_exchanging_the_parties_reflects_the_cdf(bounds, model, ts):
-    ops = as_posterior_model(model)
+    ops = as_share_model(model)
     ts = np.array(ts)
     direct = _cdf(ops, bounds, ts)
     swapped = _cdf(ops, bounds.swapped(), 1.0 - ts)
@@ -296,5 +300,5 @@ def test_exchanging_the_parties_reflects_the_cdf(bounds, model, ts):
 def test_cdf_stays_in_unit_interval_on_any_valid_box(bounds, model, ts):
     if model is ModelKind.CASE2 and bounds.b == 0.0 and bounds.d == 0.0:
         return  # the share is undefined on the origin rectangle
-    values = _cdf(as_posterior_model(model), bounds, np.array(ts))
+    values = _cdf(as_share_model(model), bounds, np.array(ts))
     assert np.all((values >= 0.0) & (values <= 1.0))

@@ -147,6 +147,33 @@ class TestConfigFiles:
         assert code == 2
         assert "'financials'" in err and "oc" in err
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("bounds", "a", True),
+            ("bounds", "b", "0.2"),
+            ("financials", "operating_revenue", "500"),
+            ("perceptions", "p11", False),
+            (None, "grid_points", "201"),
+        ],
+    )
+    def test_booleans_and_strings_in_numeric_fields_exit_2(
+        self, capsys, tmp_path, block, key, value
+    ):
+        payload = json.loads(json.dumps(self.BASE))
+        payload["financials"] = {"operating_revenue": 500, "operating_cost": 360}
+        payload["perceptions"] = {"p11": 0.5, "p12": 0.5, "p21": 0.5, "p22": 0.5}
+        if block is None:
+            payload[key] = value
+        else:
+            payload[block][key] = value
+        code, out, err = run(
+            capsys, ["estimate", "--config", self.write(tmp_path, payload)]
+        )
+        assert (code, out) == (2, "")
+        assert "must be a number" in err
+        assert (f"'{block}.{key}'" if block else f"'{key}'") in err
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["estimate", "--config", str(tmp_path / "absent.json")]
@@ -443,6 +470,15 @@ class TestVerifyCommand:
         assert out1 == out2
         assert "result: PASS" in out1
         assert "exact closed forms vs quadrature" in out1
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--mc-n", "10000001"], "--mc-n"), (["--samples", "100001"], "--samples")],
+    )
+    def test_oversized_runs_exit_2(self, capsys, flags, named):
+        code, out, err = run(capsys, ["verify", *flags])
+        assert (code, out) == (2, "")
+        assert named in err
 
 
 class TestReferenceCommand:

@@ -1,10 +1,15 @@
 """Monte Carlo sampler: pinned streams, prefix property, convergence."""
 
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nashroyalty
 from nashroyalty import (
     SHARD_SIZE,
     DegeneratePayoffsError,
@@ -55,6 +60,19 @@ THETA_SEED42 = {
 }
 
 
+# SHA-256 of sample_thetas(model, GOLDEN, SHARD_SIZE + 17, seed=42): the
+# whole first shard and the start of the second, for every share model.
+STREAM_SHA256 = [
+    (ModelKind.NBS, "cf04efeab629ecea487db83350621b696f2f48f560f1f9fde9ddade272a2618e"),
+    (ModelKind.CASE1, "a7e25a2674e05fe3cba31217ee37a1231b93335629c1564d2f4341b5e9e78e28"),
+    (ModelKind.CASE2, "a31e6c411c8fe13cee143e5df4dbbaed295c0e9614d77dd5d4de54924143c375"),
+    (
+        FixedAlphaModel(0.3),
+        "9cb16d2ed183ac89e7e406a7803c087d5bac87d1356101abda613ec054d0c023",
+    ),
+]
+
+
 class TestPinnedStreams:
     def test_raw_generator_layout(self):
         sequence = np.random.SeedSequence(entropy=42, spawn_key=(0,))
@@ -64,6 +82,11 @@ class TestPinnedStreams:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_share_streams(self, model):
         assert sample_thetas(model, GOLDEN, 4, seed=42).tolist() == THETA_SEED42[model]
+
+    @pytest.mark.parametrize("model, digest", STREAM_SHA256, ids=str)
+    def test_two_shard_stream_hashes(self, model, digest):
+        draws = sample_thetas(model, GOLDEN, SHARD_SIZE + 17, seed=42)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
     def test_same_seed_reproduces_exactly(self):
         first = sample_thetas(ModelKind.CASE2, GOLDEN, 5000, seed=9)
@@ -149,10 +172,7 @@ class TestSummarize:
 
     def test_quantiles_interpolate_linearly(self):
         summary = summarize(np.array([0.0, 1.0]), quantile_probs=(0.5, 0.25))
-        assert summary.quantile(0.5) == 0.5
-        assert summary.quantile(0.25) == 0.25
-        with pytest.raises(KeyError):
-            summary.quantile(0.9)
+        assert summary.quantiles == ((0.5, 0.5), (0.25, 0.25))
 
     def test_histogram_mode_takes_the_lowest_tied_bin(self):
         summary = summarize(np.array([0.1, 0.9]), bin_count=2)
@@ -200,3 +220,26 @@ class TestRandomValidBounds:
         second = [random_valid_bounds(rng_b) for _ in range(5)]
         assert first == second
         assert len({(b.a, b.b, b.c, b.d) for b in first}) == 5
+
+
+class TestImports:
+    def test_sampler_does_not_load_the_quadrature_engine(self):
+        # The package __init__ imports every module, so the probe registers
+        # a bare package and imports the sampler alone.
+        package = Path(nashroyalty.__file__).resolve().parent
+        probe = (
+            "import sys, types\n"
+            "package = types.ModuleType('nashroyalty')\n"
+            f"package.__path__ = [{str(package)!r}]\n"
+            "sys.modules['nashroyalty'] = package\n"
+            "import nashroyalty.montecarlo\n"
+            "print('nashroyalty.posterior' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from nashroyalty import (
     FixedAlphaModel,
     ModelKind,
     MonotoneShareFunction,
+    NumericalAccuracyError,
     OutOfRangeError,
     cdf_at,
     map_estimate,
@@ -24,7 +25,9 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
-from nashroyalty.posterior import as_posterior_model, mode_from_curve
+from nashroyalty.bargaining import as_share_model
+from nashroyalty import posterior
+from nashroyalty.posterior import mode_from_curve
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 ORIGIN = validate_bounds(0.0, 0.0, 0.0, 0.0)
@@ -231,6 +234,22 @@ class TestNumericMedian:
             0.277, abs=5e-4
         )
 
+    def test_thin_box_median_meets_the_cdf_target(self):
+        # Sides 1e-12 wide: the CDF is only accurate to 16 eps / 1e-12, so
+        # the median's stop widens to that target.
+        bounds = validate_bounds(0.1, 0.1 + 1e-12, 0.3, 0.3 + 1e-12)
+        target = max(1e-9, posterior._tolerance(bounds.width1, bounds.width2))
+        median = numeric_median(ModelKind.NBS, bounds)
+        assert abs(cdf_at(ModelKind.NBS, bounds, median) - 0.5) <= target
+
+    def test_cdf_jumping_across_half_raises(self, monkeypatch):
+        def jump(ops, bounds, ts):
+            return np.where(ts < 0.3, 0.4, 0.6)
+
+        monkeypatch.setattr(posterior, "_cdf", jump)
+        with pytest.raises(NumericalAccuracyError, match="median"):
+            numeric_median(ModelKind.NBS, GOLDEN)
+
 
 class TestNumericMean:
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -347,15 +366,15 @@ class TestMonotoneShareFunction:
 
 class TestModelResolution:
     def test_string_and_enum_resolve_to_the_same_ops(self):
-        assert as_posterior_model("nbs") is as_posterior_model(ModelKind.NBS)
+        assert as_share_model("nbs") is as_share_model(ModelKind.NBS)
 
     def test_ops_objects_pass_through(self):
-        ops = as_posterior_model(ModelKind.CASE2)
-        assert as_posterior_model(ops) is ops
+        ops = as_share_model(ModelKind.CASE2)
+        assert as_share_model(ops) is ops
 
     def test_objects_without_crossing_methods_rejected(self):
         with pytest.raises(OutOfRangeError):
-            as_posterior_model(object())
+            as_share_model(object())
 
     @pytest.mark.parametrize("t", [-0.1, 1.1, math.nan])
     def test_cdf_rejects_points_outside_unit_interval(self, t):
