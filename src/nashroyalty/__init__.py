@@ -15,15 +15,11 @@ batched error-controlled CDF quadrature and seeded Monte Carlo, live in
 from .bargaining import (
     FinancialStatement,
     ModelKind,
-    NormalizedPayoffs,
     PayoffBounds,
     PerceptionMatrix,
     ShareModel,
-    alpha_case1,
-    alpha_case2,
     alpha_from_perceptions,
     royalty_rate,
-    theta_general,
     theta_model,
     validate_bounds,
 )
@@ -58,14 +54,11 @@ from .montecarlo import (
 from .posterior import (
     FixedAlphaModel,
     ModeResult,
-    MonotoneShareFunction,
     PosteriorCurve,
     cdf_at,
     mode_from_curve,
     numeric_mean,
     numeric_median,
-    numeric_mode,
-    overpayment_prob,
     pdf_curve,
     support_range,
 )
@@ -89,15 +82,11 @@ __all__ = [
     # bargaining
     "ModelKind",
     "FinancialStatement",
-    "NormalizedPayoffs",
     "PerceptionMatrix",
     "PayoffBounds",
     "ShareModel",
     "validate_bounds",
     "alpha_from_perceptions",
-    "alpha_case1",
-    "alpha_case2",
-    "theta_general",
     "theta_model",
     "royalty_rate",
     # estimators
@@ -109,7 +98,6 @@ __all__ = [
     "estimate",
     # posterior engine
     "FixedAlphaModel",
-    "MonotoneShareFunction",
     "PosteriorCurve",
     "ModeResult",
     "support_range",
@@ -117,9 +105,7 @@ __all__ = [
     "pdf_curve",
     "numeric_median",
     "numeric_mean",
-    "numeric_mode",
     "mode_from_curve",
-    "overpayment_prob",
     # monte carlo
     "SHARD_SIZE",
     "SampleSummary",

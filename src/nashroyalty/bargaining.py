@@ -40,7 +40,6 @@ from .errors import (
 __all__ = [
     "ModelKind",
     "FinancialStatement",
-    "NormalizedPayoffs",
     "PerceptionMatrix",
     "PayoffBounds",
     "ShareModel",
@@ -48,9 +47,6 @@ __all__ = [
     "as_share_model",
     "validate_bounds",
     "alpha_from_perceptions",
-    "alpha_case1",
-    "alpha_case2",
-    "theta_general",
     "theta_model",
     "royalty_rate",
 ]
@@ -117,23 +113,6 @@ class FinancialStatement:
     def operating_margin(self) -> float:
         """Operating income as a fraction of revenue."""
         return self.operating_income / self.operating_revenue
-
-
-@dataclass(frozen=True)
-class NormalizedPayoffs:
-    """Disagreement payoffs as fractions of operating income."""
-
-    d1: float
-    d2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d1", _require_unit("d1", self.d1))
-        object.__setattr__(self, "d2", _require_unit("d2", self.d2))
-        if self.d1 + self.d2 > 1.0 + _SUM_SLACK:
-            raise SurplusViolationError(
-                f"d1 + d2 must not exceed 1, got {self.d1!r} + {self.d2!r} "
-                f"= {self.d1 + self.d2!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -229,25 +208,6 @@ def alpha_from_perceptions(perceptions: PerceptionMatrix) -> float:
     return _clip01(0.5 + gap / 4.0)
 
 
-def alpha_case1(d1: float, d2: float) -> float:
-    """Weight shifted by the outside-option gap: 1/2 + (d1 - d2) / 2.
-
-    The same function as the symmetric model's share, so it is computed
-    by ``theta_model(ModelKind.NBS, d1, d2)``.
-    """
-    return theta_model(ModelKind.NBS, d1, d2)
-
-
-def alpha_case2(d1: float, d2: float) -> float:
-    """Weight proportional to payoff size: d1 / (d1 + d2).
-
-    The same function as the proportional model's share, so it is computed
-    by ``theta_model(ModelKind.CASE2, d1, d2)``; raises
-    :class:`DegeneratePayoffsError` at d1 = d2 = 0 where the ratio is 0/0.
-    """
-    return theta_model(ModelKind.CASE2, d1, d2)
-
-
 class ShareModel:
     """Party 1's share under one weight rule, and where its level sets lie.
 
@@ -272,9 +232,12 @@ class ShareModel:
     def support(self, bounds: PayoffBounds) -> tuple[float, float]:
         """Smallest and largest share on the payoff rectangle.
 
-        By monotonicity these sit at the corners (a, d) and (b, c).
+        By monotonicity these sit at the corners (a, d) and (b, c), so
+        lo <= hi; a pair that rounding inverts is one deterministic share,
+        and both ends are its value at (a, d).
         """
-        return self.at(bounds.a, bounds.d), self.at(bounds.b, bounds.c)
+        lo, hi = self.at(bounds.a, bounds.d), self.at(bounds.b, bounds.c)
+        return (lo, lo) if lo > hi else (lo, hi)
 
 
 class _Nbs(ShareModel):
@@ -418,26 +381,21 @@ def as_share_model(model) -> ShareModel:
         ) from None
 
 
-def theta_general(d1: float, d2: float, alpha: float) -> float:
-    """Party 1's share of operating income under bargaining weight alpha.
-
-    theta1 = d1 + alpha * (1 - d1 - d2); always between d1 and 1 - d2, so
-    both parties do at least as well as their disagreement payoffs.
-    """
-    payoffs = NormalizedPayoffs(d1, d2)
-    return FixedAlphaModel(alpha).at(payoffs.d1, payoffs.d2)
-
-
 def theta_model(model: ModelKind, d1: float, d2: float) -> float:
     """Party 1's share under one of the three built-in weight rules.
 
-    Validates the payoffs, clips the share to [0, 1], and raises
-    :class:`DegeneratePayoffsError` for ``CASE2`` at d1 = d2 = 0.  Agrees
-    with ``theta_general(d1, d2, alpha_<model>(d1, d2))`` to roundoff.
+    Validates the payoffs (each in [0, 1], with d1 + d2 <= 1), clips the
+    share to [0, 1], and raises :class:`DegeneratePayoffsError` for
+    ``CASE2`` at d1 = d2 = 0.  Agrees to roundoff with
+    ``FixedAlphaModel(alpha).at(d1, d2)`` at the model's weight alpha.
     """
-    model = ModelKind(model)
-    payoffs = NormalizedPayoffs(d1, d2)
-    return _SHARES[model].at(payoffs.d1, payoffs.d2)
+    share = _SHARES[ModelKind(model)]
+    d1, d2 = _require_unit("d1", d1), _require_unit("d2", d2)
+    if d1 + d2 > 1.0 + _SUM_SLACK:
+        raise SurplusViolationError(
+            f"d1 + d2 must not exceed 1, got {d1!r} + {d2!r} = {d1 + d2!r}"
+        )
+    return share.at(d1, d2)
 
 
 def royalty_rate(theta1: float, financials: FinancialStatement) -> float:

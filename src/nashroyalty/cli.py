@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or
 configuration, 3 degenerate model or distribution, 4 filesystem failure,
-5 a numeric engine missed its documented error target.
+5 a numeric engine missed its documented error target, 6 an internal
+error (the traceback goes to stderr).
 Human-readable numbers are shown to three decimals; machine outputs keep
 full precision.
 """
@@ -25,6 +26,7 @@ import dataclasses
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +35,7 @@ import numpy as np
 from .bargaining import (
     FinancialStatement,
     ModelKind,
+    PayoffBounds,
     PerceptionMatrix,
     alpha_from_perceptions,
     royalty_rate,
@@ -60,6 +63,7 @@ EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
+EXIT_INTERNAL = 6
 
 _EXACT_TOL = 1e-5
 _CASE1_ABS_REL_TOL = 0.04
@@ -589,25 +593,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command may raise on purpose.
+_EXIT_CODES = (
+    (ConfigError, EXIT_INVALID),
+    (BoundsValidationError, EXIT_INVALID),
+    (DegeneracyError, EXIT_DEGENERATE),
+    (OSError, EXIT_IO),
+    (NumericalAccuracyError, EXIT_NUMERICAL),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BoundsValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except DegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericalAccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for kind, code in _EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -36,7 +36,10 @@ __all__ = [
 
 SHARD_SIZE = 1 << 18
 
-_DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+# What every summary reports: these quantiles, and the fullest of this
+# many equal bins over [0, 1].
+_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+_BIN_COUNT = 201
 
 
 def _shard_rng(seed: int, index: int) -> np.random.Generator:
@@ -88,10 +91,11 @@ def _shard_thetas(share, bounds: PayoffBounds, rng, d1, d2) -> np.ndarray:
 class SampleSummary:
     """Descriptive statistics of a share sample.
 
-    ``quantiles`` holds (probability, value) pairs using linear
-    interpolation between order statistics; ``histogram_mode`` is the
-    center of the fullest of ``bin_count`` equal bins over [0, 1] (lowest
-    such bin on ties).  ``seed`` records provenance when known.
+    ``quantiles`` holds (probability, value) pairs at the probabilities
+    0.05, 0.25, 0.5, 0.75 and 0.95, using linear interpolation between
+    order statistics; ``histogram_mode`` is the center of the fullest of
+    ``bin_count`` (201) equal bins over [0, 1] (lowest such bin on ties).
+    ``seed`` records provenance when known.
     """
 
     n: int
@@ -103,12 +107,7 @@ class SampleSummary:
     seed: int | None = None
 
 
-def summarize(
-    samples,
-    quantile_probs: tuple[float, ...] = _DEFAULT_QUANTILES,
-    bin_count: int = 201,
-    seed: int | None = None,
-) -> SampleSummary:
+def summarize(samples, seed: int | None = None) -> SampleSummary:
     """Summarize a share sample; raises :class:`EmptySampleError` if empty.
 
     The standard error of the mean uses the unbiased sample variance and
@@ -117,24 +116,14 @@ def summarize(
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySampleError("cannot summarize an empty sample")
-    bin_count = int(bin_count)
-    if bin_count < 1:
-        raise OutOfRangeError(f"bin_count must be at least 1, got {bin_count!r}")
-    for prob in quantile_probs:
-        if not (math.isfinite(float(prob)) and 0.0 < float(prob) < 1.0):
-            raise OutOfRangeError(
-                f"quantile probabilities must lie in (0, 1), got {prob!r}"
-            )
     n = int(arr.size)
     mean = float(arr.mean())
     if n > 1:
         se = float(arr.std(ddof=1) / math.sqrt(n))
     else:
         se = 0.0
-    quantiles = tuple(
-        (float(p), float(np.quantile(arr, float(p)))) for p in quantile_probs
-    )
-    counts, edges = np.histogram(arr, bins=bin_count, range=(0.0, 1.0))
+    quantiles = tuple((p, float(np.quantile(arr, p))) for p in _QUANTILE_PROBS)
+    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=(0.0, 1.0))
     k = int(np.argmax(counts))
     histogram_mode = float((edges[k] + edges[k + 1]) / 2.0)
     return SampleSummary(
@@ -143,22 +132,15 @@ def summarize(
         std_error_of_mean=se,
         quantiles=quantiles,
         histogram_mode=histogram_mode,
-        bin_count=bin_count,
+        bin_count=_BIN_COUNT,
         seed=seed,
     )
 
 
-def mc_summary(
-    model,
-    bounds: PayoffBounds,
-    n: int,
-    seed: int,
-    quantile_probs: tuple[float, ...] = _DEFAULT_QUANTILES,
-    bin_count: int = 201,
-) -> SampleSummary:
+def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     """Sample and summarize in one step, recording the seed."""
     samples = sample_thetas(model, bounds, n, seed)
-    return summarize(samples, quantile_probs, bin_count, seed=seed)
+    return summarize(samples, seed=seed)
 
 
 def random_valid_bounds(rng: np.random.Generator) -> PayoffBounds:

@@ -33,7 +33,6 @@ from .estimators import RiskProfile
 
 __all__ = [
     "FixedAlphaModel",
-    "MonotoneShareFunction",
     "PosteriorCurve",
     "ModeResult",
     "support_range",
@@ -41,10 +40,8 @@ __all__ = [
     "pdf_curve",
     "numeric_median",
     "numeric_mean",
-    "numeric_mode",
     "mode_from_curve",
     "numeric_estimate",
-    "overpayment_prob",
 ]
 
 # Gauss-Legendre rules on [-1, 1].  A panel's value is its 24-point sum;
@@ -76,78 +73,6 @@ _MEDIAN_OFFSETS = np.concatenate(
     (-(4.0 ** -np.arange(1, 9)), [0.0], 4.0 ** -np.arange(8, 0, -1))
 )
 _MODE_TIE_TOL = 1e-9
-
-
-class MonotoneShareFunction(ShareModel):
-    """Posterior-engine adapter for an arbitrary monotone share function.
-
-    ``fn(d1, d2)`` must be nondecreasing in d1, nonincreasing in d2, and
-    defined on the feasible triangle d1 + d2 <= 1; it is called with one
-    pair of floats at a time.  Level crossings are located by a bisection
-    that runs on all requested points together down to brackets of width
-    ``tol``, finished by one secant step inside each bracket, so any such
-    share rule can reuse the CDF, curve, and estimator machinery without
-    supplying analytic inverses.
-    """
-
-    def __init__(self, fn, name: str = "custom", tol: float = 1e-12):
-        if not (0.0 < tol < 1e-3):
-            raise OutOfRangeError(f"tol must lie in (0, 1e-3), got {tol!r}")
-        self.fn = fn
-        self.name = name
-        self.tol = tol
-
-    def theta(self, x: float, y: float) -> float:
-        return float(self.fn(x, y))
-
-    def d2_threshold(self, x, t):
-        return self._crossing(x, t, free_is_d2=True)
-
-    def d1_threshold(self, y, t):
-        return self._crossing(y, t, free_is_d2=False)
-
-    def _crossing(self, fixed, t, free_is_d2: bool) -> np.ndarray:
-        """Where fn - t changes sign along the free payoff in [0, 1 - fixed]."""
-        fixed, t = np.broadcast_arrays(
-            np.asarray(fixed, dtype=float), np.asarray(t, dtype=float)
-        )
-        shape = fixed.shape
-        fixed, t = fixed.ravel(), t.ravel()
-
-        def excess(rows, free):  # fn - t at the free payoff, for these rows
-            pairs = zip(fixed[rows].tolist(), free.tolist())
-            if free_is_d2:
-                shares = [self.fn(x, y) for x, y in pairs]
-            else:
-                shares = [self.fn(x, y) for y, x in pairs]
-            return np.array(shares, dtype=float) - t[rows]
-
-        every = np.arange(fixed.size)
-        top = 1.0 - fixed  # stay inside the feasible triangle
-        at_zero = excess(every, np.zeros_like(top))
-        at_top = excess(every, top)
-        # fn decreases along d2 and increases along d1.
-        if free_is_d2:
-            never, always = at_top > 0.0, at_zero <= 0.0
-            out = np.where(never, np.inf, np.where(always, -np.inf, np.nan))
-        else:
-            never, always = at_zero > 0.0, at_top <= 0.0
-            out = np.where(never, -np.inf, np.where(always, np.inf, np.nan))
-        rows = np.flatnonzero(np.isnan(out))
-        lo, hi = np.zeros(rows.size), top[rows]
-        g_lo, g_hi = at_zero[rows], at_top[rows]
-        wide = hi - lo > self.tol
-        while wide.any():
-            mid = 0.5 * (lo[wide] + hi[wide])
-            g_mid = excess(rows[wide], mid)
-            keep_lo = (g_mid <= 0.0) != (g_lo[wide] <= 0.0)
-            idx = np.flatnonzero(wide)
-            hi[idx[keep_lo]], g_hi[idx[keep_lo]] = mid[keep_lo], g_mid[keep_lo]
-            lo[idx[~keep_lo]], g_lo[idx[~keep_lo]] = mid[~keep_lo], g_mid[~keep_lo]
-            wide = hi - lo > self.tol
-        # g_lo and g_hi lie on opposite sides of 0, so they differ.
-        out[rows] = lo + g_lo / (g_lo - g_hi) * (hi - lo)
-        return out.reshape(shape)
 
 
 def support_range(model, bounds: PayoffBounds) -> tuple[float, float]:
@@ -415,22 +340,14 @@ class ModeResult:
         return self.value
 
 
-def numeric_mode(model, bounds: PayoffBounds, n_points: int = 2001) -> ModeResult:
-    """Locate the share density's maximum on a grid of ``n_points``.
+def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
+    """The share density's maximum on the grid of a tabulated curve.
 
     Ties within 1e-9 of the grid maximum form the argmax set.  The share
     value at the upper payoff corner (b, d) is returned exactly whenever
     its one-sided density (CDF slope into the support) ties the maximum,
     since the true peak of these models sits at that corner image;
     otherwise the largest tied grid point is returned.
-    """
-    return mode_from_curve(pdf_curve(model, bounds, n_points))
-
-
-def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
-    """The density argmax of an already-tabulated posterior curve.
-
-    Same tie and corner conventions as :func:`numeric_mode`.
     """
     ops = as_share_model(curve.model)
     bounds = curve.bounds
@@ -459,16 +376,7 @@ def numeric_estimate(
     ``ABS``, and the mean for ``MSE``.
     """
     if risk is RiskProfile.MAP:
-        return numeric_mode(model, bounds, n_points).value
+        return mode_from_curve(pdf_curve(model, bounds, n_points)).value
     if risk is RiskProfile.ABS:
         return numeric_median(model, bounds)
     return numeric_mean(model, bounds)
-
-
-def overpayment_prob(model, bounds: PayoffBounds, theta_hat: float) -> float:
-    """Probability the realized share is at or below the point estimate.
-
-    This is the chance that paying party 1 the estimated share
-    overcompensates it: P{theta <= theta_hat} = ``cdf_at`` at the estimate.
-    """
-    return cdf_at(model, bounds, theta_hat)

@@ -10,16 +10,13 @@ from nashroyalty import (
     DegeneratePayoffsError,
     DisorderedBoundsError,
     FinancialStatement,
+    FixedAlphaModel,
     ModelKind,
-    NormalizedPayoffs,
     OutOfRangeError,
     PerceptionMatrix,
     SurplusViolationError,
-    alpha_case1,
-    alpha_case2,
     alpha_from_perceptions,
     royalty_rate,
-    theta_general,
     theta_model,
     validate_bounds,
 )
@@ -70,13 +67,15 @@ class TestValidateBounds:
 
 
 class TestNormalizedPayoffs:
+    """Payoffs as fractions of operating income, as ``theta_model`` checks them."""
+
     def test_sum_above_one_rejected(self):
         with pytest.raises(SurplusViolationError, match="d1 \\+ d2"):
-            NormalizedPayoffs(0.6, 0.6)
+            theta_model(ModelKind.NBS, 0.6, 0.6)
 
     def test_unit_range_enforced(self):
-        with pytest.raises(OutOfRangeError):
-            NormalizedPayoffs(-0.2, 0.1)
+        with pytest.raises(OutOfRangeError, match="d1"):
+            theta_model(ModelKind.NBS, -0.2, 0.1)
 
 
 class TestBargainingWeights:
@@ -97,34 +96,23 @@ class TestBargainingWeights:
         alpha = alpha_from_perceptions(PerceptionMatrix(p11, p12, p21, p22))
         assert 0.0 <= alpha <= 1.0
 
-    def test_outside_option_weight(self):
-        assert alpha_case1(0.2, 0.8) == pytest.approx(0.2, abs=1e-15)
-        assert alpha_case1(0.5, 0.5) == 0.5
-        assert alpha_case1(0.0, 0.0) == 0.5
-
-    def test_proportional_weight(self):
-        assert alpha_case2(0.2, 0.8) == pytest.approx(0.2, abs=1e-15)
-        assert alpha_case2(0.3, 0.1) == pytest.approx(0.75, abs=1e-15)
-
-    def test_proportional_weight_undefined_at_origin(self):
-        with pytest.raises(DegeneratePayoffsError, match="d1 = d2 = 0"):
-            alpha_case2(0.0, 0.0)
-
 
 class TestThetaGeneral:
+    """The general solution d1 + alpha (1 - d1 - d2), as ``FixedAlphaModel``."""
+
     def test_examples(self):
-        assert theta_general(0.2, 0.8, 0.7) == pytest.approx(0.2, abs=1e-15)
-        assert theta_general(0.0, 0.0, 0.5) == 0.5
-        assert theta_general(0.3, 0.1, 0.5) == pytest.approx(0.6, abs=1e-15)
+        assert FixedAlphaModel(0.7).at(0.2, 0.8) == pytest.approx(0.2, abs=1e-15)
+        assert FixedAlphaModel(0.5).at(0.0, 0.0) == 0.5
+        assert FixedAlphaModel(0.5).at(0.3, 0.1) == pytest.approx(0.6, abs=1e-15)
 
     def test_alpha_validated(self):
         with pytest.raises(OutOfRangeError, match="alpha"):
-            theta_general(0.2, 0.3, 1.5)
+            FixedAlphaModel(1.5)
 
     @given(payoff_pairs(), UNIT)
     def test_individual_rationality(self, pair, alpha):
         d1, d2 = pair
-        theta = theta_general(d1, d2, alpha)
+        theta = FixedAlphaModel(alpha).at(d1, d2)
         assert d1 - 1e-12 <= theta <= 1.0 - d2 + 1e-12
         assert 0.0 <= theta <= 1.0
 
@@ -142,7 +130,7 @@ class TestThetaModel:
             assert theta_model(ModelKind.CASE2, v, v) == 0.5
 
     def test_proportional_model_undefined_at_origin(self):
-        with pytest.raises(DegeneratePayoffsError):
+        with pytest.raises(DegeneratePayoffsError, match="d1 = d2 = 0"):
             theta_model(ModelKind.CASE2, 0.0, 0.0)
 
     @given(payoff_pairs(), st.sampled_from(list(ModelKind)))
@@ -150,13 +138,14 @@ class TestThetaModel:
         d1, d2 = pair
         if model is ModelKind.CASE2 and d1 + d2 == 0.0:
             return
+        # The paper's weights: 1/2, 1/2 + (d1 - d2)/2 and d1/(d1 + d2).
         weight = {
             ModelKind.NBS: lambda: 0.5,
-            ModelKind.CASE1: lambda: alpha_case1(d1, d2),
-            ModelKind.CASE2: lambda: alpha_case2(d1, d2),
+            ModelKind.CASE1: lambda: 0.5 + (d1 - d2) / 2.0,
+            ModelKind.CASE2: lambda: d1 / (d1 + d2),
         }[model]()
         direct = theta_model(model, d1, d2)
-        composed = theta_general(d1, d2, weight)
+        composed = FixedAlphaModel(weight).at(d1, d2)
         assert direct == pytest.approx(composed, abs=1e-12)
 
     @given(payoff_pairs(), st.sampled_from(list(ModelKind)))
@@ -177,7 +166,7 @@ class TestThetaModel:
 
     def test_nbs_recovered_from_general_solution(self):
         for d1, d2 in ((0.0, 0.0), (0.2, 0.8), (0.3, 0.3), (0.15, 0.4)):
-            assert theta_general(d1, d2, 0.5) == pytest.approx(
+            assert FixedAlphaModel(0.5).at(d1, d2) == pytest.approx(
                 theta_model(ModelKind.NBS, d1, d2), abs=1e-12
             )
 

@@ -27,12 +27,7 @@ from nashroyalty import (
     validate_bounds,
 )
 from nashroyalty.bargaining import ShareModel, as_share_model
-from nashroyalty.posterior import (
-    MonotoneShareFunction,
-    _cdf,
-    _integrate,
-    support_range,
-)
+from nashroyalty.posterior import _cdf, _integrate, support_range
 
 # --- scalar scipy reference ---------------------------------------------------
 
@@ -196,22 +191,6 @@ def test_array_crossings_match_scalar_reference(model):
         for i, p in enumerate(payoffs):
             assert d2[i] == pytest.approx(_ref_d2_threshold(model, p, t), abs=1e-15)
             assert d1[i] == pytest.approx(_ref_d1_threshold(model, p, t), abs=1e-15)
-
-
-def test_monotone_share_function_bisects_arrays_with_a_scalar_fn():
-    calls = []
-
-    def share(x, y):
-        calls.append((type(x), type(y)))
-        return theta_model(ModelKind.CASE1, x, y)
-
-    wrapped = MonotoneShareFunction(share)
-    xs = np.linspace(0.0, 0.2, 7)
-    ts = np.linspace(0.1, 0.4, 7)  # crossings inside the feasible triangle
-    exact = as_share_model(ModelKind.CASE1).d2_threshold(xs, ts)
-    assert np.all((exact > 0.0) & (exact < 1.0 - xs))
-    assert np.allclose(wrapped.d2_threshold(xs, ts), exact, rtol=0.0, atol=1e-12)
-    assert set(calls) == {(float, float)}
 
 
 # --- numerical health ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,20 @@ class TestPerceptionScenarios:
         )
         assert code == 2
         assert "perception" in err
+
+    def test_deterministic_share_has_no_mode(self, capsys, tmp_path):
+        # alpha = 1 and a point-mass d2: the share is 1 - d2 = 0.9 on the box.
+        path = self.scenario(
+            tmp_path,
+            {
+                "bounds": {"a": 0.0, "b": 0.3, "c": 0.1, "d": 0.1},
+                "perceptions": {"p11": 1, "p12": 1, "p21": 0, "p22": 0},
+                "risk": "map",
+            },
+        )
+        code, out, err = run(capsys, ["estimate", "--config", path])
+        assert (code, out) == (3, "")
+        assert "deterministically 0.9 " in err
 
     def test_incomplete_perceptions_exit_2(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
@@ -443,8 +458,21 @@ class TestNumericalHealth:
         assert out == ""
         assert "error: quadrature missed its error target" in err
 
+    def test_unexpected_exception_exits_6_with_its_traceback(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(cli, "_cmd_reference", crash)
+        code, out, err = run(capsys, ["reference"])
+        assert code == cli.EXIT_INTERNAL == 6
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: unexpected state" in err
+
 
 class TestImports:
+    def test_scenario_config_annotations_resolve(self):
+        assert typing.get_type_hints(cli.ScenarioConfig)["bounds"] is cli.PayoffBounds
+
     def test_cli_import_does_not_load_scipy(self):
         probe = "import sys, nashroyalty.cli; print('scipy' in sys.modules)"
         src = Path(nashroyalty.__file__).resolve().parents[1]

@@ -26,6 +26,7 @@ from nashroyalty import (
     support_range,
     validate_bounds,
 )
+from nashroyalty import montecarlo
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -98,12 +99,45 @@ class TestPinnedStreams:
         second = sample_thetas(ModelKind.CASE2, GOLDEN, 1000, seed=2)
         assert not np.array_equal(first, second)
 
-    def test_short_samples_are_prefixes_of_long_ones(self):
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    def test_short_samples_are_prefixes_of_long_ones(self, model):
         # Crossing the shard boundary must not disturb earlier draws.
-        long = sample_thetas(ModelKind.NBS, GOLDEN, SHARD_SIZE + 1000, seed=3)
+        long = sample_thetas(model, GOLDEN, SHARD_SIZE + 1000, seed=3)
         for n in (1, 4, 1000, SHARD_SIZE, SHARD_SIZE + 1):
-            short = sample_thetas(ModelKind.NBS, GOLDEN, n, seed=3)
+            short = sample_thetas(model, GOLDEN, n, seed=3)
             assert np.array_equal(short, long[:n])
+
+    def test_undefined_pair_is_redrawn_from_its_shard_stream(self, monkeypatch):
+        # GOLDEN has a = c = 0.  Zero both full blocks of shard 0 at index k,
+        # so the proportional share there is 0/0 and must be redrawn.
+        k, seed = 5, 3
+        shard_rng = montecarlo._shard_rng
+
+        class ZeroedBlocks:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def uniform(self, low, high, size):
+                draws = self.rng.uniform(low, high, size)
+                if self.calls < 2:  # the d1 block, then the d2 block
+                    draws[k] = 0.0
+                self.calls += 1
+                return draws
+
+        monkeypatch.setattr(
+            montecarlo, "_shard_rng", lambda s, i: ZeroedBlocks(shard_rng(s, i))
+        )
+        forced = sample_thetas(ModelKind.CASE2, GOLDEN, 10, seed=seed)
+        monkeypatch.undo()
+        expected = sample_thetas(ModelKind.CASE2, GOLDEN, 10, seed=seed)
+        # The replacement pair is the next d1 draw and the next d2 draw of
+        # the same stream, after both full blocks.
+        rng = shard_rng(seed, 0)
+        rng.uniform(0.0, 0.2, SHARD_SIZE)
+        rng.uniform(0.0, 0.8, SHARD_SIZE)
+        x, y = rng.uniform(0.0, 0.2, 1), rng.uniform(0.0, 0.8, 1)
+        expected[k] = (x / (x + y))[0]
+        assert np.array_equal(forced, expected)
 
 
 class TestSampleValidity:
@@ -151,15 +185,6 @@ class TestSummarize:
         with pytest.raises(EmptySampleError):
             summarize(np.array([]))
 
-    @pytest.mark.parametrize("prob", [0.0, 1.0, -0.2, math.nan])
-    def test_quantile_probabilities_must_be_interior(self, prob):
-        with pytest.raises(OutOfRangeError):
-            summarize(np.array([0.5]), quantile_probs=(prob,))
-
-    def test_bin_count_must_be_positive(self):
-        with pytest.raises(OutOfRangeError):
-            summarize(np.array([0.5]), bin_count=0)
-
     def test_single_observation_has_zero_standard_error(self):
         summary = summarize(np.array([0.4]))
         assert summary.n == 1
@@ -171,12 +196,16 @@ class TestSummarize:
         assert summary.std_error_of_mean == 0.0
 
     def test_quantiles_interpolate_linearly(self):
-        summary = summarize(np.array([0.0, 1.0]), quantile_probs=(0.5, 0.25))
-        assert summary.quantiles == ((0.5, 0.5), (0.25, 0.25))
+        summary = summarize(np.array([0.0, 1.0]))
+        assert summary.quantiles == tuple(
+            (p, p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)
+        )
 
     def test_histogram_mode_takes_the_lowest_tied_bin(self):
-        summary = summarize(np.array([0.1, 0.9]), bin_count=2)
-        assert summary.histogram_mode == 0.25
+        # One draw in each of two bins of width 1/201: the lower bin wins.
+        summary = summarize(np.array([0.9, 0.1]))
+        assert summary.bin_count == 201
+        assert abs(summary.histogram_mode - 0.1) <= 0.5 / 201
 
     def test_mc_summary_records_provenance(self):
         summary = mc_summary(ModelKind.NBS, GOLDEN, 1000, seed=11)

@@ -10,16 +10,14 @@ from nashroyalty import (
     DegeneratePayoffsError,
     FixedAlphaModel,
     ModelKind,
-    MonotoneShareFunction,
     NumericalAccuracyError,
     OutOfRangeError,
+    RiskProfile,
     cdf_at,
     map_estimate,
     mse_estimate,
     numeric_mean,
     numeric_median,
-    numeric_mode,
-    overpayment_prob,
     pdf_curve,
     support_range,
     theta_model,
@@ -125,8 +123,8 @@ class TestCdfShape:
 
     def test_overpayment_prob_is_the_cdf(self):
         theta_hat = map_estimate(ModelKind.NBS, GOLDEN).theta1
-        prob = overpayment_prob(ModelKind.NBS, GOLDEN, theta_hat)
-        assert prob == cdf_at(ModelKind.NBS, GOLDEN, theta_hat)
+        # P{theta <= estimate}: the chance the estimate overpays party 1.
+        prob = cdf_at(ModelKind.NBS, GOLDEN, theta_hat)
         assert prob == pytest.approx(0.125, abs=1e-8)
 
 
@@ -166,7 +164,7 @@ class TestDeterministicShare:
         with pytest.raises(DegenerateDistributionError):
             pdf_curve(ModelKind.CASE2, self.BOUNDS)
         with pytest.raises(DegenerateDistributionError):
-            numeric_mode(ModelKind.CASE2, self.BOUNDS)
+            posterior.numeric_estimate(ModelKind.CASE2, RiskProfile.MAP, self.BOUNDS)
 
     def test_proportional_axis_rectangles_are_steps(self):
         pinned_low = validate_bounds(0.0, 0.0, 0.2, 0.6)
@@ -276,23 +274,24 @@ class TestNumericMean:
 class TestNumericMode:
     def test_golden_modes_equal_map_estimate_bitwise(self):
         for model in ModelKind:
-            mode = numeric_mode(model, GOLDEN)
+            mode = mode_from_curve(pdf_curve(model, GOLDEN))
             assert mode.value == map_estimate(model, GOLDEN).theta1
 
     def test_golden_plateau_flags(self):
-        assert numeric_mode(ModelKind.NBS, GOLDEN).plateau is True
-        assert numeric_mode(ModelKind.CASE1, GOLDEN).plateau is False
-        assert numeric_mode(ModelKind.CASE2, GOLDEN).plateau is False
+        assert mode_from_curve(pdf_curve(ModelKind.NBS, GOLDEN)).plateau is True
+        assert mode_from_curve(pdf_curve(ModelKind.CASE1, GOLDEN)).plateau is False
+        assert mode_from_curve(pdf_curve(ModelKind.CASE2, GOLDEN)).plateau is False
 
     def test_right_edge_plateau_returns_the_corner(self):
         # Wider d1 interval: the flat top ends at the upper corner image.
         bounds = validate_bounds(0.0, 0.4, 0.0, 0.2)
-        mode = numeric_mode(ModelKind.NBS, bounds)
+        mode = mode_from_curve(pdf_curve(ModelKind.NBS, bounds))
         assert mode.value == theta_model(ModelKind.NBS, 0.4, 0.2)
         assert mode.plateau is True
 
     def test_equal_widths_peak_at_center(self):
-        mode = numeric_mode(ModelKind.NBS, validate_bounds(0.0, 0.4, 0.0, 0.4))
+        bounds = validate_bounds(0.0, 0.4, 0.0, 0.4)
+        mode = mode_from_curve(pdf_curve(ModelKind.NBS, bounds))
         assert mode.value == pytest.approx(0.5, abs=1e-9)
         assert mode.plateau is False
 
@@ -300,7 +299,7 @@ class TestNumericMode:
         curve = pdf_curve(ModelKind.NBS, GOLDEN, n_points=801)
         mode = mode_from_curve(curve)
         assert float(mode) == mode.value
-        assert mode.value == numeric_mode(ModelKind.NBS, GOLDEN, n_points=801).value
+        assert mode.value == map_estimate(ModelKind.NBS, GOLDEN).theta1
 
 
 class TestFixedAlphaModel:
@@ -334,34 +333,19 @@ class TestFixedAlphaModel:
                 (t - 0.5) / 0.3, abs=1e-9
             )
 
+    def test_unit_alpha_on_a_point_mass_side_is_deterministic(self):
+        # theta = 1 - d2 = 0.9 everywhere; at the corners the rounding of
+        # x + (1 - x - y) differs, which must not open a support.
+        bounds = validate_bounds(0.0, 0.3, 0.1, 0.1)
+        lo, hi = support_range(FixedAlphaModel(1.0), bounds)
+        assert lo == hi == 0.9
+        with pytest.raises(DegenerateDistributionError):
+            pdf_curve(FixedAlphaModel(1.0), bounds)
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, math.inf])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(OutOfRangeError):
             FixedAlphaModel(alpha)
-
-
-class TestMonotoneShareFunction:
-    def test_bisection_matches_analytic_thresholds(self):
-        wrapped = MonotoneShareFunction(
-            lambda x, y: theta_model(ModelKind.CASE1, x, y), name="wrapped"
-        )
-        for t in (0.1, 0.2, 0.275, 0.4, 0.6):
-            assert cdf_at(wrapped, GOLDEN, t) == pytest.approx(
-                cdf_at(ModelKind.CASE1, GOLDEN, t), abs=1e-8
-            )
-
-    def test_support_matches_wrapped_model(self):
-        wrapped = MonotoneShareFunction(
-            lambda x, y: theta_model(ModelKind.CASE1, x, y)
-        )
-        lo, hi = support_range(wrapped, GOLDEN)
-        exact_lo, exact_hi = support_range(ModelKind.CASE1, GOLDEN)
-        assert lo == pytest.approx(exact_lo, abs=1e-12)
-        assert hi == pytest.approx(exact_hi, abs=1e-12)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(OutOfRangeError):
-            MonotoneShareFunction(lambda x, y: 0.5, tol=0.5)
 
 
 class TestModelResolution:
