@@ -44,6 +44,7 @@ __all__ = [
     "PayoffBounds",
     "ShareModel",
     "FixedAlphaModel",
+    "as_model_kind",
     "as_share_model",
     "validate_bounds",
     "alpha_from_perceptions",
@@ -365,6 +366,20 @@ _SHARES = {
 }
 
 
+def as_model_kind(model) -> ModelKind:
+    """The :class:`ModelKind` of a member or its string value.
+
+    Raises :class:`OutOfRangeError` naming the accepted values otherwise.
+    """
+    try:
+        return ModelKind(model)
+    except ValueError:
+        names = ", ".join(kind.value for kind in ModelKind)
+        raise OutOfRangeError(
+            f"model must be a ModelKind or one of {names}, got {model!r}"
+        ) from None
+
+
 def as_share_model(model) -> ShareModel:
     """The share model of a :class:`ModelKind` (or its string value).
 
@@ -373,12 +388,7 @@ def as_share_model(model) -> ShareModel:
     """
     if isinstance(model, ShareModel):
         return model
-    try:
-        return _SHARES[ModelKind(model)]
-    except ValueError:
-        raise OutOfRangeError(
-            f"model must be a ModelKind or a ShareModel, got {model!r}"
-        ) from None
+    return _SHARES[as_model_kind(model)]
 
 
 def theta_model(model: ModelKind, d1: float, d2: float) -> float:
@@ -389,7 +399,7 @@ def theta_model(model: ModelKind, d1: float, d2: float) -> float:
     ``CASE2`` at d1 = d2 = 0.  Agrees to roundoff with
     ``FixedAlphaModel(alpha).at(d1, d2)`` at the model's weight alpha.
     """
-    share = _SHARES[ModelKind(model)]
+    share = _SHARES[as_model_kind(model)]
     d1, d2 = _require_unit("d1", d1), _require_unit("d2", d2)
     if d1 + d2 > 1.0 + _SUM_SLACK:
         raise SurplusViolationError(

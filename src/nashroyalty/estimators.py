@@ -23,7 +23,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bargaining import ModelKind, PayoffBounds, as_share_model, theta_model
+from .bargaining import (
+    ModelKind,
+    PayoffBounds,
+    as_model_kind,
+    as_share_model,
+    theta_model,
+)
 from .errors import OutOfRangeError
 
 __all__ = [
@@ -209,7 +215,7 @@ def map_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
     mode is ``theta_model(model, b, d)``.  Raises
     :class:`DegeneratePayoffsError` for ``CASE2`` when b = d = 0.
     """
-    model = ModelKind(model)
+    model = as_model_kind(model)
     return _result(theta_model(model, bounds.b, bounds.d), NOTE_EXACT)
 
 
@@ -220,7 +226,7 @@ def abs_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
     sub-level sets split the rectangle's symmetry group evenly); a
     closed-form approximation for ``CASE1``.
     """
-    model = ModelKind(model)
+    model = as_model_kind(model)
     if model is ModelKind.NBS:
         return _result(_nbs_mean(bounds), NOTE_EXACT)
     mid1 = (bounds.a + bounds.b) / 2.0
@@ -232,7 +238,7 @@ def abs_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
 
 def mse_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
     """Mean share: the exact expectation of the model over the rectangle."""
-    model = ModelKind(model)
+    model = as_model_kind(model)
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     if model is ModelKind.NBS:
         return _result(_nbs_mean(bounds), NOTE_EXACT)

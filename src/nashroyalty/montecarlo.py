@@ -92,10 +92,10 @@ class SampleSummary:
     """Descriptive statistics of a share sample.
 
     ``quantiles`` holds (probability, value) pairs at the probabilities
-    0.05, 0.25, 0.5, 0.75 and 0.95, using linear interpolation between
-    order statistics; ``histogram_mode`` is the center of the fullest of
-    ``bin_count`` (201) equal bins over [0, 1] (lowest such bin on ties).
-    ``seed`` records provenance when known.
+    0.05, 0.25, 0.5, 0.75 and 0.95, by numpy's default ``linear`` rule
+    (``np.quantile``'s values, bit for bit); ``histogram_mode`` is the
+    center of the fullest of ``bin_count`` (201) equal bins over [0, 1]
+    (lowest such bin on ties).  ``seed`` records provenance when known.
     """
 
     n: int
@@ -108,33 +108,82 @@ class SampleSummary:
 
 
 def summarize(samples, seed: int | None = None) -> SampleSummary:
-    """Summarize a share sample; raises :class:`EmptySampleError` if empty.
+    """Summarize a share sample in [0, 1].
 
-    The standard error of the mean uses the unbiased sample variance and
-    is reported as 0 for a single observation.
+    Raises :class:`EmptySampleError` if the sample is empty and
+    :class:`OutOfRangeError` if any value is NaN or lies outside [0, 1].
+    The quantiles equal ``np.quantile``'s default ``linear`` rule bit for
+    bit.  The standard error of the mean uses the unbiased sample
+    variance and is reported as 0 for a single observation.
     """
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySampleError("cannot summarize an empty sample")
     n = int(arr.size)
+    # The histogram drops NaN and every value outside [0, 1], so a full
+    # count shows the whole sample lies in [0, 1] without a pass of its own.
+    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=(0.0, 1.0))
+    outside = n - int(counts.sum())
+    if outside:
+        raise OutOfRangeError(
+            f"a share sample must lie in [0, 1]; {outside} of {n} values do not"
+        )
     mean = float(arr.mean())
     if n > 1:
         se = float(arr.std(ddof=1) / math.sqrt(n))
     else:
         se = 0.0
-    quantiles = tuple((p, float(np.quantile(arr, p))) for p in _QUANTILE_PROBS)
-    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=(0.0, 1.0))
     k = int(np.argmax(counts))
     histogram_mode = float((edges[k] + edges[k + 1]) / 2.0)
     return SampleSummary(
         n=n,
         mean=mean,
         std_error_of_mean=se,
-        quantiles=quantiles,
+        quantiles=_quantiles(arr, counts, edges),
         histogram_mode=histogram_mode,
         bin_count=_BIN_COUNT,
         seed=seed,
     )
+
+
+def _quantiles(arr, counts, edges) -> tuple[tuple[float, float], ...]:
+    """``np.quantile(arr, p)`` for each p in ``_QUANTILE_PROBS``.
+
+    The histogram's cumulative counts name the bin that holds each order
+    statistic the ``linear`` rule reads, so only those bins' elements are
+    gathered and partitioned, never the whole sample.
+    """
+    n = arr.size
+    positions = [(n - 1) * p for p in _QUANTILE_PROBS]
+    ranks = sorted({min(r, n - 1) for v in positions for r in (int(v), int(v) + 1)})
+    ends = np.cumsum(counts)
+    bins = np.searchsorted(ends, ranks, side="right").tolist()
+    order = {}  # rank -> order statistic
+    # Masks reused across bins: fresh temporaries per bin cost twice as much.
+    inside = np.empty(n, dtype=bool)
+    below = np.empty(n, dtype=bool)
+    for k in sorted(set(bins)):
+        # np.histogram's edge rule: edges[k] <= x < edges[k + 1], the
+        # last bin closed on the right.
+        np.greater_equal(arr, edges[k], out=inside)
+        upper = np.less if k < len(counts) - 1 else np.less_equal
+        upper(arr, edges[k + 1], out=below)
+        inside &= below
+        members = arr[inside]
+        first = int(ends[k]) - len(members)
+        local = [r - first for r, b in zip(ranks, bins) if b == k]
+        members.partition(local)
+        order.update((first + i, float(members[i])) for i in local)
+    quantiles = []
+    for p, v in zip(_QUANTILE_PROBS, positions):
+        i = int(v)
+        lo, hi = order[min(i, n - 1)], order[min(i + 1, n - 1)]
+        # numpy's _lerp: interpolate from the nearer order statistic.
+        gamma = v - i
+        step = hi - lo
+        value = hi - step * (1.0 - gamma) if gamma >= 0.5 else lo + step * gamma
+        quantiles.append((p, value))
+    return tuple(quantiles)
 
 
 def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:

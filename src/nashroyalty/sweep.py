@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bargaining import ModelKind, as_share_model, validate_bounds
+from .bargaining import ModelKind, as_model_kind, as_share_model, validate_bounds
 from .errors import (
     BoundsValidationError,
     DegeneratePayoffsError,
@@ -107,7 +107,7 @@ def family_sweep(
     recorded in ``omitted`` with the reason.  Bound-validation failures
     are propagated with the offending cell identified.
     """
-    model = ModelKind(model)
+    model = as_model_kind(model)
     risk = RiskProfile(risk)
     if engine not in _ENGINES:
         raise OutOfRangeError(f"engine must be one of {_ENGINES}, got {engine!r}")

@@ -16,6 +16,10 @@ from nashroyalty import (
     PerceptionMatrix,
     SurplusViolationError,
     alpha_from_perceptions,
+    cdf_at,
+    estimate,
+    family_sweep,
+    mc_summary,
     royalty_rate,
     theta_model,
     validate_bounds,
@@ -169,6 +173,33 @@ class TestThetaModel:
             assert FixedAlphaModel(0.5).at(d1, d2) == pytest.approx(
                 theta_model(ModelKind.NBS, d1, d2), abs=1e-12
             )
+
+
+class TestUnknownModelName:
+    """Every entry point that takes a model name rejects an unknown one alike."""
+
+    BOX = validate_bounds(0.0, 0.2, 0.0, 0.8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda box: theta_model("bogus", 0.1, 0.2),
+            lambda box: estimate("bogus", "map", box),
+            lambda box: estimate("bogus", "abs", box),
+            lambda box: estimate("bogus", "mse", box),
+            lambda box: family_sweep("bogus", "abs", 0.0, 0.2),
+            lambda box: cdf_at("bogus", box, 0.3),
+            lambda box: mc_summary("bogus", box, 10, seed=0),
+        ],
+        ids=["theta_model", "estimate-map", "estimate-abs", "estimate-mse",
+             "family_sweep", "cdf_at", "mc_summary"],
+    )
+    def test_raises_out_of_range_naming_the_models(self, call):
+        with pytest.raises(OutOfRangeError, match="nbs, case1, case2, got 'bogus'"):
+            call(self.BOX)
+
+    def test_string_values_are_accepted(self):
+        assert theta_model("case1", 0.1, 0.2) == theta_model(ModelKind.CASE1, 0.1, 0.2)
 
 
 class TestFinancials:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nashroyalty
 from nashroyalty import (
@@ -72,6 +74,69 @@ STREAM_SHA256 = [
         "9cb16d2ed183ac89e7e406a7803c087d5bac87d1356101abda613ec054d0c023",
     ),
 ]
+
+
+# mc_summary(model, GOLDEN, 10**6, seed=42), field by field: the quantile
+# probabilities and values, the histogram mode, the mean and its standard
+# error.  Summary code must reproduce every value exactly.
+SUMMARY_SEED42 = [
+    (
+        ModelKind.NBS,
+        (0.16340851009053092, 0.25003260802848665, 0.3498797212913507,
+         0.45006053657052336, 0.5367074133232267),
+        0.24129353233830847,
+        0.3500260447419492,
+        0.00011899369380256849,
+    ),
+    (
+        ModelKind.CASE1,
+        (0.0857086806893321, 0.18042458743241985, 0.2771401975565436,
+         0.4155193980050569, 0.5660625516157761),
+        0.2014925373134328,
+        0.3000424526099771,
+        0.00014987275145211993,
+    ),
+    (
+        ModelKind.CASE2,
+        (0.024444368876321065, 0.1111630341408322, 0.2000601373494946,
+         0.3335178828156769, 0.7146489455933968),
+        0.19154228855721395,
+        0.25501152832213875,
+        0.00020602252705525262,
+    ),
+    (
+        FixedAlphaModel(0.3),
+        (0.1180959868239335, 0.18966232925047022, 0.2500412153903086,
+         0.31037540598768554, 0.38194161749239286),
+        0.2164179104477612,
+        0.2500240961388753,
+        8.015695201250676e-05,
+    ),
+]
+
+PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+EDGES = np.linspace(0.0, 1.0, 202)
+
+
+def numpy_summary_values(x):
+    """The quantiles and histogram mode by np.quantile and np.histogram."""
+    quantiles = tuple((p, float(np.quantile(x, p))) for p in PROBS)
+    counts, edges = np.histogram(x, bins=201, range=(0.0, 1.0))
+    k = int(np.argmax(counts))
+    return quantiles, float((edges[k] + edges[k + 1]) / 2.0)
+
+
+# Share samples with heavy ties, exact 0s and 1s and values on bin edges.
+share_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0, 0.5, 0.25]),
+    st.sampled_from(EDGES.tolist()),
+)
+share_samples = st.one_of(
+    st.lists(share_values, min_size=1, max_size=300),
+    st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=1, max_size=300),
+    st.lists(st.sampled_from(EDGES[95:110].tolist()), min_size=1, max_size=300),
+)
 
 
 class TestPinnedStreams:
@@ -206,6 +271,57 @@ class TestSummarize:
         summary = summarize(np.array([0.9, 0.1]))
         assert summary.bin_count == 201
         assert abs(summary.histogram_mode - 0.1) <= 0.5 / 201
+
+    @settings(deadline=None, max_examples=300)
+    @given(share_samples)
+    @example([0.4])
+    @example([1.0, 0.0])
+    def test_matches_numpy_quantile_and_histogram(self, values):
+        x = np.array(values)
+        summary = summarize(x)
+        assert (summary.quantiles, summary.histogram_mode) == numpy_summary_values(x)
+
+    def test_matches_numpy_across_a_shard_boundary(self):
+        rng = np.random.default_rng(19)
+        x = rng.uniform(0.2, 0.6, SHARD_SIZE + 17)
+        x[::7] = EDGES[rng.integers(0, 202, x[::7].size)]  # ties on bin edges
+        summary = summarize(x)
+        assert (summary.quantiles, summary.histogram_mode) == numpy_summary_values(x)
+
+    def test_never_sorts_the_whole_sample(self, monkeypatch):
+        samples = sample_thetas(ModelKind.CASE1, GOLDEN, 100_000, seed=8)
+        expected = numpy_summary_values(samples)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("summarize must not sort the whole sample")
+
+        for name in ("quantile", "percentile", "sort", "partition", "median"):
+            monkeypatch.setattr(np, name, refuse)
+        summary = summarize(samples)
+        monkeypatch.undo()
+        assert (summary.quantiles, summary.histogram_mode) == expected
+
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan, 0.3], [2.0, 3.0], [-0.5, 0.5], [math.inf, 0.2], [0.2, -math.inf]],
+        ids=str,
+    )
+    def test_values_outside_the_unit_interval_rejected(self, values):
+        with pytest.raises(OutOfRangeError, match=r"\[0, 1\]"):
+            summarize(np.array(values))
+
+    @pytest.mark.parametrize(
+        "model, quantiles, mode, mean, se",
+        SUMMARY_SEED42,
+        ids=[str(row[0]) for row in SUMMARY_SEED42],
+    )
+    def test_full_size_summary_is_pinned(self, model, quantiles, mode, mean, se):
+        summary = mc_summary(model, GOLDEN, 1_000_000, seed=42)
+        assert summary.quantiles == tuple(zip(PROBS, quantiles))
+        assert summary.histogram_mode == mode
+        assert summary.mean == mean
+        assert summary.std_error_of_mean == se
+        assert (summary.n, summary.bin_count, summary.seed) == (1_000_000, 201, 42)
 
     def test_mc_summary_records_provenance(self):
         summary = mc_summary(ModelKind.NBS, GOLDEN, 1000, seed=11)
