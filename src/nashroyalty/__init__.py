@@ -35,14 +35,7 @@ from .errors import (
     RoyaltyModelError,
     SurplusViolationError,
 )
-from .estimators import (
-    EstimateResult,
-    RiskProfile,
-    abs_estimate,
-    estimate,
-    map_estimate,
-    mse_estimate,
-)
+from .estimators import EstimateResult, RiskProfile, estimate
 from .montecarlo import (
     SHARD_SIZE,
     SampleSummary,
@@ -60,7 +53,6 @@ from .posterior import (
     numeric_mean,
     numeric_median,
     pdf_curve,
-    support_range,
 )
 from .sweep import (
     MapReferencePoint,
@@ -92,15 +84,11 @@ __all__ = [
     # estimators
     "RiskProfile",
     "EstimateResult",
-    "map_estimate",
-    "abs_estimate",
-    "mse_estimate",
     "estimate",
     # posterior engine
     "FixedAlphaModel",
     "PosteriorCurve",
     "ModeResult",
-    "support_range",
     "cdf_at",
     "pdf_curve",
     "numeric_median",

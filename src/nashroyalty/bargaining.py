@@ -79,6 +79,18 @@ def _require_unit(name: str, value) -> float:
     return value
 
 
+def _require_count(name: str, value, minimum: int) -> int:
+    try:  # an integral float such as 2001.0 passes; 50.9 is not cut to 50
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise OutOfRangeError(f"{name} must be at least {minimum}, got {count!r}")
+    return count
+
+
 def _clip01(value: float) -> float:
     # Guards roundoff only; all model formulas map valid inputs into [0, 1].
     return min(1.0, max(0.0, value))

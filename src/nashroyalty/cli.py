@@ -22,7 +22,6 @@ full precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -37,12 +36,13 @@ from .bargaining import (
     ModelKind,
     PayoffBounds,
     PerceptionMatrix,
+    _require_count,
     alpha_from_perceptions,
     royalty_rate,
     validate_bounds,
 )
 from .errors import BoundsValidationError, DegeneracyError, NumericalAccuracyError
-from .estimators import NOTE_NUMERIC, EstimateResult, RiskProfile, estimate
+from .estimators import RiskProfile, estimate
 from .montecarlo import random_valid_bounds, sample_thetas
 from .posterior import (
     FixedAlphaModel,
@@ -107,13 +107,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully resolved estimation scenario."""
+    """One fully resolved estimation scenario.
+
+    ``model`` is what the engines run: a :class:`ModelKind`, or a
+    :class:`FixedAlphaModel` when perception scores fix the weight.
+    """
 
     bounds: PayoffBounds
-    model: ModelKind | None
+    model: ModelKind | FixedAlphaModel
     risk: RiskProfile | None
     financials: FinancialStatement | None = None
-    perceptions: PerceptionMatrix | None = None
     grid_points: int = 2001
 
 
@@ -163,11 +166,9 @@ def _load_config_file(path: Path) -> dict:
 
 def _positive_int(label: str, value, minimum: int, maximum: int | None = None) -> int:
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{label} must be at least {minimum}, got {value}")
+        value = _require_count(label, value, minimum)
+    except BoundsValidationError as exc:
+        raise ConfigError(str(exc)) from None
     if maximum is not None and value > maximum:
         raise ConfigError(f"{label} must be at most {maximum}, got {value}")
     return value
@@ -209,16 +210,17 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
             "only with the symmetric model ('nbs') or with 'model' omitted, got "
             f"model {model_name!r}"
         )
-    model = None
-    if model_name is not None:
+    if perceptions is not None:
+        model = FixedAlphaModel(alpha_from_perceptions(perceptions))
+    elif model_name is None:
+        raise ConfigError("field 'model' is required when no perceptions are given")
+    else:
         try:
             model = ModelKind(model_name)
         except ValueError:
             raise ConfigError(
                 f"field 'model' must be one of nbs, case1, case2; got {model_name!r}"
             ) from None
-    if model is None and perceptions is None:
-        raise ConfigError("field 'model' is required when no perceptions are given")
 
     risk_name = getattr(args, "risk", None) or data.get("risk")
     risk = None
@@ -257,25 +259,16 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
         model=model,
         risk=risk,
         financials=financials,
-        perceptions=perceptions,
         grid_points=_positive_int(
             "field 'grid_points'", grid_points, 3, _MAX_GRID_POINTS
         ),
     )
 
 
-def _engine_model(config: ScenarioConfig):
-    """The model object driving the posterior engine for this scenario."""
-    if config.perceptions is not None:
-        return FixedAlphaModel(alpha_from_perceptions(config.perceptions))
-    return config.model
-
-
-def _model_label(config: ScenarioConfig) -> str:
-    if config.perceptions is not None:
-        alpha = alpha_from_perceptions(config.perceptions)
-        return f"nbs with perception-fixed weight alpha = {alpha:.3f}"
-    return config.model.value
+def _describe(model: ModelKind | FixedAlphaModel) -> str:
+    if isinstance(model, FixedAlphaModel):
+        return f"nbs with perception-fixed weight alpha = {model.alpha:.3f}"
+    return model.value
 
 
 # --- estimate ---------------------------------------------------------------
@@ -283,41 +276,32 @@ def _model_label(config: ScenarioConfig) -> str:
 
 def _cmd_estimate(args) -> int:
     config = _scenario_from(args, need_risk=True)
-    model = _engine_model(config)
-    if config.perceptions is not None:
-        value = numeric_estimate(model, config.risk, config.bounds, config.grid_points)
-        result = EstimateResult(
-            theta1=value, theta2=1.0 - value, method_note=NOTE_NUMERIC
-        )
+    model = config.model
+    if isinstance(model, ModelKind):
+        result = estimate(model, config.risk, config.bounds)
     else:
-        result = estimate(config.model, config.risk, config.bounds)
+        result = numeric_estimate(model, config.risk, config.bounds, config.grid_points)
     overpayment = cdf_at(model, config.bounds, result.theta1)
     rate = None
     if config.financials is not None:
         rate = royalty_rate(result.theta1, config.financials)
-    result = dataclasses.replace(
-        result, overpayment_prob=overpayment, royalty_rate=rate
-    )
 
     if args.json:
         payload = {
             "theta1": result.theta1,
             "theta2": result.theta2,
-            "royalty_rate": result.royalty_rate,
-            "overpayment_prob": result.overpayment_prob,
+            "royalty_rate": rate,
+            "overpayment_prob": overpayment,
             "method_note": result.method_note,
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
 
-    print(f"model: {_model_label(config)}")
+    print(f"model: {_describe(model)}")
     print(f"risk profile: {config.risk.value}")
     print(f"party 1 share estimate (theta1): {result.theta1:.3f}")
     print(f"party 2 share estimate (theta2): {result.theta2:.3f}")
-    print(
-        "overpayment probability P{theta <= estimate}: "
-        f"{result.overpayment_prob:.3f}"
-    )
+    print(f"overpayment probability P{{theta <= estimate}}: {overpayment:.3f}")
     if rate is not None:
         print(f"royalty rate on revenue: {rate:.3f}")
     print(f"method: {result.method_note}")
@@ -329,7 +313,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_posterior(args) -> int:
     config = _scenario_from(args, need_risk=False)
-    model = _engine_model(config)
+    model = config.model
     bounds = config.bounds
     curve = pdf_curve(model, bounds, config.grid_points)
 
@@ -341,7 +325,7 @@ def _cmd_posterior(args) -> int:
     print(
         f"wrote posterior curve ({config.grid_points} grid points) to {args.out}"
     )
-    print(f"model: {_model_label(config)}")
+    print(f"model: {_describe(model)}")
     plateau_note = " [plateau]" if mode.plateau else ""
     for label, value, extra in (
         ("mode   (MAP)", mode.value, plateau_note),
@@ -370,7 +354,7 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def _cmd_sweep(args) -> int:
     config = _scenario_from(args, need_risk=True)
-    if config.perceptions is not None:
+    if not isinstance(config.model, ModelKind):
         raise ConfigError("sweep supports the named models only, not perceptions")
     c_values = None
     if args.c_values is not None:

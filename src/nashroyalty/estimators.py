@@ -2,18 +2,19 @@
 
 With d1 ~ U[a, b] and d2 ~ U[c, d] independent, the share theta1 is a
 random variable and the best point estimate depends on the negotiator's
-attitude to estimation error:
+attitude to estimation error, its :class:`RiskProfile`:
 
 * ``MAP`` - minimize the probability of any error: the posterior mode,
   which for these monotone models sits at the upper payoff corner (b, d).
 * ``ABS`` - minimize expected absolute error: the posterior median.
 * ``MSE`` - minimize expected squared error: the posterior mean.
 
-Every estimate below is a closed form.  All are exact except the ABS
-estimate for the ``CASE1`` model, where the median has no elementary form
-and the model value at the interval midpoints is used instead (within a
-few percent of the true median; see :mod:`nashroyalty.posterior` for the
-numeric median).
+:func:`estimate` is the one closed-form entry point.  Its values are exact
+except the ABS estimate for the ``CASE1`` model, where the median has no
+elementary form and the model value at the interval midpoints is used
+instead (within a few percent of the true median).  Like the numeric
+:func:`nashroyalty.posterior.numeric_estimate`, it returns an
+:class:`EstimateResult`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ __all__ = [
     "NOTE_EXACT",
     "NOTE_APPROXIMATION",
     "NOTE_NUMERIC",
-    "map_estimate",
-    "abs_estimate",
-    "mse_estimate",
+    "as_risk_profile",
     "estimate",
 ]
 
@@ -67,33 +66,38 @@ class RiskProfile(enum.Enum):
     MSE = "mse"
 
 
+def as_risk_profile(risk) -> RiskProfile:
+    """The :class:`RiskProfile` of a member or its string value.
+
+    Raises :class:`OutOfRangeError` naming the accepted values otherwise.
+    """
+    try:
+        return RiskProfile(risk)
+    except ValueError:
+        names = ", ".join(profile.value for profile in RiskProfile)
+        raise OutOfRangeError(
+            f"risk must be a RiskProfile or one of {names}, got {risk!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class EstimateResult:
-    """A point estimate of both parties' shares.
+    """A point estimate of both parties' shares, from either engine.
 
-    ``theta2`` is always exactly ``1 - theta1``.  ``royalty_rate`` and
-    ``overpayment_prob`` are filled in by callers that know the financials
-    or the posterior distribution; ``method_note`` records whether the
-    value is an exact closed form, a closed-form approximation, or a
-    numeric result.
+    ``theta2`` is always exactly ``1 - theta1``.  ``method_note`` records
+    how the value was computed: ``NOTE_EXACT`` or ``NOTE_APPROXIMATION``
+    from :func:`estimate`, ``NOTE_NUMERIC`` from
+    :func:`nashroyalty.posterior.numeric_estimate`.
     """
 
     theta1: float
     theta2: float
     method_note: str
-    royalty_rate: float | None = None
-    overpayment_prob: float | None = None
 
 
 def _result(theta1: float, note: str) -> EstimateResult:
     theta1 = min(1.0, max(0.0, float(theta1)))
     return EstimateResult(theta1=theta1, theta2=1.0 - theta1, method_note=note)
-
-
-def _nbs_mean(bounds: PayoffBounds) -> float:
-    # Mean and median coincide for the linear symmetric model; shared so
-    # the ABS and MSE estimates are bit-identical.
-    return (bounds.a + bounds.b - bounds.c - bounds.d) / 4.0 + 0.5
 
 
 def _case2_mean(bounds: PayoffBounds) -> float:
@@ -208,60 +212,36 @@ def _case2_thin_mean(a: float, b: float, c: float, d: float) -> float:
     return m * spread / height + curvature / (24.0 * height)
 
 
-def map_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
-    """Most-probable share: the model value at the upper corner (b, d).
+def estimate(
+    model: ModelKind, risk: RiskProfile, bounds: PayoffBounds
+) -> EstimateResult:
+    """The closed-form estimate of party 1's share for one risk profile.
 
-    The share density is maximal where both payoffs are largest, so the
-    mode is ``theta_model(model, b, d)``.  Raises
-    :class:`DegeneratePayoffsError` for ``CASE2`` when b = d = 0.
+    * ``MAP``: the mode, the model value at the upper corner (b, d), where
+      the density peaks.  Raises :class:`DegeneratePayoffsError` for
+      ``CASE2`` when b = d = 0.
+    * ``ABS``: the median, the model value at the interval midpoints.
+      Exact for ``NBS`` (the share is a symmetric sum) and ``CASE2`` (the
+      sub-level sets split the rectangle's symmetry group evenly); a
+      closed-form approximation for ``CASE1``.
+    * ``MSE``: the mean, exact for every model.
+
+    ``model`` and ``risk`` may be given by their string values; an unknown
+    one raises :class:`OutOfRangeError` naming the accepted values.
     """
-    model = as_model_kind(model)
-    return _result(theta_model(model, bounds.b, bounds.d), NOTE_EXACT)
-
-
-def abs_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
-    """Median share: the model value at the interval midpoints.
-
-    Exact for ``NBS`` (the share is a symmetric sum) and ``CASE2`` (the
-    sub-level sets split the rectangle's symmetry group evenly); a
-    closed-form approximation for ``CASE1``.
-    """
-    model = as_model_kind(model)
-    if model is ModelKind.NBS:
-        return _result(_nbs_mean(bounds), NOTE_EXACT)
-    mid1 = (bounds.a + bounds.b) / 2.0
-    mid2 = (bounds.c + bounds.d) / 2.0
-    if model is ModelKind.CASE2:
-        return _result(theta_model(model, mid1, mid2), NOTE_EXACT)
-    return _result(theta_model(model, mid1, mid2), NOTE_APPROXIMATION)
-
-
-def mse_estimate(model: ModelKind, bounds: PayoffBounds) -> EstimateResult:
-    """Mean share: the exact expectation of the model over the rectangle."""
+    risk = as_risk_profile(risk)
     model = as_model_kind(model)
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    if risk is RiskProfile.MAP:
+        return _result(theta_model(model, b, d), NOTE_EXACT)
     if model is ModelKind.NBS:
-        return _result(_nbs_mean(bounds), NOTE_EXACT)
+        # Median and mean coincide for the linear symmetric model.
+        return _result((a + b - c - d) / 4.0 + 0.5, NOTE_EXACT)
+    if risk is RiskProfile.ABS:
+        note = NOTE_EXACT if model is ModelKind.CASE2 else NOTE_APPROXIMATION
+        return _result(theta_model(model, (a + b) / 2.0, (c + d) / 2.0), note)
     if model is ModelKind.CASE1:
         quadratic = (c * c + c * d + d * d - a * a - a * b - b * b) / 6.0
         linear = (a + b - c - d + 1.0) / 2.0
         return _result(quadratic + linear, NOTE_EXACT)
     return _result(_case2_mean(bounds), NOTE_EXACT)
-
-
-_DISPATCH = {
-    RiskProfile.MAP: map_estimate,
-    RiskProfile.ABS: abs_estimate,
-    RiskProfile.MSE: mse_estimate,
-}
-
-
-def estimate(
-    model: ModelKind, risk: RiskProfile, bounds: PayoffBounds
-) -> EstimateResult:
-    """Dispatch to the estimator matching the given risk profile."""
-    try:
-        handler = _DISPATCH[RiskProfile(risk)]
-    except ValueError:
-        raise OutOfRangeError(f"unknown risk profile {risk!r}") from None
-    return handler(model, bounds)

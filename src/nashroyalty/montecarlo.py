@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import PayoffBounds, as_share_model, validate_bounds
+from .bargaining import PayoffBounds, _require_count, as_share_model, validate_bounds
 from .errors import EmptySampleError, OutOfRangeError
 
 __all__ = [
@@ -53,12 +53,11 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     Deterministic in (model, bounds, n, seed).  A drawn pair where the
     share is undefined (the proportional model at exactly (0, 0), possible
     only when a = c = 0) is redrawn within its shard; a rectangle on which
-    the share is nowhere defined raises :class:`DegeneratePayoffsError`.
+    the share is nowhere defined raises :class:`DegeneratePayoffsError`, and
+    an ``n`` that is not an integer of at least 1 :class:`OutOfRangeError`.
     """
     share = as_share_model(model)
-    n = int(n)
-    if n < 1:
-        raise OutOfRangeError(f"n must be at least 1, got {n!r}")
+    n = _require_count("n", n, 1)
     share.support(bounds)  # raises where the share is nowhere defined
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     out = np.empty(n, dtype=np.float64)

@@ -22,20 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import FixedAlphaModel, PayoffBounds, ShareModel, as_share_model
+from .bargaining import (
+    FixedAlphaModel,
+    PayoffBounds,
+    ShareModel,
+    _require_count,
+    as_share_model,
+)
 from .errors import (
     DegenerateDistributionError,
     DegeneratePayoffsError,
     NumericalAccuracyError,
     OutOfRangeError,
 )
-from .estimators import RiskProfile
+from .estimators import NOTE_NUMERIC, EstimateResult, RiskProfile, as_risk_profile
 
 __all__ = [
     "FixedAlphaModel",
     "PosteriorCurve",
     "ModeResult",
-    "support_range",
     "cdf_at",
     "pdf_curve",
     "numeric_median",
@@ -73,15 +78,6 @@ _MEDIAN_OFFSETS = np.concatenate(
     (-(4.0 ** -np.arange(1, 9)), [0.0], 4.0 ** -np.arange(8, 0, -1))
 )
 _MODE_TIE_TOL = 1e-9
-
-
-def support_range(model, bounds: PayoffBounds) -> tuple[float, float]:
-    """Smallest and largest share values the payoff rectangle can produce.
-
-    See :meth:`ShareModel.support`; the proportional model raises
-    :class:`DegeneratePayoffsError` on a rectangle equal to the origin.
-    """
-    return as_share_model(model).support(bounds)
 
 
 def _require_prob_point(t: float) -> float:
@@ -235,12 +231,11 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     telescopes back to CDF increments and integrates to 1 up to the
     quadrature accuracy.  Raises :class:`DegenerateDistributionError` when
     the share is deterministic (point-mass rectangle, or a proportional-
-    model rectangle pinned to one axis) since no density curve exists.
+    model rectangle pinned to one axis) since no density curve exists, and
+    :class:`OutOfRangeError` unless ``n_points`` is an integer of at least 3.
     """
     ops = as_share_model(model)
-    n_points = int(n_points)
-    if n_points < 3:
-        raise OutOfRangeError(f"n_points must be at least 3, got {n_points!r}")
+    n_points = _require_count("n_points", n_points, 3)
     lo, hi = ops.support(bounds)
     if lo == hi:
         raise DegenerateDistributionError(
@@ -369,14 +364,18 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
 
 def numeric_estimate(
     model, risk: RiskProfile, bounds: PayoffBounds, n_points: int = 2001
-) -> float:
-    """The engine's estimate for one risk profile.
+) -> EstimateResult:
+    """The engine's estimate for one risk profile, noted ``NOTE_NUMERIC``.
 
     The density mode on a grid of ``n_points`` for ``MAP``, the median for
-    ``ABS``, and the mean for ``MSE``.
+    ``ABS``, and the mean for ``MSE``.  ``risk`` may also be given by its
+    string value; any other value raises :class:`OutOfRangeError`.
     """
+    risk = as_risk_profile(risk)
     if risk is RiskProfile.MAP:
-        return mode_from_curve(pdf_curve(model, bounds, n_points)).value
-    if risk is RiskProfile.ABS:
-        return numeric_median(model, bounds)
-    return numeric_mean(model, bounds)
+        value = mode_from_curve(pdf_curve(model, bounds, n_points)).value
+    elif risk is RiskProfile.ABS:
+        value = numeric_median(model, bounds)
+    else:
+        value = numeric_mean(model, bounds)
+    return EstimateResult(theta1=value, theta2=1.0 - value, method_note=NOTE_NUMERIC)

@@ -19,7 +19,7 @@ from .errors import (
     DegeneratePayoffsError,
     OutOfRangeError,
 )
-from .estimators import RiskProfile, estimate
+from .estimators import RiskProfile, as_risk_profile, estimate
 from .posterior import numeric_estimate
 
 __all__ = [
@@ -108,7 +108,7 @@ def family_sweep(
     are propagated with the offending cell identified.
     """
     model = as_model_kind(model)
-    risk = RiskProfile(risk)
+    risk = as_risk_profile(risk)
     if engine not in _ENGINES:
         raise OutOfRangeError(f"engine must be one of {_ENGINES}, got {engine!r}")
     validate_bounds(a, b, 0.0, 0.0)
@@ -118,6 +118,7 @@ def family_sweep(
         d_grid = _default_d_grid(b)
     c_values = tuple(float(c) for c in c_values)
     d_grid = tuple(float(d) for d in d_grid)
+    engine_estimate = estimate if engine == "closed_form" else numeric_estimate
 
     series = []
     omitted = []
@@ -131,10 +132,7 @@ def family_sweep(
             except BoundsValidationError as exc:
                 raise type(exc)(f"sweep cell (c={c!r}, d={d!r}): {exc}") from exc
             try:
-                if engine == "closed_form":
-                    value = estimate(model, risk, bounds).theta1
-                else:
-                    value = numeric_estimate(model, risk, bounds)
+                value = engine_estimate(model, risk, bounds).theta1
             except DegeneratePayoffsError as exc:
                 omitted.append(OmittedCell(c=c, d=d, reason=str(exc)))
                 continue

@@ -16,13 +16,10 @@ from scipy import integrate
 from nashroyalty import (
     ModelKind,
     RiskProfile,
-    abs_estimate,
     cdf_at,
     cli,
     estimate,
-    map_estimate,
     mc_summary,
-    mse_estimate,
     numeric_mean,
     numeric_median,
     pdf_curve,
@@ -117,7 +114,7 @@ def test_criterion_3_mse_closed_forms_match_quadrature():
     worst = {model: 0.0 for model in ModelKind}
     for bounds in tuples:
         for model in ModelKind:
-            closed = mse_estimate(model, bounds).theta1
+            closed = estimate(model, RiskProfile.MSE, bounds).theta1
             gap = abs(closed - numeric_mean(model, bounds))
             worst[model] = max(worst[model], gap)
     elapsed = time.perf_counter() - started
@@ -145,7 +142,7 @@ def test_criterion_4_median_approximation_within_four_percent():
     worst_bounds = None
     for _ in range(500):
         bounds = random_valid_bounds(rng)
-        approx = abs_estimate(ModelKind.CASE1, bounds).theta1
+        approx = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
         median = numeric_median(ModelKind.CASE1, bounds)
         rel = abs(approx - median) / median
         if rel > worst_rel:
@@ -171,7 +168,7 @@ def test_criterion_5_monte_carlo_consistency():
         summary = mc_summary(model, GOLDEN, n, seed=42)
         exact_mean = numeric_mean(model, GOLDEN)
         z_mean = abs(summary.mean - exact_mean) / summary.std_error_of_mean
-        theta_hat = map_estimate(model, GOLDEN).theta1
+        theta_hat = estimate(model, RiskProfile.MAP, GOLDEN).theta1
         samples = sample_thetas(model, GOLDEN, n, seed=42)
         ecdf = float(np.mean(samples <= theta_hat))
         prob = cdf_at(model, GOLDEN, theta_hat)
@@ -231,8 +228,8 @@ def test_criterion_6_model_invariants():
     # median and mean coincide bit for bit.
     for bounds in tuples[:200]:
         assert (
-            abs_estimate(ModelKind.NBS, bounds).theta1
-            == mse_estimate(ModelKind.NBS, bounds).theta1
+            estimate(ModelKind.NBS, RiskProfile.ABS, bounds).theta1
+            == estimate(ModelKind.NBS, RiskProfile.MSE, bounds).theta1
         )
 
     # Individual rationality: no party accepts less than its
@@ -272,7 +269,7 @@ def test_criterion_6_model_invariants():
                     epsabs=1e-12,
                 )
                 return value / bounds.area
-            mean_cost = cost(mse_estimate(model, bounds).theta1)
+            mean_cost = cost(estimate(model, RiskProfile.MSE, bounds).theta1)
             for risk in (RiskProfile.MAP, RiskProfile.ABS):
                 other = cost(estimate(model, risk, bounds).theta1)
                 worst_excess = max(worst_excess, mean_cost - other)

@@ -24,6 +24,7 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
+from nashroyalty.posterior import numeric_estimate
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -200,6 +201,25 @@ class TestUnknownModelName:
 
     def test_string_values_are_accepted(self):
         assert theta_model("case1", 0.1, 0.2) == theta_model(ModelKind.CASE1, 0.1, 0.2)
+
+
+class TestUnknownRiskName:
+    """Every entry point that takes a risk profile rejects an unknown one alike."""
+
+    BOX = validate_bounds(0.0, 0.2, 0.0, 0.8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda box: estimate("nbs", "bogus", box),
+            lambda box: family_sweep("nbs", "bogus", 0.0, 0.2),
+            lambda box: numeric_estimate("nbs", "bogus", box),
+        ],
+        ids=["estimate", "family_sweep", "numeric_estimate"],
+    )
+    def test_raises_out_of_range_naming_the_profiles(self, call):
+        with pytest.raises(OutOfRangeError, match="map, abs, mse, got 'bogus'"):
+            call(self.BOX)
 
 
 class TestFinancials:

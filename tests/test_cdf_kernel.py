@@ -19,15 +19,16 @@ from scipy import integrate
 from nashroyalty import (
     ModelKind,
     NumericalAccuracyError,
+    RiskProfile,
     cdf_at,
-    mse_estimate,
+    estimate,
     numeric_mean,
     random_valid_bounds,
     theta_model,
     validate_bounds,
 )
 from nashroyalty.bargaining import ShareModel, as_share_model
-from nashroyalty.posterior import _cdf, _integrate, support_range
+from nashroyalty.posterior import _cdf, _integrate
 
 # --- scalar scipy reference ---------------------------------------------------
 
@@ -57,7 +58,7 @@ def _ref_d1_threshold(model: ModelKind, y: float, t: float) -> float:
 def reference_cdf(model: ModelKind, bounds, t: float) -> float:
     """P{theta <= t} by one adaptive ``quad`` over d1 (rectangles with a < b
     and c < d)."""
-    lo, hi = support_range(model, bounds)
+    lo, hi = as_share_model(model).support(bounds)
     if t < lo:
         return 0.0
     if t >= hi:
@@ -126,7 +127,7 @@ def _box_id(bounds) -> str:
 
 def _probe_points(model: ModelKind, bounds) -> np.ndarray:
     """An even grid over [0, 1] plus an even grid over the support."""
-    lo, hi = support_range(model, bounds)
+    lo, hi = as_share_model(model).support(bounds)
     grids = (np.linspace(0.0, 1.0, 41), np.linspace(lo, hi, 41))
     return np.unique(np.concatenate(grids))
 
@@ -143,7 +144,7 @@ def test_kernel_matches_scalar_quad_reference(model, bounds):
 @pytest.mark.parametrize("bounds", ALL_BOXES, ids=_box_id)
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_mean_from_cdf_matches_closed_form(model, bounds):
-    closed = mse_estimate(model, bounds).theta1
+    closed = estimate(model, RiskProfile.MSE, bounds).theta1
     assert abs(numeric_mean(model, bounds) - closed) <= 1e-10
 
 
@@ -166,7 +167,7 @@ def test_mean_on_singular_and_thin_edge_boxes(model, bounds):
     # spacing of floats is 1e-7 of it.  On the last two boxes the case2
     # closed form's corner terms cancel far below its area, or square to
     # below the smallest float.
-    closed = mse_estimate(model, bounds).theta1
+    closed = estimate(model, RiskProfile.MSE, bounds).theta1
     assert abs(numeric_mean(model, bounds) - closed) <= 1e-9
 
 

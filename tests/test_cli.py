@@ -175,6 +175,23 @@ class TestConfigFiles:
         assert "must be a number" in err
         assert (f"'{block}.{key}'" if block else f"'{key}'") in err
 
+    @pytest.mark.parametrize("value", [50.9, 2000.5, 1e400])
+    def test_non_integral_grid_points_exit_2(self, capsys, tmp_path, value):
+        payload = dict(self.BASE, grid_points=value)
+        argv = ["posterior", "--config", self.write(tmp_path, payload)]
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: field 'grid_points' must be an integer, got {value!r}\n"
+        assert not out.exists()
+
+    def test_integral_float_grid_points_accepted(self, capsys, tmp_path):
+        payload = dict(self.BASE, grid_points=201.0)
+        argv = ["posterior", "--config", self.write(tmp_path, payload)]
+        code, stdout, _ = run(capsys, [*argv, "--out", str(tmp_path / "curve.csv")])
+        assert code == 0
+        assert "(201 grid points)" in stdout
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["estimate", "--config", str(tmp_path / "absent.json")]

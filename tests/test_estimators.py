@@ -12,10 +12,7 @@ from nashroyalty import (
     DegeneratePayoffsError,
     ModelKind,
     RiskProfile,
-    abs_estimate,
     estimate,
-    map_estimate,
-    mse_estimate,
     theta_model,
     validate_bounds,
 )
@@ -86,38 +83,39 @@ class TestGoldenTable:
     def test_proportional_mean_has_exact_log_value(self):
         # Frozen high-accuracy quadrature value for E[d1/(d1+d2)] on the
         # golden bounds.
-        theta = mse_estimate(ModelKind.CASE2, GOLDEN).theta1
+        theta = estimate(ModelKind.CASE2, RiskProfile.MSE, GOLDEN).theta1
         assert theta == pytest.approx(0.2548926364258431, abs=1e-12)
 
 
 class TestMapEstimate:
     def test_upper_corner_value(self):
         for model in ModelKind:
-            result = map_estimate(model, GOLDEN)
+            result = estimate(model, RiskProfile.MAP, GOLDEN)
             assert result.theta1 == theta_model(model, 0.2, 0.8)
             assert result.method_note == NOTE_EXACT
 
     def test_proportional_origin_rectangle_raises(self):
         origin = validate_bounds(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegeneratePayoffsError):
-            map_estimate(ModelKind.CASE2, origin)
+            estimate(ModelKind.CASE2, RiskProfile.MAP, origin)
 
 
 class TestAbsEstimate:
     def test_midpoint_evaluation(self):
-        result = abs_estimate(ModelKind.CASE2, GOLDEN)
+        result = estimate(ModelKind.CASE2, RiskProfile.ABS, GOLDEN)
         assert result.theta1 == pytest.approx(0.1 / 0.5, abs=1e-15)
         assert result.method_note == NOTE_EXACT
 
     def test_outside_option_model_is_flagged_as_approximation(self):
-        assert abs_estimate(ModelKind.CASE1, GOLDEN).method_note == NOTE_APPROXIMATION
-        assert abs_estimate(ModelKind.NBS, GOLDEN).method_note == NOTE_EXACT
+        case1 = estimate(ModelKind.CASE1, RiskProfile.ABS, GOLDEN)
+        assert case1.method_note == NOTE_APPROXIMATION
+        assert estimate(ModelKind.NBS, RiskProfile.ABS, GOLDEN).method_note == NOTE_EXACT
 
     @given(valid_bounds())
     def test_symmetric_model_abs_equals_mse_bitwise(self, bounds):
         assert (
-            abs_estimate(ModelKind.NBS, bounds).theta1
-            == mse_estimate(ModelKind.NBS, bounds).theta1
+            estimate(ModelKind.NBS, RiskProfile.ABS, bounds).theta1
+            == estimate(ModelKind.NBS, RiskProfile.MSE, bounds).theta1
         )
 
 
@@ -128,7 +126,7 @@ class TestMseEstimate:
             a, b, c, d = sorted(rng.uniform(0, 0.5, 2)) + sorted(rng.uniform(0, 0.5, 2))
             bounds = validate_bounds(a, b, c, d)
             for model in ModelKind:
-                closed = mse_estimate(model, bounds).theta1
+                closed = estimate(model, RiskProfile.MSE, bounds).theta1
                 oracle = quadrature_mean(model, bounds)
                 assert closed == pytest.approx(oracle, abs=1e-9), (model, bounds)
 
@@ -136,14 +134,14 @@ class TestMseEstimate:
         # a = c = 0 exercises the 0 * log(0) -> 0 term.
         for b, d in ((0.2, 0.8), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0)):
             bounds = validate_bounds(0.0, b, 0.0, d)
-            closed = mse_estimate(ModelKind.CASE2, bounds).theta1
+            closed = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
             assert closed == pytest.approx(
                 quadrature_mean(ModelKind.CASE2, bounds), abs=1e-9
             )
 
     def test_point_mass_party1_limit(self):
         bounds = validate_bounds(0.2, 0.2, 0.0, 0.8)
-        closed = mse_estimate(ModelKind.CASE2, bounds).theta1
+        closed = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
         expected = 0.2 * math.log((0.2 + 0.8) / 0.2) / 0.8
         assert closed == pytest.approx(expected, abs=1e-15)
         assert closed == pytest.approx(
@@ -152,7 +150,7 @@ class TestMseEstimate:
 
     def test_point_mass_party2_limit(self):
         bounds = validate_bounds(0.1, 0.5, 0.3, 0.3)
-        closed = mse_estimate(ModelKind.CASE2, bounds).theta1
+        closed = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
         expected = 1.0 - 0.3 * math.log((0.5 + 0.3) / (0.1 + 0.3)) / 0.4
         assert closed == pytest.approx(expected, abs=1e-15)
         assert closed == pytest.approx(
@@ -162,17 +160,18 @@ class TestMseEstimate:
     def test_double_point_mass_is_pointwise_share(self):
         bounds = validate_bounds(0.3, 0.3, 0.1, 0.1)
         expected = theta_model(ModelKind.CASE2, 0.3, 0.1)
-        assert mse_estimate(ModelKind.CASE2, bounds).theta1 == expected
+        assert estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1 == expected
         assert expected == pytest.approx(0.75, abs=1e-15)
 
     def test_point_masses_at_zero(self):
-        assert mse_estimate(ModelKind.CASE2, validate_bounds(0, 0, 0.2, 0.6)).theta1 == 0.0
-        assert mse_estimate(ModelKind.CASE2, validate_bounds(0.2, 0.6, 0, 0)).theta1 == 1.0
+        low, high = validate_bounds(0, 0, 0.2, 0.6), validate_bounds(0.2, 0.6, 0, 0)
+        assert estimate(ModelKind.CASE2, RiskProfile.MSE, low).theta1 == 0.0
+        assert estimate(ModelKind.CASE2, RiskProfile.MSE, high).theta1 == 1.0
 
     def test_origin_rectangle_raises(self):
         origin = validate_bounds(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegeneratePayoffsError, match="a = b = 0 and c = d = 0"):
-            mse_estimate(ModelKind.CASE2, origin)
+            estimate(ModelKind.CASE2, RiskProfile.MSE, origin)
 
 
 class TestEstimatorProperties:
@@ -230,9 +229,3 @@ class TestEstimatorProperties:
                             assert estimate(model, risk, up_d).theta1 <= base + 1e-12
                     except DegeneratePayoffsError:
                         continue
-
-    def test_dispatch_matches_specific_estimators(self):
-        for model in ModelKind:
-            assert estimate(model, RiskProfile.MAP, GOLDEN) == map_estimate(model, GOLDEN)
-            assert estimate(model, RiskProfile.ABS, GOLDEN) == abs_estimate(model, GOLDEN)
-            assert estimate(model, RiskProfile.MSE, GOLDEN) == mse_estimate(model, GOLDEN)

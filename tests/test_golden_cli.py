@@ -1,0 +1,40 @@
+"""Pinned CLI outputs: every byte of stdout, and a SHA-256 of every file.
+
+``golden_cli.json`` holds, for each run, its argv, any config file it
+reads, its stdout and the digests of the files it writes.  The values were
+captured from the CLI before its estimate layer was merged into one path
+per engine; a change that moves any of them changes what a user sees and
+must say so.  The runs cover ``reference``, ``estimate --json`` for all
+nine model/risk combinations on the golden box with financials, the
+README's perception config, a 201-point ``posterior``, a closed-form
+``sweep`` and a small ``verify``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from nashroyalty import cli
+
+CASES = json.loads(
+    (Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_is_pinned(case, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in case.get("config", {}).items():
+        Path(name).write_text(json.dumps(data), encoding="utf-8")
+    before = set(Path().iterdir())
+    code = cli.main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == case["stdout"]
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(set(Path().iterdir()) - before)
+    }
+    assert written == case["files"]

@@ -19,16 +19,17 @@ from nashroyalty import (
     FixedAlphaModel,
     ModelKind,
     OutOfRangeError,
+    RiskProfile,
     cdf_at,
+    estimate,
     mc_summary,
-    mse_estimate,
     random_valid_bounds,
     sample_thetas,
     summarize,
-    support_range,
     validate_bounds,
 )
 from nashroyalty import montecarlo
+from nashroyalty.bargaining import as_share_model
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -208,7 +209,7 @@ class TestPinnedStreams:
 class TestSampleValidity:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_samples_stay_inside_the_support(self, model):
-        lo, hi = support_range(model, GOLDEN)
+        lo, hi = as_share_model(model).support(GOLDEN)
         samples = sample_thetas(model, GOLDEN, 20_000, seed=4)
         assert samples.min() >= lo - 1e-12
         assert samples.max() <= hi + 1e-12
@@ -226,6 +227,16 @@ class TestSampleValidity:
         origin = validate_bounds(0.0, 0.0, 0.0, 0.0)
         samples = sample_thetas(ModelKind.NBS, origin, 10, seed=0)
         assert np.all(samples == 0.5)
+
+    @pytest.mark.parametrize("n", [2.7, 0.5, math.inf, math.nan])
+    def test_non_integral_sizes_rejected(self, n):
+        with pytest.raises(OutOfRangeError, match="n must be an integer"):
+            sample_thetas(ModelKind.NBS, GOLDEN, n, seed=0)
+
+    def test_integral_float_size_accepted(self):
+        by_float = sample_thetas(ModelKind.NBS, GOLDEN, 100.0, seed=0)
+        by_int = sample_thetas(ModelKind.NBS, GOLDEN, 100, seed=0)
+        assert np.array_equal(by_float, by_int)
 
     def test_point_mass_bounds_give_a_constant_sample(self):
         bounds = validate_bounds(0.3, 0.3, 0.1, 0.1)
@@ -336,7 +347,7 @@ class TestConvergence:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_sample_mean_matches_closed_form_mean(self, model):
         summary = mc_summary(model, GOLDEN, self.N, seed=42)
-        exact = mse_estimate(model, GOLDEN).theta1
+        exact = estimate(model, RiskProfile.MSE, GOLDEN).theta1
         assert abs(summary.mean - exact) <= 4.0 * summary.std_error_of_mean
 
     @pytest.mark.parametrize("model", list(ModelKind))

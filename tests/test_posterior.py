@@ -14,12 +14,10 @@ from nashroyalty import (
     OutOfRangeError,
     RiskProfile,
     cdf_at,
-    map_estimate,
-    mse_estimate,
+    estimate,
     numeric_mean,
     numeric_median,
     pdf_curve,
-    support_range,
     theta_model,
     validate_bounds,
 )
@@ -106,7 +104,7 @@ class TestCdfAgainstAnalyticOracles:
 class TestCdfShape:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_support_bracketing(self, model):
-        lo, hi = support_range(model, GOLDEN)
+        lo, hi = as_share_model(model).support(GOLDEN)
         assert lo < hi
         assert cdf_at(model, GOLDEN, max(0.0, lo - 0.01)) == 0.0
         assert cdf_at(model, GOLDEN, lo) <= 1e-6
@@ -122,7 +120,7 @@ class TestCdfShape:
             assert later >= earlier - 1e-10
 
     def test_overpayment_prob_is_the_cdf(self):
-        theta_hat = map_estimate(ModelKind.NBS, GOLDEN).theta1
+        theta_hat = estimate(ModelKind.NBS, RiskProfile.MAP, GOLDEN).theta1
         # P{theta <= estimate}: the chance the estimate overpays party 1.
         prob = cdf_at(ModelKind.NBS, GOLDEN, theta_hat)
         assert prob == pytest.approx(0.125, abs=1e-8)
@@ -130,21 +128,22 @@ class TestCdfShape:
 
 class TestSupportRange:
     def test_corner_values(self):
-        assert support_range(ModelKind.NBS, GOLDEN) == (
+        assert as_share_model(ModelKind.NBS).support(GOLDEN) == (
             theta_model(ModelKind.NBS, 0.0, 0.8),
             theta_model(ModelKind.NBS, 0.2, 0.0),
         )
 
     def test_proportional_full_span_with_zero_lower_bounds(self):
-        assert support_range(ModelKind.CASE2, GOLDEN) == (0.0, 1.0)
+        assert as_share_model(ModelKind.CASE2).support(GOLDEN) == (0.0, 1.0)
 
     def test_proportional_zero_axis_rectangles(self):
-        assert support_range(ModelKind.CASE2, validate_bounds(0, 0, 0.2, 0.6)) == (0.0, 0.0)
-        assert support_range(ModelKind.CASE2, validate_bounds(0.2, 0.6, 0, 0)) == (1.0, 1.0)
+        case2 = as_share_model(ModelKind.CASE2)
+        assert case2.support(validate_bounds(0, 0, 0.2, 0.6)) == (0.0, 0.0)
+        assert case2.support(validate_bounds(0.2, 0.6, 0, 0)) == (1.0, 1.0)
 
     def test_origin_rectangle_raises(self):
         with pytest.raises(DegeneratePayoffsError):
-            support_range(ModelKind.CASE2, ORIGIN)
+            as_share_model(ModelKind.CASE2).support(ORIGIN)
 
 
 class TestDeterministicShare:
@@ -208,6 +207,15 @@ class TestPdfCurve:
         with pytest.raises(OutOfRangeError):
             pdf_curve(ModelKind.NBS, GOLDEN, n_points=2)
 
+    @pytest.mark.parametrize("n_points", [3.9, 801.5, math.inf, math.nan])
+    def test_non_integral_point_counts_rejected(self, n_points):
+        with pytest.raises(OutOfRangeError, match="n_points must be an integer"):
+            pdf_curve(ModelKind.NBS, GOLDEN, n_points=n_points)
+
+    def test_integral_float_point_count_accepted(self):
+        curve = pdf_curve(ModelKind.NBS, GOLDEN, n_points=801.0)
+        assert np.array_equal(curve.cdf, pdf_curve(ModelKind.NBS, GOLDEN, 801).cdf)
+
 
 class TestNumericMedian:
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -263,7 +271,7 @@ class TestNumericMean:
     )
     def test_matches_closed_form(self, model, bounds):
         assert numeric_mean(model, bounds) == pytest.approx(
-            mse_estimate(model, bounds).theta1, abs=1e-8
+            estimate(model, RiskProfile.MSE, bounds).theta1, abs=1e-8
         )
 
     def test_degenerate_axis_values(self):
@@ -275,7 +283,7 @@ class TestNumericMode:
     def test_golden_modes_equal_map_estimate_bitwise(self):
         for model in ModelKind:
             mode = mode_from_curve(pdf_curve(model, GOLDEN))
-            assert mode.value == map_estimate(model, GOLDEN).theta1
+            assert mode.value == estimate(model, RiskProfile.MAP, GOLDEN).theta1
 
     def test_golden_plateau_flags(self):
         assert mode_from_curve(pdf_curve(ModelKind.NBS, GOLDEN)).plateau is True
@@ -299,7 +307,7 @@ class TestNumericMode:
         curve = pdf_curve(ModelKind.NBS, GOLDEN, n_points=801)
         mode = mode_from_curve(curve)
         assert float(mode) == mode.value
-        assert mode.value == map_estimate(ModelKind.NBS, GOLDEN).theta1
+        assert mode.value == estimate(ModelKind.NBS, RiskProfile.MAP, GOLDEN).theta1
 
 
 class TestFixedAlphaModel:
@@ -337,7 +345,7 @@ class TestFixedAlphaModel:
         # theta = 1 - d2 = 0.9 everywhere; at the corners the rounding of
         # x + (1 - x - y) differs, which must not open a support.
         bounds = validate_bounds(0.0, 0.3, 0.1, 0.1)
-        lo, hi = support_range(FixedAlphaModel(1.0), bounds)
+        lo, hi = FixedAlphaModel(1.0).support(bounds)
         assert lo == hi == 0.9
         with pytest.raises(DegenerateDistributionError):
             pdf_curve(FixedAlphaModel(1.0), bounds)
@@ -346,6 +354,23 @@ class TestFixedAlphaModel:
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(OutOfRangeError):
             FixedAlphaModel(alpha)
+
+
+class TestNumericEstimate:
+    @pytest.mark.parametrize("risk", list(RiskProfile))
+    def test_string_risk_matches_its_member(self, risk):
+        by_name = posterior.numeric_estimate(ModelKind.NBS, risk.value, GOLDEN)
+        assert by_name == posterior.numeric_estimate(ModelKind.NBS, risk, GOLDEN)
+
+    def test_result_is_a_numeric_estimate_result(self):
+        result = posterior.numeric_estimate(ModelKind.CASE2, RiskProfile.MSE, GOLDEN)
+        assert result.theta1 == numeric_mean(ModelKind.CASE2, GOLDEN)
+        assert result.theta2 == 1.0 - result.theta1
+        assert result.method_note == "numeric"
+
+    def test_unknown_risk_rejected(self):
+        with pytest.raises(OutOfRangeError, match="got 'bogus'"):
+            posterior.numeric_estimate(ModelKind.NBS, "bogus", GOLDEN)
 
 
 class TestModelResolution:
