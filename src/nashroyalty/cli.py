@@ -22,6 +22,7 @@ full precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -39,7 +40,6 @@ from .bargaining import (
     _require_count,
     alpha_from_perceptions,
     royalty_rate,
-    validate_bounds,
 )
 from .errors import BoundsValidationError, DegeneracyError, NumericalAccuracyError
 from .estimators import RiskProfile, estimate
@@ -53,7 +53,7 @@ from .posterior import (
     numeric_median,
     pdf_curve,
 )
-from .sweep import family_sweep, write_csv, write_json, write_map_csv, write_rows
+from .sweep import _grid, family_sweep, write_csv, write_json, write_map_csv, write_rows
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_parser", "main", "entrypoint"]
 
@@ -77,28 +77,20 @@ _MAX_SAMPLES = 100_000
 # Golden worked example: published three-decimal estimates and overpayment
 # probabilities for payoff bounds a=0, b=0.2, c=0, d=0.8.
 _GOLDEN_BOUNDS = (0.0, 0.2, 0.0, 0.8)
-_GOLDEN_ESTIMATES = {
-    ("nbs", "map"): 0.200,
-    ("nbs", "abs"): 0.350,
-    ("nbs", "mse"): 0.350,
-    ("case1", "map"): 0.200,
-    ("case1", "abs"): 0.275,
-    ("case1", "mse"): 0.300,
-    ("case2", "map"): 0.200,
-    ("case2", "abs"): 0.200,
-    ("case2", "mse"): 0.255,
+_GOLDEN = {
+    ("nbs", "map"): (0.200, 0.125),
+    ("nbs", "abs"): (0.350, 0.500),
+    ("nbs", "mse"): (0.350, 0.500),
+    ("case1", "map"): (0.200, 0.308),
+    ("case1", "abs"): (0.275, 0.495),
+    ("case1", "mse"): (0.300, 0.547),
+    ("case2", "map"): (0.200, 0.500),
+    ("case2", "abs"): (0.200, 0.500),
+    ("case2", "mse"): (0.255, 0.635),
 }
-_GOLDEN_OVERPAYMENT = {
-    ("nbs", "map"): 0.125,
-    ("nbs", "abs"): 0.500,
-    ("nbs", "mse"): 0.500,
-    ("case1", "map"): 0.308,
-    ("case1", "abs"): 0.495,
-    ("case1", "mse"): 0.547,
-    ("case2", "map"): 0.500,
-    ("case2", "abs"): 0.500,
-    ("case2", "mse"): 0.635,
-}
+# The one closed form that approximates its estimate: verify holds it to a
+# relative band, and every other cell to the exact tolerance.
+_APPROXIMATE = (ModelKind.CASE1, RiskProfile.ABS)
 
 
 class ConfigError(ValueError):
@@ -120,12 +112,24 @@ class ScenarioConfig:
     grid_points: int = 2001
 
 
-_CONFIG_KEYS = {"bounds", "model", "risk", "financials", "perceptions", "grid_points"}
-_NUMERIC_BLOCKS = {
-    "bounds": {"a", "b", "c", "d"},
-    "financials": {"operating_revenue", "operating_cost"},
-    "perceptions": {"p11", "p12", "p21", "p22"},
+# Each config block: the record it builds, whose field names are also the
+# destinations of its flags, and the message that names missing fields.
+_BLOCKS = {
+    "bounds": (PayoffBounds, "payoff bounds are required; missing field(s): "),
+    "financials": (
+        FinancialStatement,
+        "financials need both operating_revenue and operating_cost; missing: ",
+    ),
+    "perceptions": (
+        PerceptionMatrix,
+        "perceptions need all of p11, p12, p21, p22; missing: ",
+    ),
 }
+_CONFIG_KEYS = {"model", "risk", "grid_points", *_BLOCKS}
+
+
+def _fields(block: str) -> list[str]:
+    return [field.name for field in dataclasses.fields(_BLOCKS[block][0])]
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
@@ -149,11 +153,11 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     _check_keys(data, _CONFIG_KEYS, str(path))
     numbers = {"grid_points": data["grid_points"]} if "grid_points" in data else {}
-    for block, keys in _NUMERIC_BLOCKS.items():
+    for block in _BLOCKS:
         if block in data:
             if not isinstance(data[block], dict):
                 raise ConfigError(f"{path}: field '{block}' must be an object")
-            _check_keys(data[block], keys, f"{path}: field '{block}'")
+            _check_keys(data[block], set(_fields(block)), f"{path}: field '{block}'")
             numbers.update((f"{block}.{k}", v) for k, v in data[block].items())
     for name, value in numbers.items():
         # JSON true/false would pass as 1/0 and "0" as 0 further on.
@@ -165,43 +169,46 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _positive_int(label: str, value, minimum: int, maximum: int | None = None) -> int:
-    try:
-        value = _require_count(label, value, minimum)
-    except BoundsValidationError as exc:
-        raise ConfigError(str(exc)) from None
+    value = _require_count(label, value, minimum)
     if maximum is not None and value > maximum:
         raise ConfigError(f"{label} must be at most {maximum}, got {value}")
     return value
 
 
+def _block(data: dict, args, block: str, required: bool = False):
+    """The record of one config block with its same-named flags laid over.
+
+    None when the block is neither required, in the config, nor given a
+    flag; otherwise every field must be set.
+    """
+    kind, missing_message = _BLOCKS[block]
+    names = _fields(block)
+    flags = {name: getattr(args, name, None) for name in names}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    if not (required or block in data or flags):
+        return None
+    values = {**data.get(block, {}), **flags}
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise ConfigError(missing_message + ", ".join(missing))
+    return kind(**values)
+
+
+def _member(kind, field: str, value):
+    """The ``kind`` enum member named ``value``, as a config field."""
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        raise ConfigError(
+            f"field '{field}' must be one of {names}; got {value!r}"
+        ) from None
+
+
 def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
     data = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    bounds_map = dict(data.get("bounds", {}))
-    for name in ("a", "b", "c", "d"):
-        override = getattr(args, name, None)
-        if override is not None:
-            bounds_map[name] = override
-    missing = [k for k in ("a", "b", "c", "d") if k not in bounds_map]
-    if missing:
-        raise ConfigError(
-            "payoff bounds are required; missing field(s): " + ", ".join(missing)
-        )
-    bounds = validate_bounds(
-        bounds_map["a"], bounds_map["b"], bounds_map["c"], bounds_map["d"]
-    )
-
-    perceptions = None
-    if "perceptions" in data:
-        missing = [
-            k for k in ("p11", "p12", "p21", "p22") if k not in data["perceptions"]
-        ]
-        if missing:
-            raise ConfigError(
-                "perceptions need all of p11, p12, p21, p22; missing: "
-                + ", ".join(missing)
-            )
-        perceptions = PerceptionMatrix(**data["perceptions"])
+    bounds = _block(data, args, "bounds", required=True)
+    perceptions = _block(data, args, "perceptions")
 
     model_name = getattr(args, "model", None) or data.get("model")
     if perceptions is not None and model_name not in (None, "nbs"):
@@ -215,41 +222,12 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
     elif model_name is None:
         raise ConfigError("field 'model' is required when no perceptions are given")
     else:
-        try:
-            model = ModelKind(model_name)
-        except ValueError:
-            raise ConfigError(
-                f"field 'model' must be one of nbs, case1, case2; got {model_name!r}"
-            ) from None
+        model = _member(ModelKind, "model", model_name)
 
     risk_name = getattr(args, "risk", None) or data.get("risk")
-    risk = None
-    if risk_name is not None:
-        try:
-            risk = RiskProfile(risk_name)
-        except ValueError:
-            raise ConfigError(
-                f"field 'risk' must be one of map, abs, mse; got {risk_name!r}"
-            ) from None
+    risk = None if risk_name is None else _member(RiskProfile, "risk", risk_name)
     if need_risk and risk is None:
         raise ConfigError("field 'risk' is required (map, abs, or mse)")
-
-    fin_map = dict(data.get("financials", {}))
-    if getattr(args, "operating_revenue", None) is not None:
-        fin_map["operating_revenue"] = args.operating_revenue
-    if getattr(args, "operating_cost", None) is not None:
-        fin_map["operating_cost"] = args.operating_cost
-    financials = None
-    if fin_map:
-        missing = [
-            k for k in ("operating_revenue", "operating_cost") if k not in fin_map
-        ]
-        if missing:
-            raise ConfigError(
-                "financials need both operating_revenue and operating_cost; "
-                "missing: " + ", ".join(missing)
-            )
-        financials = FinancialStatement(**fin_map)
 
     grid_points = getattr(args, "grid_points", None)
     if grid_points is None:
@@ -258,7 +236,7 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
         bounds=bounds,
         model=model,
         risk=risk,
-        financials=financials,
+        financials=_block(data, args, "financials"),
         grid_points=_positive_int(
             "field 'grid_points'", grid_points, 3, _MAX_GRID_POINTS
         ),
@@ -374,7 +352,7 @@ def _cmd_sweep(args) -> int:
                 f"a d grid up to {top!r} in steps of {step!r} has more than "
                 f"{_MAX_D_GRID} points (--d-max / --d-step)"
             )
-        d_grid = tuple(round(k * step, 12) for k in range(count))
+        d_grid = _grid(step, top)
     table = family_sweep(
         config.model,
         config.risk,
@@ -414,37 +392,25 @@ def _cmd_verify(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tuples = [random_valid_bounds(rng) for _ in range(samples)]
 
-    exact_pairs = [
-        (ModelKind.NBS, RiskProfile.ABS),
-        (ModelKind.NBS, RiskProfile.MSE),
-        (ModelKind.CASE1, RiskProfile.MSE),
-        (ModelKind.CASE2, RiskProfile.ABS),
-        (ModelKind.CASE2, RiskProfile.MSE),
-    ]
-    worst_exact = {pair: 0.0 for pair in exact_pairs}
-    worst_case1_rel = 0.0
+    risks = (RiskProfile.ABS, RiskProfile.MSE)
+    worst = {(model, risk): 0.0 for model in ModelKind for risk in risks}
     worst_z = 0.0
 
     for index, bounds in enumerate(tuples):
-        medians = {}
-        means = {}
         for model in ModelKind:
-            medians[model] = numeric_median(model, bounds)
-            means[model] = numeric_mean(model, bounds)
+            numeric = {
+                risk: numeric_estimate(model, risk, bounds).theta1 for risk in risks
+            }
             draws = sample_thetas(model, bounds, mc_n, seed=seed + 1 + index)
             se = float(draws.std(ddof=1)) / (mc_n**0.5)
             if se > 0.0:
-                z = abs(float(draws.mean()) - means[model]) / se
+                z = abs(float(draws.mean()) - numeric[RiskProfile.MSE]) / se
                 worst_z = max(worst_z, z)
-        for model, risk in exact_pairs:
-            closed = estimate(model, risk, bounds).theta1
-            target = medians[model] if risk is RiskProfile.ABS else means[model]
-            worst_exact[(model, risk)] = max(
-                worst_exact[(model, risk)], abs(closed - target)
-            )
-        approx = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
-        rel = abs(approx - medians[ModelKind.CASE1]) / medians[ModelKind.CASE1]
-        worst_case1_rel = max(worst_case1_rel, rel)
+            for risk, value in numeric.items():
+                gap = abs(estimate(model, risk, bounds).theta1 - value)
+                if (model, risk) == _APPROXIMATE:
+                    gap /= value
+                worst[(model, risk)] = max(worst[(model, risk)], gap)
 
     lines = [
         "verification report",
@@ -452,7 +418,8 @@ def _cmd_verify(args) -> int:
         f"  exact closed forms vs quadrature (tolerance {_EXACT_TOL:.1e}):",
     ]
     failures = []
-    for (model, risk), gap in worst_exact.items():
+    worst_case1_rel = worst.pop(_APPROXIMATE)
+    for (model, risk), gap in worst.items():
         lines.append(
             f"    {model.value:<5} {risk.value}: max |closed - numeric| = {gap:.3e}"
         )
@@ -481,28 +448,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    bounds = validate_bounds(*_GOLDEN_BOUNDS)
+    bounds = PayoffBounds(*_GOLDEN_BOUNDS)
     print(
         "golden worked example: a=0, b=0.2, c=0, d=0.8 "
         "(estimates and overpayment probabilities, 3 decimals)"
     )
     print("model  risk  estimate  expected  P{theta<=est}  expected  status")
     bad = 0
-    for model in ModelKind:
-        for risk in RiskProfile:
-            key = (model.value, risk.value)
-            theta = estimate(model, risk, bounds).theta1
-            prob = cdf_at(model, bounds, theta)
-            est_ok = abs(round(theta, 3) - _GOLDEN_ESTIMATES[key]) <= 5.0e-4
-            prob_ok = abs(round(prob, 3) - _GOLDEN_OVERPAYMENT[key]) <= 5.0e-4
-            bad += (not est_ok) + (not prob_ok)
-            status = "PASS" if est_ok and prob_ok else "FAIL"
-            print(
-                f"{model.value:<6} {risk.value:<4}  "
-                f"{theta:>8.3f}  {_GOLDEN_ESTIMATES[key]:>8.3f}  "
-                f"{prob:>13.3f}  {_GOLDEN_OVERPAYMENT[key]:>8.3f}  {status}"
-            )
-    total = 2 * len(_GOLDEN_ESTIMATES)
+    for (model, risk), (theta_expected, prob_expected) in _GOLDEN.items():
+        theta = estimate(model, risk, bounds).theta1
+        prob = cdf_at(model, bounds, theta)
+        est_ok = abs(round(theta, 3) - theta_expected) <= 5.0e-4
+        prob_ok = abs(round(prob, 3) - prob_expected) <= 5.0e-4
+        bad += (not est_ok) + (not prob_ok)
+        status = "PASS" if est_ok and prob_ok else "FAIL"
+        print(
+            f"{model:<6} {risk:<4}  {theta:>8.3f}  {theta_expected:>8.3f}  "
+            f"{prob:>13.3f}  {prob_expected:>8.3f}  {status}"
+        )
+    total = 2 * len(_GOLDEN)
     if bad:
         print(f"result: FAIL ({bad} of {total} cells mismatched)")
         return EXIT_MISMATCH

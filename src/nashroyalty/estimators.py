@@ -47,15 +47,11 @@ NOTE_EXACT = "exact closed form"
 NOTE_APPROXIMATION = "closed-form approximation"
 NOTE_NUMERIC = "numeric"
 
-# A case2 mean formula is trusted while its rounding error, estimated as
-# this many ulps of its terms' magnitudes over its denominator, stays within
-# its limit.  The rectangle form's estimate is pessimistic (paired corners
-# share squares whose rounding cancels), so its limit is the looser one.
+# The case2 mean's log1p form is trusted while its rounding error,
+# estimated as this many ulps of its terms' magnitudes over its
+# denominator, stays within the limit.
 _ROUNDING_ULPS = 4.0
-_RECTANGLE_ROUNDING = 1e-11
 _DIFFERENCE_ROUNDING = 1e-12
-# Below this largest bound the rectangle form's squares lose precision.
-_CASE2_TINY = 1e-100
 
 
 class RiskProfile(enum.Enum):
@@ -103,25 +99,20 @@ def _result(theta1: float, note: str) -> EstimateResult:
 def _case2_mean(bounds: PayoffBounds) -> float:
     """E[d1 / (d1 + d2)] for independent uniform payoffs.
 
-    Two forms of the exact integral are tried, each only where its
-    estimated rounding error is small: the rectangle closed form, then the
-    same integral with its logarithm differences taken by ``log1p``, on
-    bounds scaled so that the largest is 1 (the share is scale invariant).
-    Thin sides and point masses fall through to the expansion of
-    :func:`_case2_thin_mean`.  Within about 1e-12 of the exact mean (README,
-    *Accuracy notes*).  Raises :class:`DegeneratePayoffsError` on the
-    origin rectangle.
+    Both forms run on bounds scaled so that the largest is 1 (the share is
+    scale invariant): the exact integral with its logarithm differences
+    taken by ``log1p`` wherever its estimated rounding error is small, and
+    for thin sides and point masses the expansion of
+    :func:`_case2_thin_mean`.  Within about 2e-13 of the exact mean
+    (README, *Accuracy notes*).  Raises :class:`DegeneratePayoffsError` on
+    the origin rectangle.
     """
     lo, hi = as_share_model(ModelKind.CASE2).support(bounds)
     if lo == hi:  # a deterministic share, such as two point masses
         return lo
-    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
-    scale = max(b, d)
-    value = None
-    if scale >= _CASE2_TINY:
-        value = _case2_rectangle_mean(a, b, c, d)
-    if value is None:
-        value = _case2_difference_mean(a / scale, b / scale, c / scale, d / scale)
+    scale = max(bounds.b, bounds.d)
+    a, b, c, d = bounds.a / scale, bounds.b / scale, bounds.c / scale, bounds.d / scale
+    value = _case2_difference_mean(a, b, c, d)
     if value is not None:
         return value
     # Expand along the side that is narrower relative to its distance from
@@ -136,43 +127,16 @@ def _middle(lo: float, hi: float) -> float:
     return (lo + hi) / 2.0 or hi
 
 
-def _accurate(size: float, denominator: float, limit: float) -> bool:
-    """Whether a few ulps of ``size``, over ``denominator``, stay within
-    ``limit``."""
-    rounding = _ROUNDING_ULPS * sys.float_info.epsilon * size
-    return denominator > 0.0 and rounding <= limit * denominator
-
-
-def _case2_rectangle_mean(a: float, b: float, c: float, d: float) -> float | None:
-    """Closed form from integrating x/(x+y) over the rectangle, or None.
-
-    The corner terms (x^2 - y^2) log(x + y) cancel down to twice the
-    rectangle's area, so each carries a few ulps of its coefficient times
-    (1 + |log|) into the rounding estimate.
-    """
-    area = (c - d) * (a - b)
-    numerator, size = 0.0, area
-    for x, y, sign in ((a, c, 1.0), (a, d, -1.0), (b, c, -1.0), (b, d, 1.0)):
-        # x + y is 0 only at the origin, where the term is 0 in the limit.
-        log = math.log(x + y) if x + y > 0.0 else 0.0
-        coefficient = x * x - y * y
-        numerator += sign * coefficient * log
-        size += abs(coefficient) * (1.0 + abs(log))
-    denominator = 2.0 * area
-    if not _accurate(size, denominator, _RECTANGLE_ROUNDING):
-        return None
-    return (numerator + area) / denominator
-
-
 def _case2_difference_mean(a: float, b: float, c: float, d: float) -> float | None:
-    """The rectangle closed form with its logarithm differences by log1p.
+    """Closed form from integrating x/(x+y) over the rectangle, or None.
 
     Grouping the corner terms by shared bound leaves
     b^2 L(b) - a^2 L(a) - d^2 log1p(w1 / (a + d)) + c^2 log1p(w1 / (a + c))
     over 2 w1 w2, plus 1/2, with L(x) = log1p(w2 / (x + c)).  No logarithm
     of a sum absorbs a small bound, so the rounding error grows only like
     one over the relative widths.  None when a side is a point mass or the
-    estimate exceeds ``_DIFFERENCE_ROUNDING``.
+    rounding estimate, a few ulps of the terms' magnitudes over the
+    denominator, exceeds ``_DIFFERENCE_ROUNDING``.
     """
     width, height = b - a, d - c
     if width == 0.0 or height == 0.0:
@@ -185,7 +149,8 @@ def _case2_difference_mean(a: float, b: float, c: float, d: float) -> float | No
         c * c * math.log1p(width / (a + c)) if c > 0.0 else 0.0,
     )
     denominator = 2.0 * width * height
-    if not _accurate(sum(map(abs, terms)), denominator, _DIFFERENCE_ROUNDING):
+    rounding = _ROUNDING_ULPS * sys.float_info.epsilon * sum(map(abs, terms))
+    if not (denominator > 0.0 and rounding <= _DIFFERENCE_ROUNDING * denominator):
         return None
     return 0.5 + sum(terms) / denominator
 

@@ -27,13 +27,13 @@ from .bargaining import (
     PayoffBounds,
     ShareModel,
     _require_count,
+    _require_unit,
     as_share_model,
 )
 from .errors import (
     DegenerateDistributionError,
     DegeneratePayoffsError,
     NumericalAccuracyError,
-    OutOfRangeError,
 )
 from .estimators import NOTE_NUMERIC, EstimateResult, RiskProfile, as_risk_profile
 
@@ -78,13 +78,6 @@ _MEDIAN_OFFSETS = np.concatenate(
     (-(4.0 ** -np.arange(1, 9)), [0.0], 4.0 ** -np.arange(8, 0, -1))
 )
 _MODE_TIE_TOL = 1e-9
-
-
-def _require_prob_point(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-        raise OutOfRangeError(f"t must lie in [0, 1], got {t!r}")
-    return t
 
 
 def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarray:
@@ -208,7 +201,7 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
     """
     ops = as_share_model(model)
-    t = _require_prob_point(t)
+    t = _require_unit("t", t)
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
 
@@ -256,8 +249,8 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     of points around the linearly interpolated crossing, all in one call,
     and keeps the tightest bracket.  Stops once |CDF - 1/2| <= 1e-9, or
     within the CDF's own error target when that is looser (on rectangles
-    with a side thinner than about 4e-6, see :func:`_cdf`); raises
-    :class:`NumericalAccuracyError` when the bracket collapses first.
+    with a side, or a support, thinner than about 4e-6, see :func:`_cdf`);
+    raises :class:`NumericalAccuracyError` when the bracket collapses first.
     Returns the support's midpoint outright when the support is at most
     a few ulps wide, as for a point mass.
     """
@@ -265,7 +258,7 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     lo, hi = ops.support(bounds)
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
-    target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2))
+    target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2, hi - lo))
     f_lo, f_hi = 0.0, 1.0
     for _ in range(100):  # each round at least halves the bracket
         if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
@@ -368,11 +361,16 @@ def numeric_estimate(
     """The engine's estimate for one risk profile, noted ``NOTE_NUMERIC``.
 
     The density mode on a grid of ``n_points`` for ``MAP``, the median for
-    ``ABS``, and the mean for ``MSE``.  ``risk`` may also be given by its
-    string value; any other value raises :class:`OutOfRangeError`.
+    ``ABS``, and the mean for ``MSE``; a deterministic share, which has no
+    density, returns its one value for every risk, as the closed forms
+    do.  ``risk`` may also be given by its string value; any other value
+    raises :class:`OutOfRangeError`.
     """
     risk = as_risk_profile(risk)
-    if risk is RiskProfile.MAP:
+    lo, hi = as_share_model(model).support(bounds)
+    if lo == hi:  # a deterministic share: every estimate is its one value
+        value = lo
+    elif risk is RiskProfile.MAP:
         value = mode_from_curve(pdf_curve(model, bounds, n_points)).value
     elif risk is RiskProfile.ABS:
         value = numeric_median(model, bounds)

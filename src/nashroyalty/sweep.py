@@ -77,18 +77,10 @@ class SweepTable:
     omitted: tuple[OmittedCell, ...]
 
 
-def _default_d_grid(b: float) -> tuple[float, ...]:
-    top = 1.0 - b
-    return tuple(
-        round(k * 0.01, 10) for k in range(81) if round(k * 0.01, 10) <= top
-    )
-
-
-def _default_c_values(b: float) -> tuple[float, ...]:
-    top = 1.0 - b
-    return tuple(
-        round(k * 0.1, 10) for k in range(8) if round(k * 0.1, 10) <= top
-    )
+def _grid(step: float, top: float) -> tuple[float, ...]:
+    """0, step, 2 step, ... rounded to 12 decimals, up to top inclusive."""
+    points = (round(k * step, 12) for k in range(round(top / step) + 1))
+    return tuple(point for point in points if point <= top)
 
 
 def family_sweep(
@@ -102,10 +94,12 @@ def family_sweep(
 ) -> SweepTable:
     """Tabulate the chosen estimate over the (c, d) grid.
 
-    Cells with d < c are skipped (no such interval exists).  A cell on
-    which the model itself is undefined is omitted from its series and
-    recorded in ``omitted`` with the reason.  Bound-validation failures
-    are propagated with the offending cell identified.
+    By default c runs over 0, 0.1, ... and d over 0, 0.01, ..., each up to
+    1 - b inclusive, and at most to 0.7 and 0.8.  Cells with d < c are
+    skipped (no such interval exists).  A cell on which the model itself
+    is undefined is omitted from its series and recorded in ``omitted``
+    with the reason.  Bound-validation failures are propagated with the
+    offending cell identified.
     """
     model = as_model_kind(model)
     risk = as_risk_profile(risk)
@@ -113,9 +107,9 @@ def family_sweep(
         raise OutOfRangeError(f"engine must be one of {_ENGINES}, got {engine!r}")
     validate_bounds(a, b, 0.0, 0.0)
     if c_values is None:
-        c_values = _default_c_values(b)
+        c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
-        d_grid = _default_d_grid(b)
+        d_grid = _grid(0.01, min(0.8, 1.0 - b))
     c_values = tuple(float(c) for c in c_values)
     d_grid = tuple(float(d) for d in d_grid)
     engine_estimate = estimate if engine == "closed_form" else numeric_estimate

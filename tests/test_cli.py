@@ -192,6 +192,23 @@ class TestConfigFiles:
         assert code == 0
         assert "(201 grid points)" in stdout
 
+    @pytest.mark.parametrize(
+        "block, named",
+        [
+            ({"financials": {}}, "operating_revenue, operating_cost"),
+            ({"perceptions": {}}, "p11, p12, p21, p22"),
+        ],
+    )
+    def test_empty_blocks_name_every_missing_field(
+        self, capsys, tmp_path, block, named
+    ):
+        payload = dict(self.BASE, **block)
+        code, out, err = run(
+            capsys, ["estimate", "--config", self.write(tmp_path, payload)]
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(f"missing: {named}\n")
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["estimate", "--config", str(tmp_path / "absent.json")]
@@ -235,8 +252,9 @@ class TestPerceptionScenarios:
         assert code == 2
         assert "perception" in err
 
-    def test_deterministic_share_has_no_mode(self, capsys, tmp_path):
-        # alpha = 1 and a point-mass d2: the share is 1 - d2 = 0.9 on the box.
+    def test_deterministic_share_map_is_its_point(self, capsys, tmp_path):
+        # alpha = 1 and a point-mass d2: the share is 1 - d2 = 0.9 on the box,
+        # which has no density; the mode is that one value, as for abs and mse.
         path = self.scenario(
             tmp_path,
             {
@@ -246,8 +264,27 @@ class TestPerceptionScenarios:
             },
         )
         code, out, err = run(capsys, ["estimate", "--config", path])
-        assert (code, out) == (3, "")
-        assert "deterministically 0.9 " in err
+        assert (code, err) == (0, "")
+        assert "party 1 share estimate (theta1): 0.900" in out
+
+    def test_median_on_a_thin_support_meets_its_target(self, capsys, tmp_path):
+        # alpha = 0.0045 on a point-mass d1 and a d2 side 1e-6 wide: the
+        # support is about 4.5e-9 wide, so one ulp of t moves the CDF by more
+        # than 1e-9, and the median's target must count the support's width.
+        path = self.scenario(
+            tmp_path,
+            {
+                "bounds": {"a": 0.25, "b": 0.25, "c": 0.1, "d": 0.100001},
+                "perceptions": {"p11": 0.018, "p12": 0, "p21": 1, "p22": 1},
+                "risk": "abs",
+            },
+        )
+        code, out, err = run(capsys, ["estimate", "--config", path, "--json"])
+        assert (code, err) == (0, "")
+        alpha = 0.5 + (0.018 - 2.0) / 4.0
+        # The share is linear in the uniform d2, so the median is the mean.
+        expected = 0.25 + alpha * (1.0 - 0.25 - 0.1000005)
+        assert json.loads(out)["theta1"] == pytest.approx(expected, abs=1e-15)
 
     def test_incomplete_perceptions_exit_2(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
@@ -442,6 +479,29 @@ class TestSweepCommand:
         assert code == 2
         assert "--c-values" in err
 
+
+    @pytest.mark.parametrize(
+        "bounds, flags, top",
+        [
+            # The grid stops at b + d = 1, not one step past it (d = 0.81).
+            (GOLDEN_ARGS, ["--d-step", "0.03"], 0.78),
+            # --d-max is inclusive: 0.6 lies past it.
+            (GOLDEN_ARGS, ["--d-max", "0.5", "--d-step", "0.3"], 0.3),
+            # round(78.86) steps would reach 0.79 > --d-max and b + d > 1.
+            (
+                ["--a", "0", "--b", "0.211", "--c", "0", "--d", "0"],
+                ["--d-max", "0.7886", "--d-step", "0.01"],
+                0.78,
+            ),
+        ],
+    )
+    def test_d_grid_stops_at_its_top(self, capsys, tmp_path, bounds, flags, top):
+        out = tmp_path / "family.json"
+        argv = ["sweep", "--model", "nbs", "--risk", "abs", *bounds, *flags]
+        code, _, err = run(capsys, [*argv, "--json", "--out", str(out)])
+        assert (code, err) == (0, "")
+        d_grid = [point["d"] for point in json.loads(out.read_text())["map_reference"]]
+        assert d_grid[-1] == top
 
     @pytest.mark.parametrize(
         "flags, named",

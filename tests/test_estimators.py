@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -69,6 +70,24 @@ def quadrature_mean(model: ModelKind, bounds) -> float:
         lambda y, x: theta_model(model, x, y), a, b, c, d, epsabs=1e-12
     )
     return value / bounds.area
+
+
+def mpmath_case2_mean(bounds) -> mpmath.mpf:
+    """E[d1 / (d1 + d2)] at 60 digits, integrating exactly in d2 first.
+
+    A point-mass side leaves the 1-D integral over the other side.
+    """
+    a, b, c, d = map(mpmath.mpf, (bounds.a, bounds.b, bounds.c, bounds.d))
+    with mpmath.workdps(60):
+        if a == b:
+            return mpmath.quad(lambda y: a / (a + y), [c, d]) / (d - c)
+        if c == d:
+            return mpmath.quad(lambda x: x / (x + c), [a, b]) / (b - a)
+
+        def column(x):  # the integral of x / (x + y) over y in [c, d]
+            return x * (mpmath.log(x + d) - mpmath.log(x + c))
+
+        return mpmath.quad(column, [a, b]) / ((b - a) * (d - c))
 
 
 class TestGoldenTable:
@@ -167,6 +186,38 @@ class TestMseEstimate:
         low, high = validate_bounds(0, 0, 0.2, 0.6), validate_bounds(0.2, 0.6, 0, 0)
         assert estimate(ModelKind.CASE2, RiskProfile.MSE, low).theta1 == 0.0
         assert estimate(ModelKind.CASE2, RiskProfile.MSE, high).theta1 == 1.0
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            # A tiny box with thin sides, where the rectangle closed form
+            # (since deleted) erred by 1.2e-12.
+            (3.526110400286981e-26, 3.553423699195946e-26, 9.797726683854885e-27,
+             3.428834475490791e-26),
+            # Thin and tiny boxes that were once off by a whole share.
+            (0.1, 0.1 + 1e-12, 0.3, 0.3 + 1e-12),
+            (1e-300, 2e-300, 0.0, 0.5),
+            # The golden box, and a near-worst random box of the log1p form.
+            (0.0, 0.2, 0.0, 0.8),
+            (0.23464240579335077, 0.23874751296326005, 0.47007369707480706,
+             0.47036798488919473),
+            # Thin sides at scale 1e-298: unscaled, the expansion's
+            # second-order term underflows.
+            (9.213364381230067e-299, 9.213364381230287e-299,
+             8.693275854009991e-299, 8.693275854010122e-299),
+            (0.2, 0.2 + 1e-9, 0.0, 0.7),
+            (1e-300, 3e-300, 2e-300, 5e-300),
+            # Corners at the origin, and point-mass sides.
+            (0.0, 0.3, 0.0, 1e-7),
+            (0.0, 1e-200, 0.2, 0.7),
+            (0.2, 0.2, 0.0, 0.8),
+            (0.1, 0.5, 0.3, 0.3),
+        ],
+    )
+    def test_case2_mean_against_60_digit_reference(self, box):
+        bounds = validate_bounds(*box)
+        closed = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
+        assert abs(closed - mpmath_case2_mean(bounds)) <= 5e-13
 
     def test_origin_rectangle_raises(self):
         origin = validate_bounds(0.0, 0.0, 0.0, 0.0)

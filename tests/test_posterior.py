@@ -159,11 +159,12 @@ class TestDeterministicShare:
         assert numeric_median(ModelKind.CASE2, self.BOUNDS) == self.POINT
         assert numeric_mean(ModelKind.CASE2, self.BOUNDS) == self.POINT
 
-    def test_density_and_mode_raise(self):
+    def test_density_raises_and_mode_is_the_point(self):
         with pytest.raises(DegenerateDistributionError):
             pdf_curve(ModelKind.CASE2, self.BOUNDS)
-        with pytest.raises(DegenerateDistributionError):
-            posterior.numeric_estimate(ModelKind.CASE2, RiskProfile.MAP, self.BOUNDS)
+        for risk in RiskProfile:
+            result = posterior.numeric_estimate(ModelKind.CASE2, risk, self.BOUNDS)
+            assert result.theta1 == self.POINT
 
     def test_proportional_axis_rectangles_are_steps(self):
         pinned_low = validate_bounds(0.0, 0.0, 0.2, 0.6)

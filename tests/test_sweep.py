@@ -138,6 +138,15 @@ class TestEngineAgreement:
             )
             assert abs(closed - numeric) / numeric <= 0.04
 
+    def test_engines_agree_on_point_mass_cells(self):
+        # a = b and the c = d cells give deterministic shares, whose numeric
+        # mode is the point, as the closed form's is.
+        args = (ModelKind.NBS, RiskProfile.MAP, 0.1, 0.1)
+        numeric = family_sweep(*args, engine="numeric")
+        closed = family_sweep(*args)
+        assert sum(len(block.rows) for block in closed.series) == 368
+        assert numeric == closed
+
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_numeric_mode_hits_the_corner_exactly(self, model):
         closed = single_cell(model, RiskProfile.MAP, 0.0, 0.8)
