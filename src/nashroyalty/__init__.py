@@ -12,8 +12,11 @@ batched error-controlled CDF quadrature and seeded Monte Carlo, live in
 :mod:`nashroyalty.posterior` and :mod:`nashroyalty.montecarlo`.
 """
 
+from importlib import import_module as _import_module
+
 from .bargaining import (
     FinancialStatement,
+    FixedAlphaModel,
     ModelKind,
     PayoffBounds,
     PerceptionMatrix,
@@ -35,37 +38,56 @@ from .errors import (
     RoyaltyModelError,
     SurplusViolationError,
 )
-from .estimators import EstimateResult, RiskProfile, estimate
-from .montecarlo import (
-    SHARD_SIZE,
-    SampleSummary,
-    mc_summary,
-    random_valid_bounds,
-    sample_thetas,
-    summarize,
-)
-from .posterior import (
-    FixedAlphaModel,
-    ModeResult,
-    PosteriorCurve,
-    cdf_at,
-    mode_from_curve,
-    numeric_mean,
-    numeric_median,
-    pdf_curve,
-)
-from .sweep import (
-    MapReferencePoint,
-    OmittedCell,
-    SweepRow,
-    SweepSeries,
-    SweepTable,
-    family_sweep,
-    to_json_dict,
-    write_csv,
-    write_json,
-    write_map_csv,
-)
+from .estimators import EstimateResult, RiskProfile, closed_cdf, estimate
+
+# The engines need numpy, which costs more start-up time than the closed
+# forms' commands take in all; their names load on first use (PEP 562).
+_LAZY = {
+    "montecarlo": (
+        "SHARD_SIZE",
+        "SampleSummary",
+        "mc_summary",
+        "random_valid_bounds",
+        "sample_thetas",
+        "summarize",
+    ),
+    "posterior": (
+        "ModeResult",
+        "PosteriorCurve",
+        "cdf_at",
+        "mode_from_curve",
+        "numeric_mean",
+        "numeric_median",
+        "pdf_curve",
+    ),
+    "sweep": (
+        "MapReferencePoint",
+        "OmittedCell",
+        "SweepRow",
+        "SweepSeries",
+        "SweepTable",
+        "family_sweep",
+        "to_json_dict",
+        "write_csv",
+        "write_json",
+        "write_map_csv",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_HOME})
+
 
 __version__ = "0.1.0"
 
@@ -85,6 +107,7 @@ __all__ = [
     "RiskProfile",
     "EstimateResult",
     "estimate",
+    "closed_cdf",
     # posterior engine
     "FixedAlphaModel",
     "PosteriorCurve",

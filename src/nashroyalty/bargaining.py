@@ -28,8 +28,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegeneratePayoffsError,
     DisorderedBoundsError,
@@ -235,7 +233,9 @@ class ShareModel:
       {d1 <= d1_threshold(y, t)}.
 
     The crossings take arrays (or scalars), broadcast them, and return
-    +-inf where the level set misses the line.
+    +-inf where the level set misses the line.  Only the quadrature in
+    :mod:`nashroyalty.posterior` calls them, so they import numpy where
+    they need it and this module loads without it.
     """
 
     def at(self, x: float, y: float) -> float:
@@ -278,6 +278,8 @@ class _Case1(ShareModel):
 
     @staticmethod
     def d2_threshold(x, t):
+        import numpy as np
+
         # Level sets are hyperbolas centred at (1, 1): theta <= t  <=>
         # (1 - y)^2 <= (1 - x)^2 + 2 t - 1, written without the cancellation
         # of the 1s that would swamp small x and t.
@@ -286,6 +288,8 @@ class _Case1(ShareModel):
 
     @staticmethod
     def d1_threshold(y, t):
+        import numpy as np
+
         arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
         return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
 
@@ -303,6 +307,8 @@ class _Case2(ShareModel):
 
     @staticmethod
     def d2_threshold(x, t):
+        import numpy as np
+
         # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
         # always, and theta <= 0 only on the axis x = 0.
         inner = (t > 0.0) & (t < 1.0)
@@ -312,6 +318,8 @@ class _Case2(ShareModel):
 
     @staticmethod
     def d1_threshold(y, t):
+        import numpy as np
+
         below = t < 1.0
         safe_gap = np.where(below, 1.0 - t, 1.0)
         return np.where(below, t * y / safe_gap, np.inf)
@@ -362,11 +370,15 @@ class FixedAlphaModel(ShareModel):
 
     def d2_threshold(self, x, t):
         if self.alpha == 0.0:
+            import numpy as np
+
             return np.where(x <= t, -np.inf, np.inf)
         return 1.0 - (t - (1.0 - self.alpha) * x) / self.alpha
 
     def d1_threshold(self, y, t):
         if self.alpha == 1.0:
+            import numpy as np
+
             return np.where(1.0 - y <= t, np.inf, -np.inf)
         return (t - self.alpha * (1.0 - y)) / (1.0 - self.alpha)
 

@@ -30,30 +30,23 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .bargaining import (
     FinancialStatement,
+    FixedAlphaModel,
     ModelKind,
     PayoffBounds,
     PerceptionMatrix,
     _require_count,
     alpha_from_perceptions,
+    as_share_model,
     royalty_rate,
 )
 from .errors import BoundsValidationError, DegeneracyError, NumericalAccuracyError
-from .estimators import RiskProfile, estimate
-from .montecarlo import random_valid_bounds, sample_thetas
-from .posterior import (
-    FixedAlphaModel,
-    cdf_at,
-    mode_from_curve,
-    numeric_estimate,
-    numeric_mean,
-    numeric_median,
-    pdf_curve,
-)
-from .sweep import _grid, family_sweep, write_csv, write_json, write_map_csv, write_rows
+from .estimators import RiskProfile, closed_cdf, estimate
+
+# The engines (posterior, montecarlo) need numpy, which takes longer to
+# import than the closed-form commands take to run; each handler imports
+# what it uses, so estimate, reference and a closed-form sweep never load it.
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_parser", "main", "entrypoint"]
 
@@ -257,9 +250,12 @@ def _cmd_estimate(args) -> int:
     model = config.model
     if isinstance(model, ModelKind):
         result = estimate(model, config.risk, config.bounds)
-    else:
+        overpayment = closed_cdf(model, config.bounds, result.theta1)
+    else:  # a perception-fixed weight has only the numeric engine
+        from .posterior import cdf_at, numeric_estimate
+
         result = numeric_estimate(model, config.risk, config.bounds, config.grid_points)
-    overpayment = cdf_at(model, config.bounds, result.theta1)
+        overpayment = cdf_at(model, config.bounds, result.theta1)
     rate = None
     if config.financials is not None:
         rate = royalty_rate(result.theta1, config.financials)
@@ -290,6 +286,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
+    from .posterior import (
+        cdf_at,
+        mode_from_curve,
+        numeric_mean,
+        numeric_median,
+        pdf_curve,
+    )
+    from .sweep import write_rows
+
     config = _scenario_from(args, need_risk=False)
     model = config.model
     bounds = config.bounds
@@ -331,6 +336,8 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import _grid, family_sweep, write_csv, write_json, write_map_csv
+
     config = _scenario_from(args, need_risk=True)
     if not isinstance(config.model, ModelKind):
         raise ConfigError("sweep supports the named models only, not perceptions")
@@ -385,6 +392,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from .montecarlo import random_valid_bounds, sample_thetas
+    from .posterior import _cdf, numeric_estimate
+
     samples = _positive_int("--samples", args.samples, 1, _MAX_SAMPLES)
     mc_n = _positive_int("--mc-n", args.mc_n, 2, _MAX_MC_N)
     seed = _positive_int("--seed", args.seed, 0)
@@ -394,20 +406,30 @@ def _cmd_verify(args) -> int:
 
     risks = (RiskProfile.ABS, RiskProfile.MSE)
     worst = {(model, risk): 0.0 for model in ModelKind for risk in risks}
+    worst_cdf = dict.fromkeys(ModelKind, 0.0)
     worst_z = 0.0
 
     for index, bounds in enumerate(tuples):
         for model in ModelKind:
+            closed = {
+                risk: estimate(model, risk, bounds).theta1 for risk in RiskProfile
+            }
             numeric = {
                 risk: numeric_estimate(model, risk, bounds).theta1 for risk in risks
             }
+            # The overpayment probability of each estimate, both ways.
+            ts = list(closed.values())
+            numeric_cdf = _cdf(as_share_model(model), bounds, np.array(ts))
+            for t, prob in zip(ts, numeric_cdf):
+                gap = abs(closed_cdf(model, bounds, t) - float(prob))
+                worst_cdf[model] = max(worst_cdf[model], gap)
             draws = sample_thetas(model, bounds, mc_n, seed=seed + 1 + index)
             se = float(draws.std(ddof=1)) / (mc_n**0.5)
             if se > 0.0:
                 z = abs(float(draws.mean()) - numeric[RiskProfile.MSE]) / se
                 worst_z = max(worst_z, z)
             for risk, value in numeric.items():
-                gap = abs(estimate(model, risk, bounds).theta1 - value)
+                gap = abs(closed[risk] - value)
                 if (model, risk) == _APPROXIMATE:
                     gap /= value
                 worst[(model, risk)] = max(worst[(model, risk)], gap)
@@ -419,13 +441,15 @@ def _cmd_verify(args) -> int:
     ]
     failures = []
     worst_case1_rel = worst.pop(_APPROXIMATE)
-    for (model, risk), gap in worst.items():
+    exact = [(model, risk.value, gap) for (model, risk), gap in worst.items()]
+    exact += [(model, "cdf", gap) for model, gap in worst_cdf.items()]
+    for model, check, gap in exact:
         lines.append(
-            f"    {model.value:<5} {risk.value}: max |closed - numeric| = {gap:.3e}"
+            f"    {model.value:<5} {check}: max |closed - numeric| = {gap:.3e}"
         )
         if gap > _EXACT_TOL:
             failures.append(
-                f"{model.value} {risk.value} exceeds {_EXACT_TOL:.1e} ({gap:.3e})"
+                f"{model.value} {check} exceeds {_EXACT_TOL:.1e} ({gap:.3e})"
             )
     lines.append(
         "  case1 abs approximation vs numeric median "
@@ -457,7 +481,7 @@ def _cmd_reference(args) -> int:
     bad = 0
     for (model, risk), (theta_expected, prob_expected) in _GOLDEN.items():
         theta = estimate(model, risk, bounds).theta1
-        prob = cdf_at(model, bounds, theta)
+        prob = closed_cdf(model, bounds, theta)
         est_ok = abs(round(theta, 3) - theta_expected) <= 5.0e-4
         prob_ok = abs(round(prob, 3) - prob_expected) <= 5.0e-4
         bad += (not est_ok) + (not prob_ok)

@@ -14,7 +14,9 @@ except the ABS estimate for the ``CASE1`` model, where the median has no
 elementary form and the model value at the interval midpoints is used
 instead (within a few percent of the true median).  Like the numeric
 :func:`nashroyalty.posterior.numeric_estimate`, it returns an
-:class:`EstimateResult`.
+:class:`EstimateResult`.  :func:`closed_cdf` gives the overpayment
+probability P{theta <= t} of any estimate t in elementary form; neither
+function needs numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from .bargaining import (
     ModelKind,
     PayoffBounds,
+    _require_unit,
     as_model_kind,
     as_share_model,
     theta_model,
@@ -41,6 +44,7 @@ __all__ = [
     "NOTE_NUMERIC",
     "as_risk_profile",
     "estimate",
+    "closed_cdf",
 ]
 
 NOTE_EXACT = "exact closed form"
@@ -210,3 +214,94 @@ def estimate(
         linear = (a + b - c - d + 1.0) / 2.0
         return _result(quadratic + linear, NOTE_EXACT)
     return _result(_case2_mean(bounds), NOTE_EXACT)
+
+
+def _row_cut(model: ModelKind, y: float, t: float) -> float:
+    """x1 with {theta <= t} = {d1 <= x1} on the row d2 = y (inf past it)."""
+    if model is ModelKind.NBS:
+        return y + 2.0 * t - 1.0
+    if model is ModelKind.CASE1:
+        # theta <= t  <=>  (1 - x)^2 >= (1 - y)^2 + 1 - 2t.
+        square = (1.0 - y) ** 2 + 1.0 - 2.0 * t
+        return 1.0 - math.sqrt(square) if square > 0.0 else math.inf
+    return t * y / (1.0 - t)  # t < 1 inside the support
+
+
+def _column_cut(model: ModelKind, x: float, t: float) -> float:
+    """y0 with {theta <= t} = {d2 >= y0} on the column d1 = x (inf past it)."""
+    if model is ModelKind.NBS:
+        return x + 1.0 - 2.0 * t
+    if model is ModelKind.CASE1:
+        # (1 - y0)^2 = (1 - x)^2 + 2t - 1, without the cancelling 1s.
+        square = x * x + 2.0 * (t - x)
+        return 1.0 - math.sqrt(square) if square >= 0.0 else math.inf
+    return x * (1.0 - t) / t  # t > 0 wherever a column is cut
+
+
+def _case1_band_mean(x0: float, x1: float, r0: float, r1: float, t: float) -> float:
+    """Mean of r = 1 - y0(x) over x in [x0, x1] for ``CASE1``, with x0 < x1.
+
+    With u = 1 - x and s = 2t - 1, r = sqrt(u^2 + s), whose integral is
+    (u r + s log(u + r)) / 2.  Its difference between the band ends
+    u1 = 1 - x1 < u0 = 1 - x0, where r takes the values r1 and r0, is taken
+    without cancellation: r0 - r1 = delta q with q = (u0 + u1) / (r0 + r1),
+    and the logarithms' difference is log1p(delta (1 + q) / (u1 + r1)).
+    """
+    delta, u0, u1 = x1 - x0, 1.0 - x0, 1.0 - x1
+    q = (u0 + u1) / (r0 + r1)
+    log_ratio = math.log1p(delta * (1.0 + q) / (u1 + r1))
+    s = 2.0 * t - 1.0
+    return ((r0 + r1) + (u0 + u1) * q + 2.0 * s * log_ratio / delta) / 4.0
+
+
+def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
+    """P{theta <= t}, the overpayment probability of the estimate t.
+
+    The elementary counterpart of :func:`nashroyalty.posterior.cdf_at`,
+    derived here from each model's level curve theta = t, not from the
+    crossings that the quadrature integrates.  The curve meets the rows
+    d2 = c and d2 = d at x_c and x_d, clipped to [a, b]; columns left of
+    x_c lie wholly in {theta <= t}, columns right of x_d miss it, and
+    between them the fraction (d - y0(x)) / (d - c) does, where the curve
+    passes through (x, y0(x)).  So
+
+        P = (x_c - a) / (b - a) + (x_d - x_c) / (b - a) * mean(d - y0) / (d - c),
+
+    normalised by each side on its own, since their product can underflow.
+    At a band end the curve sits on the row it crosses there, unless the
+    rectangle clips the band.  The band's mean of d - y0 is the mean of
+    its end values for ``NBS`` and ``CASE2``, whose level curves are
+    straight, and an elementary integral for ``CASE1``.  A point-mass side
+    reduces P to a 1-D ratio; outside the support [lo, hi), and for a
+    deterministic share, the CDF is a step.  Agrees with ``cdf_at`` within
+    its error target (README, *Accuracy notes*).  ``model`` may be given
+    by its string value; an unknown model, or a ``t`` outside [0, 1],
+    raises :class:`OutOfRangeError`.
+    """
+    model = as_model_kind(model)
+    t = _require_unit("t", t)
+    lo, hi = as_share_model(model).support(bounds)
+    if not lo <= t < hi:  # also every t of a deterministic share, lo == hi
+        return 1.0 if t >= hi else 0.0
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    width, height = b - a, d - c
+    if width == 0.0:
+        share = (d - _column_cut(model, a, t)) / height
+    else:
+        cut_c, cut_d = _row_cut(model, c, t), _row_cut(model, d, t)
+        x_c = min(max(cut_c, a), b)
+        x_d = min(max(cut_d, x_c), b)  # x_c when c == d
+        share = (x_c - a) / width
+        if x_d > x_c:
+            # The curve's height at the band ends: the row it crosses there,
+            # or where it leaves the rectangle, held to [c, d] against
+            # roundoff.
+            y_c = c if x_c == cut_c else max(_column_cut(model, x_c, t), c)
+            y_d = d if x_d == cut_d else min(_column_cut(model, x_d, t), d)
+            if model is ModelKind.CASE1:
+                r_mean = _case1_band_mean(x_c, x_d, 1.0 - y_c, 1.0 - y_d, t)
+                band = r_mean - (1.0 - d)
+            else:
+                band = ((d - y_c) + (d - y_d)) / 2.0
+            share += (x_d - x_c) / width * (band / height)
+    return min(1.0, max(0.0, share))

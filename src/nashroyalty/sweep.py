@@ -20,7 +20,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .estimators import RiskProfile, as_risk_profile, estimate
-from .posterior import numeric_estimate
 
 __all__ = [
     "SweepRow",
@@ -112,7 +111,9 @@ def family_sweep(
         d_grid = _grid(0.01, min(0.8, 1.0 - b))
     c_values = tuple(float(c) for c in c_values)
     d_grid = tuple(float(d) for d in d_grid)
-    engine_estimate = estimate if engine == "closed_form" else numeric_estimate
+    engine_estimate = estimate
+    if engine == "numeric":  # the closed forms run without numpy
+        from .posterior import numeric_estimate as engine_estimate
 
     series = []
     omitted = []

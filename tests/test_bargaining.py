@@ -17,6 +17,7 @@ from nashroyalty import (
     SurplusViolationError,
     alpha_from_perceptions,
     cdf_at,
+    closed_cdf,
     estimate,
     family_sweep,
     mc_summary,
@@ -190,10 +191,11 @@ class TestUnknownModelName:
             lambda box: estimate("bogus", "mse", box),
             lambda box: family_sweep("bogus", "abs", 0.0, 0.2),
             lambda box: cdf_at("bogus", box, 0.3),
+            lambda box: closed_cdf("bogus", box, 0.3),
             lambda box: mc_summary("bogus", box, 10, seed=0),
         ],
         ids=["theta_model", "estimate-map", "estimate-abs", "estimate-mse",
-             "family_sweep", "cdf_at", "mc_summary"],
+             "family_sweep", "cdf_at", "closed_cdf", "mc_summary"],
     )
     def test_raises_out_of_range_naming_the_models(self, call):
         with pytest.raises(OutOfRangeError, match="nbs, case1, case2, got 'bogus'"):

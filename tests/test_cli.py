@@ -1,16 +1,22 @@
 """End-to-end CLI behavior: output, exit codes, config handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import typing
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nashroyalty
-from nashroyalty import NumericalAccuracyError, cli
+from nashroyalty import NumericalAccuracyError, cli, posterior
 from nashroyalty.bargaining import FinancialStatement, royalty_rate
 from nashroyalty.estimators import RiskProfile
 from nashroyalty import ModelKind, estimate, validate_bounds
@@ -523,14 +529,24 @@ class TestSweepCommand:
 
 
 class TestNumericalHealth:
-    def test_missed_error_target_exits_5(self, capsys, monkeypatch):
+    def test_missed_error_target_exits_5(self, capsys, monkeypatch, tmp_path):
         def fail(*args):
             raise NumericalAccuracyError("quadrature missed its error target")
 
-        monkeypatch.setattr(cli, "cdf_at", fail)
-        code, out, err = run(
-            capsys, ["estimate", "--model", "nbs", "--risk", "mse", *GOLDEN_ARGS]
+        # A perception-fixed weight is estimated by the numeric engine.
+        monkeypatch.setattr(posterior, "numeric_median", fail)
+        config = tmp_path / "perception.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "bounds": {"a": 0.0, "b": 0.2, "c": 0.0, "d": 0.8},
+                    "risk": "abs",
+                    "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
+                }
+            ),
+            encoding="utf-8",
         )
+        code, out, err = run(capsys, ["estimate", "--config", str(config)])
         assert code == 5
         assert out == ""
         assert "error: quadrature missed its error target" in err
@@ -544,6 +560,67 @@ class TestNumericalHealth:
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
         assert "Traceback" in err and "RuntimeError: unexpected state" in err
+
+
+@st.composite
+def fuzz_side(draw, scale):
+    """One payoff interval: a lower end at the given scale (or 0), and a
+    width of 0, a few subnormal or tiny absolute sizes, a relative sliver,
+    or anything up to the scale."""
+    low = draw(st.just(0.0) | st.floats(0.0, 0.25).map(lambda v: v * scale))
+    width = draw(
+        st.just(0.0)
+        | st.sampled_from([5e-324, 1e-310, 1e-300])
+        | st.sampled_from([1e-16, 1e-9]).map(lambda r: r * max(low, scale))
+        | st.floats(0.0, 0.25).map(lambda v: v * scale)
+    )
+    return low, low + width
+
+
+@st.composite
+def fuzz_estimate(draw):
+    """An ``estimate`` argv, and the perception config it reads, if any."""
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-100, 1e-300]))
+    (a, b), (c, d) = draw(fuzz_side(scale)), draw(fuzz_side(scale))
+    risk = draw(st.sampled_from(["map", "abs", "mse"]))
+    model = draw(st.sampled_from(["nbs", "case1", "case2", "perceptions"]))
+    config = None
+    argv = ["estimate", "--risk", risk]
+    if model == "perceptions":
+        score = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        config = {
+            "bounds": {"a": a, "b": b, "c": c, "d": d},
+            "perceptions": {name: draw(score) for name in ("p11", "p12", "p21", "p22")},
+        }
+    else:
+        argv += ["--model", model]
+        for flag, value in zip("abcd", (a, b, c, d)):
+            argv += [f"--{flag}", repr(value)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, config
+
+
+class TestFuzzedEstimates:
+    """Valid and invalid boxes down to 5e-324 wide and 1e-300 in scale,
+    point masses and origin corners, under every model, risk and a
+    perception-fixed weight: ``estimate`` ends in a documented exit code."""
+
+    @settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=2))
+    @given(fuzz_estimate())
+    def test_never_exits_6_and_names_every_error(self, case):
+        argv, config = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                path = Path(tmp) / "scenario.json"
+                path.write_text(json.dumps(config), encoding="utf-8")
+                argv = [*argv, "--config", str(path)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code != cli.EXIT_INTERNAL, err.getvalue()
+        if code != cli.EXIT_OK:
+            assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 class TestImports:

@@ -12,12 +12,18 @@ from scipy import integrate
 from nashroyalty import (
     DegeneratePayoffsError,
     ModelKind,
+    OutOfRangeError,
     RiskProfile,
+    cdf_at,
+    closed_cdf,
     estimate,
+    random_valid_bounds,
     theta_model,
     validate_bounds,
 )
+from nashroyalty.bargaining import as_share_model
 from nashroyalty.estimators import NOTE_APPROXIMATION, NOTE_EXACT
+from nashroyalty.posterior import _cdf
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -88,6 +94,46 @@ def mpmath_case2_mean(bounds) -> mpmath.mpf:
             return x * (mpmath.log(x + d) - mpmath.log(x + c))
 
         return mpmath.quad(column, [a, b]) / ((b - a) * (d - c))
+
+
+def mpmath_cdf(model: ModelKind, bounds, t: float) -> mpmath.mpf:
+    """P{theta <= t} at 60 digits, as the mean over d1 of each column's share.
+
+    The column d1 = x holds {theta <= t} on d2 >= y0(x), solved from the
+    share formula; the integral breaks where the level curve meets the
+    rows d2 = c and d2 = d, found by bisecting the share itself.
+    """
+    with mpmath.workdps(60):
+        a, b, c, d, t = map(mpmath.mpf, (bounds.a, bounds.b, bounds.c, bounds.d, t))
+        if model is ModelKind.NBS:
+            share = lambda x, y: (1 + x - y) / 2  # noqa: E731
+            level = lambda x: x + 1 - 2 * t  # noqa: E731
+        elif model is ModelKind.CASE1:
+            share = lambda x, y: (y * y - x * x + 2 * (x - y) + 1) / 2  # noqa: E731
+
+            def level(x):
+                square = (1 - x) ** 2 + 2 * t - 1
+                return 1 - mpmath.sqrt(square) if square >= 0 else mpmath.inf
+
+        else:
+            # On the row d2 = 0 the share is 1, its limit at the origin too.
+            share = lambda x, y: x / (x + y) if y else 1  # noqa: E731
+            level = lambda x: x * (1 - t) / t  # noqa: E731
+
+        def meets(y, lo):  # where share(., y) rises through t on [lo, b]
+            hi = b
+            if share(lo, y) >= t or share(hi, y) <= t:
+                return lo if share(lo, y) >= t else hi
+            for _ in range(220):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if share(mid, y) > t else (mid, hi)
+            return lo
+
+        def column(x):
+            return min(max(d - level(x), 0), d - c) / (d - c)
+
+        x_c = meets(c, a)
+        return mpmath.quad(column, [a, x_c, meets(d, x_c), b]) / (b - a)
 
 
 class TestGoldenTable:
@@ -280,3 +326,135 @@ class TestEstimatorProperties:
                             assert estimate(model, risk, up_d).theta1 <= base + 1e-12
                     except DegeneratePayoffsError:
                         continue
+
+
+class TestClosedCdf:
+    """The elementary overpayment probability against the quadrature and mpmath."""
+
+    def test_matches_the_quadrature_on_random_boxes(self):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024)))
+        worst = 0.0
+        for _ in range(1000):
+            bounds = random_valid_bounds(rng)
+            for model in ModelKind:
+                lo, hi = as_share_model(model).support(bounds)
+                inner = lo + (hi - lo) * rng.uniform(0.0, 1.0, 3)
+                ts = np.array([0.0, lo, *inner, hi, 1.0])
+                # cdf_at's kernel, batched: a value does not depend on its
+                # batch (test_cdf_kernel).
+                numeric = _cdf(as_share_model(model), bounds, ts)
+                for t, prob in zip(ts, numeric):
+                    worst = max(worst, abs(closed_cdf(model, bounds, float(t)) - prob))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.3, 0.3 + 5e-9, 0.1, 0.4),
+            (0.1, 0.4, 0.2, 0.2 + 5e-9),
+            (0.0, 1e-9, 2.977733903987352e-4, 2.977743903987352e-4),
+            (0.25, 0.25, 0.1, 0.100001),
+            (0.1, 0.1 + 1e-12, 0.3, 0.3 + 1e-12),
+            (0.2, 0.2 + 1e-9, 0.0, 0.7),
+            (1e-300, 2e-300, 0.0, 0.5),
+            (1e-300, 3e-300, 2e-300, 5e-300),
+            (9.213364381230067e-299, 9.213364381230287e-299,
+             8.693275854009991e-299, 8.693275854010122e-299),
+            (0.0, 1e-200, 0.2, 0.7),
+            (0.0, 0.3, 0.0, 1e-7),
+        ],
+    )
+    def test_matches_the_quadrature_on_thin_and_tiny_boxes(self, box):
+        bounds = validate_bounds(*box)
+        # The quadrature's own error target: 1e-12, or 16 eps over the
+        # thinner positive side.
+        sides = [side for side in (bounds.width1, bounds.width2) if side > 0.0]
+        floor = max(1e-12, 16.0 * np.finfo(float).eps / min(sides))
+        for model in ModelKind:
+            lo, hi = as_share_model(model).support(bounds)
+            ts = [lo, hi, *(lo + (hi - lo) * u for u in (0.1, 0.5, 0.9))]
+            ts += [estimate(model, risk, bounds).theta1 for risk in RiskProfile]
+            for t in ts:
+                gap = abs(closed_cdf(model, bounds, t) - cdf_at(model, bounds, t))
+                assert gap <= floor, (model, t)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.0, 0.2, 0.0, 0.8),
+            (0.1, 0.3, 0.2, 0.6),
+            (0.05, 0.3, 0.1, 0.6),
+            (0.4, 0.45, 0.0, 0.5),
+            (0.0, 0.6, 0.3, 0.35),
+            (0.7, 0.9, 0.02, 0.08),
+        ],
+    )
+    def test_against_60_digit_reference(self, box):
+        bounds = validate_bounds(*box)
+        for model in ModelKind:
+            for risk in RiskProfile:
+                t = estimate(model, risk, bounds).theta1
+                gap = abs(closed_cdf(model, bounds, t) - mpmath_cdf(model, bounds, t))
+                assert gap <= 1e-13, (model, risk)
+
+    def test_golden_case1_midpoint_overpayment(self):
+        assert closed_cdf(ModelKind.CASE1, GOLDEN, 0.275) == pytest.approx(
+            0.4954592922989102, abs=1e-15
+        )
+
+    def test_point_masses_reduce_to_one_dimension(self):
+        # nbs: theta = 0.6 - y / 2 on the column a = b = 0.2, so
+        # theta <= 0.45 exactly when y >= 0.3, half of [0.1, 0.5].
+        column = validate_bounds(0.2, 0.2, 0.1, 0.5)
+        assert closed_cdf("nbs", column, 0.45) == pytest.approx(0.5, abs=1e-15)
+        row = validate_bounds(0.1, 0.5, 0.3, 0.3)
+        for model in ModelKind:
+            for bounds in (column, row):
+                for t in (0.3, 0.4, 0.5):
+                    expected = cdf_at(model, bounds, t)
+                    closed = closed_cdf(model, bounds, t)
+                    assert closed == pytest.approx(expected, abs=1e-14)
+
+    def test_deterministic_share_is_a_step(self):
+        point = validate_bounds(0.2, 0.2, 0.3, 0.3)  # nbs share 0.45
+        assert closed_cdf("nbs", point, math.nextafter(0.45, 0.0)) == 0.0
+        assert closed_cdf("nbs", point, 0.45) == 1.0
+
+    def test_case2_origin_corners(self):
+        # The corner (a, c) at the origin: theta <= 1/2 exactly when
+        # d1 <= d2, which holds on 0.105 of the 0.15 area.
+        corner = validate_bounds(0.0, 0.3, 0.0, 0.5)
+        assert closed_cdf("case2", corner, 0.5) == pytest.approx(0.7, abs=1e-15)
+        assert closed_cdf("case2", corner, 0.0) == 0.0
+        # One side pinned to 0: the share is 0 (or 1) almost surely.
+        on_axis = validate_bounds(0.0, 0.0, 0.0, 0.5)
+        assert closed_cdf("case2", on_axis, 0.0) == 1.0
+        other_axis = validate_bounds(0.0, 0.5, 0.0, 0.0)
+        assert closed_cdf("case2", other_axis, math.nextafter(1.0, 0.0)) == 0.0
+        assert closed_cdf("case2", other_axis, 1.0) == 1.0
+        with pytest.raises(DegeneratePayoffsError):
+            closed_cdf("case2", validate_bounds(0.0, 0.0, 0.0, 0.0), 0.5)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_steps_outside_the_support(self, model):
+        bounds = validate_bounds(0.1, 0.3, 0.2, 0.6)
+        lo, hi = as_share_model(model).support(bounds)
+        assert closed_cdf(model, bounds, 0.0) == 0.0
+        assert closed_cdf(model, bounds, math.nextafter(lo, 0.0)) == 0.0
+        assert closed_cdf(model, bounds, lo) == pytest.approx(0.0, abs=1e-15)
+        assert closed_cdf(model, bounds, math.nextafter(hi, 0.0)) == pytest.approx(
+            1.0, abs=1e-12
+        )
+        assert closed_cdf(model, bounds, hi) == 1.0
+        assert closed_cdf(model, bounds, 1.0) == 1.0
+
+    def test_string_model_names(self):
+        for model in ModelKind:
+            by_name = closed_cdf(model.value, GOLDEN, 0.3)
+            assert by_name == closed_cdf(model, GOLDEN, 0.3)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, math.inf, "x", None])
+    def test_bad_t_raises_like_cdf_at(self, t):
+        for cdf in (closed_cdf, cdf_at):
+            with pytest.raises(OutOfRangeError, match="t must"):
+                cdf(ModelKind.NBS, GOLDEN, t)

@@ -5,8 +5,10 @@ reads, its stdout and the digests of the files it writes.  The values were
 captured from the CLI before its estimate layer was merged into one path
 per engine, except the case2 ``mse`` estimate and the ``verify`` report,
 re-captured when the case2 mean became one ``log1p`` formula nearer the
-exact value; a change that moves any of them changes what a user sees and
-must say so.  The runs cover ``reference``, ``estimate --json`` for all
+exact value, and the ``overpayment_prob`` of five ``estimate --json``
+runs and the ``verify`` report again, when named models' overpayment
+probabilities came from the closed-form CDF; a change that moves any of
+them changes what a user sees and must say so.  The runs cover ``reference``, ``estimate --json`` for all
 nine model/risk combinations on the golden box with financials, the
 README's perception config, a 201-point ``posterior``, a closed-form
 ``sweep`` and a small ``verify``.

@@ -1,0 +1,100 @@
+"""What a fresh process loads: the closed-form commands start without numpy.
+
+``estimate`` on a named model, ``reference`` and a closed-form ``sweep``
+need only the closed forms, so numpy, which takes longer to import than
+they take to run, must stay out of ``sys.modules``.  The engine commands
+load it on demand and still work.  Each probe runs in a fresh interpreter,
+since this test process has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nashroyalty
+
+SRC = Path(nashroyalty.__file__).resolve().parents[1]
+GOLDEN_ARGS = ["--a", "0", "--b", "0.2", "--c", "0", "--d", "0.8"]
+
+# Runs each argv through cli.main and reports its exit code, and whether
+# numpy is loaded afterwards.
+CLI_PROBE = """
+import contextlib, io, json, sys
+from nashroyalty import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    report.append([code, "numpy" in sys.modules, err.getvalue()])
+print(json.dumps(report))
+"""
+
+EXPORTS_PROBE = """
+import json, sys
+import nashroyalty
+before = "numpy" in sys.modules
+listed = sorted(set(nashroyalty.__all__) - set(dir(nashroyalty)))
+missing = [name for name in nashroyalty.__all__ if not hasattr(nashroyalty, name)]
+print(json.dumps([before, listed, missing, "numpy" in sys.modules]))
+"""
+
+
+def probe(script: str, *args: str):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    runs = [["reference"]]
+    for model in ("nbs", "case1", "case2"):
+        estimate = ["estimate", "--model", model, "--risk", "abs", *GOLDEN_ARGS]
+        runs += [estimate, [*estimate, "--json"]]
+    runs.append(
+        ["sweep", "--model", "case1", "--risk", "mse", "--a", "0", "--b", "0.2",
+         "--c", "0", "--d", "0", "--out", str(tmp_path / "sweep.csv")]
+    )
+    report = probe(CLI_PROBE, json.dumps(runs))
+    assert report == [[0, False, ""]] * len(runs)
+
+
+def test_engine_commands_load_numpy_and_work(tmp_path):
+    config = tmp_path / "perception.json"
+    config.write_text(
+        json.dumps(
+            {
+                "bounds": {"a": 0.1, "b": 0.4, "c": 0.2, "d": 0.5},
+                "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
+                "risk": "abs",
+            }
+        ),
+        encoding="utf-8",
+    )
+    runs = [
+        ["estimate", "--config", str(config)],
+        ["posterior", "--model", "case2", "--grid-points", "11", *GOLDEN_ARGS,
+         "--out", str(tmp_path / "curve.csv")],
+        ["verify", "--samples", "2", "--mc-n", "100"],
+        ["sweep", "--model", "nbs", "--risk", "abs", "--a", "0", "--b", "0.2",
+         "--c", "0", "--d", "0", "--c-values", "0", "--d-max", "0.1",
+         "--engine", "numeric", "--out", str(tmp_path / "numeric.csv")],
+    ]
+    report = probe(CLI_PROBE, json.dumps(runs))
+    assert report == [[0, True, ""]] * len(runs)
+
+
+def test_package_exports_resolve_on_demand():
+    before, unlisted, missing, after = probe(EXPORTS_PROBE)
+    assert before is False
+    assert unlisted == [] and missing == []
+    assert after is True  # the engines' names were loaded to resolve them
