@@ -9,14 +9,17 @@ attitude to estimation error, its :class:`RiskProfile`:
 * ``ABS`` - minimize expected absolute error: the posterior median.
 * ``MSE`` - minimize expected squared error: the posterior mean.
 
-:func:`estimate` is the one closed-form entry point.  Its values are exact
-except the ABS estimate for the ``CASE1`` model, where the median has no
-elementary form and the model value at the interval midpoints is used
-instead (within a few percent of the true median).  Like the numeric
-:func:`nashroyalty.posterior.numeric_estimate`, it returns an
-:class:`EstimateResult`.  :func:`closed_cdf` gives the overpayment
-probability P{theta <= t} of any estimate t in elementary form; neither
-function needs numpy.
+:func:`estimate` is the one closed-form entry point, and every value it
+returns is exact.  The ``CASE1`` median has no elementary form: it is the
+root of :func:`closed_cdf` at 1/2, found by safeguarded Newton steps, and
+on a side thinner than ``_THIN_SIDE`` of its distance from 1 it is the
+model value at the interval midpoints, whose error there is second order
+in that relative width (README, *Accuracy notes*).  The paper reports
+that midpoint value for every box; :func:`paper_case1_median` gives it.
+Like the numeric :func:`nashroyalty.posterior.numeric_estimate`,
+:func:`estimate` returns an :class:`EstimateResult`.  :func:`closed_cdf`
+gives the overpayment probability P{theta <= t} of any estimate t in
+elementary form; none of these functions needs numpy.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "NOTE_NUMERIC",
     "as_risk_profile",
     "estimate",
+    "paper_case1_median",
     "closed_cdf",
 ]
 
@@ -56,6 +60,18 @@ NOTE_NUMERIC = "numeric"
 # denominator, stays within the limit.
 _ROUNDING_ULPS = 4.0
 _DIFFERENCE_ROUNDING = 1e-12
+
+# The CASE1 median takes the midpoint value on a side whose width is at
+# most this fraction of its distance from 1.  The midpoint errs there by
+# at most about 6 times the fraction's square, a few ulps, while
+# closed_cdf fails on widths near the float floor (pinned against a
+# 60-digit median in the tests).
+_THIN_SIDE = 1e-8
+# A Newton step this small, relative to the support, leaves an error of
+# order its square, below rounding, so it is taken without another CDF
+# evaluation.  The solve takes at most _MEDIAN_ROUNDS steps.
+_FINAL_STEP = 1e-9
+_MEDIAN_ROUNDS = 100
 
 
 class RiskProfile(enum.Enum):
@@ -85,9 +101,9 @@ class EstimateResult:
     """A point estimate of both parties' shares, from either engine.
 
     ``theta2`` is always exactly ``1 - theta1``.  ``method_note`` records
-    how the value was computed: ``NOTE_EXACT`` or ``NOTE_APPROXIMATION``
-    from :func:`estimate`, ``NOTE_NUMERIC`` from
-    :func:`nashroyalty.posterior.numeric_estimate`.
+    how the value was computed: ``NOTE_EXACT`` from :func:`estimate`,
+    ``NOTE_APPROXIMATION`` from :func:`paper_case1_median`, and
+    ``NOTE_NUMERIC`` from :func:`nashroyalty.posterior.numeric_estimate`.
     """
 
     theta1: float
@@ -189,10 +205,10 @@ def estimate(
     * ``MAP``: the mode, the model value at the upper corner (b, d), where
       the density peaks.  Raises :class:`DegeneratePayoffsError` for
       ``CASE2`` when b = d = 0.
-    * ``ABS``: the median, the model value at the interval midpoints.
-      Exact for ``NBS`` (the share is a symmetric sum) and ``CASE2`` (the
-      sub-level sets split the rectangle's symmetry group evenly); a
-      closed-form approximation for ``CASE1``.
+    * ``ABS``: the median.  For ``NBS`` (the share is a symmetric sum) and
+      ``CASE2`` (the sub-level sets split the rectangle's symmetry group
+      evenly) it is the model value at the interval midpoints; for
+      ``CASE1`` the root of :func:`closed_cdf` at 1/2 (module docstring).
     * ``MSE``: the mean, exact for every model.
 
     ``model`` and ``risk`` may be given by their string values; an unknown
@@ -207,13 +223,67 @@ def estimate(
         # Median and mean coincide for the linear symmetric model.
         return _result((a + b - c - d) / 4.0 + 0.5, NOTE_EXACT)
     if risk is RiskProfile.ABS:
-        note = NOTE_EXACT if model is ModelKind.CASE2 else NOTE_APPROXIMATION
-        return _result(theta_model(model, (a + b) / 2.0, (c + d) / 2.0), note)
+        if model is ModelKind.CASE1:
+            return _result(_case1_median(bounds), NOTE_EXACT)
+        return _result(_midpoint_value(model, bounds), NOTE_EXACT)
     if model is ModelKind.CASE1:
         quadratic = (c * c + c * d + d * d - a * a - a * b - b * b) / 6.0
         linear = (a + b - c - d + 1.0) / 2.0
         return _result(quadratic + linear, NOTE_EXACT)
     return _result(_case2_mean(bounds), NOTE_EXACT)
+
+
+def paper_case1_median(bounds: PayoffBounds) -> EstimateResult:
+    """The paper's ``CASE1`` ABS estimate: the model value at the midpoints.
+
+    An approximation of the median that the worked example reports (0.275
+    on the golden box, whose median is 0.2771); :func:`estimate` returns
+    the exact median.  Flagged ``NOTE_APPROXIMATION``.
+    """
+    return _result(_midpoint_value(ModelKind.CASE1, bounds), NOTE_APPROXIMATION)
+
+
+def _midpoint_value(model: ModelKind, bounds: PayoffBounds) -> float:
+    return theta_model(
+        model, _middle(bounds.a, bounds.b), _middle(bounds.c, bounds.d)
+    )
+
+
+def _case1_median(bounds: PayoffBounds) -> float:
+    """The t with P{theta <= t} = 1/2 for ``CASE1``.
+
+    The midpoint value on a point mass, where it is exact (the share is
+    then monotone in one uniform payoff), and on a side thinner than
+    ``_THIN_SIDE``.  Otherwise Newton
+    steps on :func:`closed_cdf` from that value, inside the bracket
+    lo < t <= hi with P(lo) < 1/2 <= P(hi), which starts as the support;
+    a step that leaves the bracket bisects it instead.  A step below
+    ``_FINAL_STEP`` of the support is taken and ends the solve, and so
+    does a point that repeats; the solve returns after
+    ``_MEDIAN_ROUNDS`` steps in any case.
+    """
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    t = _midpoint_value(ModelKind.CASE1, bounds)
+    if b - a <= _THIN_SIDE * (1.0 - a) or d - c <= _THIN_SIDE * (1.0 - c):
+        return t
+    lo, hi = as_share_model(ModelKind.CASE1).support(bounds)
+    final_step = _FINAL_STEP * (hi - lo)
+    for _ in range(_MEDIAN_ROUNDS):
+        p, density = _cdf_and_density(ModelKind.CASE1, bounds, t)
+        if p < 0.5:
+            lo = t
+        else:
+            hi = t
+        step = (0.5 - p) / density if density > 0.0 else math.inf
+        newton = t + step
+        if abs(step) <= final_step and lo <= newton <= hi:
+            return newton
+        if not lo < newton <= hi:
+            newton = lo + (hi - lo) / 2.0
+        if newton == t:
+            return t
+        t = newton
+    return t
 
 
 def _row_cut(model: ModelKind, y: float, t: float) -> float:
@@ -238,20 +308,25 @@ def _column_cut(model: ModelKind, x: float, t: float) -> float:
     return x * (1.0 - t) / t  # t > 0 wherever a column is cut
 
 
-def _case1_band_mean(x0: float, x1: float, r0: float, r1: float, t: float) -> float:
-    """Mean of r = 1 - y0(x) over x in [x0, x1] for ``CASE1``, with x0 < x1.
+def _case1_band(
+    x0: float, x1: float, r0: float, r1: float, t: float
+) -> tuple[float, float]:
+    """Mean of r = 1 - y0(x) over x in [x0, x1] for ``CASE1``, with x0 < x1,
+    and the integral of 1/r there.
 
     With u = 1 - x and s = 2t - 1, r = sqrt(u^2 + s), whose integral is
-    (u r + s log(u + r)) / 2.  Its difference between the band ends
-    u1 = 1 - x1 < u0 = 1 - x0, where r takes the values r1 and r0, is taken
-    without cancellation: r0 - r1 = delta q with q = (u0 + u1) / (r0 + r1),
-    and the logarithms' difference is log1p(delta (1 + q) / (u1 + r1)).
+    (u r + s log(u + r)) / 2; that of 1/r is log(u + r).  Their differences
+    between the band ends u1 = 1 - x1 < u0 = 1 - x0, where r takes the
+    values r1 and r0, are taken without cancellation: r0 - r1 = delta q
+    with q = (u0 + u1) / (r0 + r1), and the logarithms' difference is
+    log1p(delta (1 + q) / (u1 + r1)).
     """
     delta, u0, u1 = x1 - x0, 1.0 - x0, 1.0 - x1
     q = (u0 + u1) / (r0 + r1)
     log_ratio = math.log1p(delta * (1.0 + q) / (u1 + r1))
     s = 2.0 * t - 1.0
-    return ((r0 + r1) + (u0 + u1) * q + 2.0 * s * log_ratio / delta) / 4.0
+    mean = ((r0 + r1) + (u0 + u1) * q + 2.0 * s * log_ratio / delta) / 4.0
+    return mean, log_ratio
 
 
 def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
@@ -280,11 +355,26 @@ def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
     """
     model = as_model_kind(model)
     t = _require_unit("t", t)
+    return _cdf_and_density(model, bounds, t)[0]
+
+
+def _cdf_and_density(
+    model: ModelKind, bounds: PayoffBounds, t: float
+) -> tuple[float, float]:
+    """:func:`closed_cdf` at a valid t, and for ``CASE1`` its density.
+
+    Where the band's ends are clipped by the rectangle they do not move
+    with t, and where they are not, the column share there is 0 or 1; so
+    dP/dt is the band's integral of d/dt (d - y0) = 1/r over the area.
+    The density is returned as 0 for the other models and at a
+    point-mass side, where no caller reads it.
+    """
     lo, hi = as_share_model(model).support(bounds)
     if not lo <= t < hi:  # also every t of a deterministic share, lo == hi
-        return 1.0 if t >= hi else 0.0
+        return (1.0 if t >= hi else 0.0), 0.0
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     width, height = b - a, d - c
+    density = 0.0
     if width == 0.0:
         share = (d - _column_cut(model, a, t)) / height
     else:
@@ -299,9 +389,12 @@ def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
             y_c = c if x_c == cut_c else max(_column_cut(model, x_c, t), c)
             y_d = d if x_d == cut_d else min(_column_cut(model, x_d, t), d)
             if model is ModelKind.CASE1:
-                r_mean = _case1_band_mean(x_c, x_d, 1.0 - y_c, 1.0 - y_d, t)
+                r_mean, inverse_r_integral = _case1_band(
+                    x_c, x_d, 1.0 - y_c, 1.0 - y_d, t
+                )
                 band = r_mean - (1.0 - d)
+                density = inverse_r_integral / width / height
             else:
                 band = ((d - y_c) + (d - y_d)) / 2.0
             share += (x_d - x_c) / width * (band / height)
-    return min(1.0, max(0.0, share))
+    return min(1.0, max(0.0, share)), density

@@ -9,10 +9,13 @@ part of the contract:
 * Draws are produced in fixed shards of 2**18 pairs.  Shard ``i`` uses the
   seed sequence ``SeedSequence(seed, spawn_key=(i,))`` and shards are
   concatenated in index order.
-* A shard always consumes its full block of draws (all 2**18 d1 values,
-  then all 2**18 d2 values) even when only part of it is needed, so a
-  sample of size n is a prefix of every larger sample with the same seed
-  and is independent of how many workers might execute shards.
+* Within a shard the d1 values occupy the first 2**18 positions of the
+  stream and the d2 values the next 2**18, even when fewer are needed, so
+  a sample of size n is a prefix of every larger sample with the same seed
+  and is independent of how many workers might execute shards.  Only the
+  values a sample returns are generated; the rest of each block is
+  skipped with PCG64's jump-ahead (``advance``, O'Neill 2014), which
+  leaves the stream where drawing the whole block would.
 """
 
 from __future__ import annotations
@@ -66,9 +69,12 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
         stop = min(n, start + SHARD_SIZE)
         m = stop - start
         rng = _shard_rng(seed, index)
-        # Full fixed-size blocks keep short samples prefixes of long ones.
-        d1 = rng.uniform(a, b, SHARD_SIZE)[:m]
-        d2 = rng.uniform(c, d, SHARD_SIZE)[:m]
+        # Fixed-size blocks keep short samples prefixes of long ones; each
+        # uniform double takes one step of the stream.
+        d1 = rng.uniform(a, b, m)
+        rng.bit_generator.advance(SHARD_SIZE - m)
+        d2 = rng.uniform(c, d, m)
+        rng.bit_generator.advance(SHARD_SIZE - m)
         out[start:stop] = _shard_thetas(share, bounds, rng, d1, d2)
     return out
 

@@ -96,6 +96,19 @@ class TestEstimateCommand:
         assert code == 3
         assert "identically 0" in err
 
+    @pytest.mark.parametrize(
+        "b, median",
+        # d1 = 0 with d2 > 0 almost surely, and then the share is 0; on the
+        # square, d1 <= d2 half the time.
+        [("0", 0.0), ("5e-324", 0.5)],
+    )
+    def test_case2_median_on_subnormal_sides(self, capsys, b, median):
+        argv = ["estimate", "--model", "case2", "--risk", "abs", "--json"]
+        argv += ["--a", "0", "--b", b, "--c", "0", "--d", "5e-324"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["theta1"] == median
+
     def test_missing_bounds_exit_2(self, capsys):
         code, _, err = run(capsys, ["estimate", "--model", "nbs", "--risk", "map"])
         assert code == 2

@@ -21,13 +21,15 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
+from nashroyalty import estimators
 from nashroyalty.bargaining import as_share_model
-from nashroyalty.estimators import NOTE_APPROXIMATION, NOTE_EXACT
-from nashroyalty.posterior import _cdf
+from nashroyalty.estimators import NOTE_APPROXIMATION, NOTE_EXACT, paper_case1_median
+from nashroyalty.posterior import _cdf, numeric_median
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
-# Published three-decimal worked-example estimates.
+# Published three-decimal worked-example estimates; the case1 abs cell is
+# the paper's midpoint approximation (paper_case1_median).
 GOLDEN_CELLS = {
     (ModelKind.NBS, RiskProfile.MAP): 0.200,
     (ModelKind.NBS, RiskProfile.ABS): 0.350,
@@ -139,7 +141,10 @@ def mpmath_cdf(model: ModelKind, bounds, t: float) -> mpmath.mpf:
 class TestGoldenTable:
     def test_all_point_estimates_match_published_values(self):
         for (model, risk), expected in GOLDEN_CELLS.items():
-            theta = estimate(model, risk, GOLDEN).theta1
+            if (model, risk) == (ModelKind.CASE1, RiskProfile.ABS):
+                theta = paper_case1_median(GOLDEN).theta1
+            else:
+                theta = estimate(model, risk, GOLDEN).theta1
             assert round(theta, 3) == pytest.approx(expected, abs=1e-12), (
                 model,
                 risk,
@@ -172,9 +177,10 @@ class TestAbsEstimate:
         assert result.method_note == NOTE_EXACT
 
     def test_outside_option_model_is_flagged_as_approximation(self):
-        case1 = estimate(ModelKind.CASE1, RiskProfile.ABS, GOLDEN)
-        assert case1.method_note == NOTE_APPROXIMATION
-        assert estimate(ModelKind.NBS, RiskProfile.ABS, GOLDEN).method_note == NOTE_EXACT
+        paper = paper_case1_median(GOLDEN)
+        assert paper.method_note == NOTE_APPROXIMATION
+        for model in ModelKind:
+            assert estimate(model, RiskProfile.ABS, GOLDEN).method_note == NOTE_EXACT
 
     @given(valid_bounds())
     def test_symmetric_model_abs_equals_mse_bitwise(self, bounds):
@@ -182,6 +188,111 @@ class TestAbsEstimate:
             estimate(ModelKind.NBS, RiskProfile.ABS, bounds).theta1
             == estimate(ModelKind.NBS, RiskProfile.MSE, bounds).theta1
         )
+
+
+def mpmath_case1_median(bounds, guess: float) -> mpmath.mpf:
+    """The case1 median at 60 digits: the root of ``mpmath_cdf`` at 1/2 near guess."""
+    lo, hi = as_share_model(ModelKind.CASE1).support(bounds)
+    with mpmath.workdps(60):
+        half, step = mpmath.mpf(1) / 2, mpmath.mpf(hi - lo) * mpmath.mpf("1e-12")
+        return mpmath.findroot(
+            lambda t: mpmath_cdf(ModelKind.CASE1, bounds, t) - half,
+            (mpmath.mpf(guess) - step, mpmath.mpf(guess) + step),
+            solver="anderson",
+        )
+
+
+# A box where the midpoint value errs most for its thin side's relative
+# width (about 6 times its square), with d1's side set to rho of 1 - a.
+_A, _C, _D = 0.03521155030262779, 0.9210242795247564, 0.9232526005138533
+
+
+def steep_thin_box(rho):
+    return (_A, _A + rho * (1.0 - _A), _C, _D)
+
+
+class TestCase1Median:
+    """estimate's case1 abs value is the median, the root of closed_cdf at 1/2."""
+
+    def test_golden_box(self):
+        result = estimate(ModelKind.CASE1, RiskProfile.ABS, GOLDEN)
+        assert result.method_note == NOTE_EXACT
+        assert round(result.theta1, 3) == 0.277
+        assert abs(result.theta1 - numeric_median(ModelKind.CASE1, GOLDEN)) <= 1e-9
+        assert round(paper_case1_median(GOLDEN).theta1, 3) == 0.275
+
+    def test_box_past_the_paper_band(self):
+        # Box 371 of verify's seed-21 stream: the midpoint rule misses the
+        # median by 5.3%, past the 4% the paper's rule is held to.
+        bounds = validate_bounds(
+            0.0020242878381656615, 0.05372383939643899,
+            0.6829314646297929, 0.9399097418292172,
+        )
+        median = numeric_median(ModelKind.CASE1, bounds)
+        assert abs(paper_case1_median(bounds).theta1 - median) / median > 0.04
+        exact = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
+        assert abs(exact - median) <= 1e-9
+
+    def test_halves_the_closed_cdf_on_random_boxes(self):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(31)))
+        for _ in range(1000):
+            bounds = random_valid_bounds(rng)
+            t = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
+            assert abs(closed_cdf(ModelKind.CASE1, bounds, t) - 0.5) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.0, 0.2, 0.0, 0.8),
+            (0.1, 0.11, 0.2, 0.6),
+            (0.45, 0.55, 0.25, 0.25 + 1e-16),
+            # Either side of the thin-side threshold, 1e-8: solved at 2e-8,
+            # where the midpoint would err by 2.4e-15, the midpoint at 5e-9.
+            steep_thin_box(1e-5),
+            steep_thin_box(2e-8),
+            steep_thin_box(5e-9),
+        ],
+        ids=str,
+    )
+    def test_against_60_digit_median(self, box):
+        bounds = validate_bounds(*box)
+        t = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
+        assert abs(t - mpmath_case1_median(bounds, t)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "box, median",
+        [
+            # theta(0, y) = (1 - y)^2 / 2 at the median y of d2.
+            ((0.0, 5e-324, 0.0, 0.1), 0.45125),
+            ((0.0, 0.1, 0.0, 5e-324), 0.54875),
+            ((0.0, 1e-310, 0.2, 0.7), 0.15125),
+        ],
+    )
+    def test_sides_at_the_float_floor(self, box, median):
+        # closed_cdf fails on such sides: it steps to 1 at 0.405 on the
+        # first box.  The midpoint value is the median to within 1e-300.
+        bounds = validate_bounds(*box)
+        t = estimate(ModelKind.CASE1, RiskProfile.ABS, bounds).theta1
+        assert t == pytest.approx(median, abs=1e-15)
+
+    def test_takes_few_cdf_evaluations(self, monkeypatch):
+        calls = []
+        evaluate = estimators._cdf_and_density
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(estimators, "_cdf_and_density", counted)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(32)))
+        counts = []
+        for _ in range(500):
+            bounds = random_valid_bounds(rng)
+            calls.clear()
+            estimate(ModelKind.CASE1, RiskProfile.ABS, bounds)
+            counts.append(len(calls))
+        assert max(counts) <= 6
+        assert sum(counts) / len(counts) <= 3.5
 
 
 class TestMseEstimate:

@@ -7,7 +7,9 @@ per engine, except the case2 ``mse`` estimate and the ``verify`` report,
 re-captured when the case2 mean became one ``log1p`` formula nearer the
 exact value, and the ``overpayment_prob`` of five ``estimate --json``
 runs and the ``verify`` report again, when named models' overpayment
-probabilities came from the closed-form CDF; a change that moves any of
+probabilities came from the closed-form CDF, and the case1 ``abs``
+``estimate``, the case1 ``abs`` ``sweep`` CSV and the ``verify`` report
+again, when the case1 median became exact; a change that moves any of
 them changes what a user sees and must say so.  The runs cover ``reference``, ``estimate --json`` for all
 nine model/risk combinations on the golden box with financials, the
 README's perception config, a 201-point ``posterior``, a closed-form

@@ -173,6 +173,32 @@ class TestPinnedStreams:
             short = sample_thetas(model, GOLDEN, n, seed=3)
             assert np.array_equal(short, long[:n])
 
+    def test_partial_last_shard_is_a_prefix(self):
+        # 10**6 ends inside the fourth shard, so both samples skip part of
+        # its blocks, by different amounts.
+        long = sample_thetas(ModelKind.CASE1, GOLDEN, 10**6 + 17, seed=3)
+        short = sample_thetas(ModelKind.CASE1, GOLDEN, 10**6, seed=3)
+        assert np.array_equal(short, long[: 10**6])
+
+    @pytest.mark.parametrize("n", [1, 17, 20_000, SHARD_SIZE - 1])
+    def test_short_samples_generate_only_the_draws_they_return(self, monkeypatch, n):
+        shard_rng = montecarlo._shard_rng
+        sizes = []
+
+        class CountedSizes:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def uniform(self, low, high, size):
+                sizes.append(size)
+                return self.rng.uniform(low, high, size)
+
+        monkeypatch.setattr(
+            montecarlo, "_shard_rng", lambda s, i: CountedSizes(shard_rng(s, i))
+        )
+        sample_thetas(ModelKind.CASE1, GOLDEN, n, seed=4)
+        assert sum(sizes) == 2 * n
+
     def test_undefined_pair_is_redrawn_from_its_shard_stream(self, monkeypatch):
         # GOLDEN has a = c = 0.  Zero both full blocks of shard 0 at index k,
         # so the proportional share there is 0/0 and must be redrawn.
@@ -182,6 +208,7 @@ class TestPinnedStreams:
         class ZeroedBlocks:
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0
+                self.bit_generator = rng.bit_generator  # skips unread draws
 
             def uniform(self, low, high, size):
                 draws = self.rng.uniform(low, high, size)

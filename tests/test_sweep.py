@@ -18,6 +18,7 @@ from nashroyalty import (
     write_json,
     write_map_csv,
 )
+from nashroyalty.estimators import paper_case1_median
 
 
 def single_cell(model, risk, c, d, engine="closed_form"):
@@ -122,7 +123,7 @@ class TestGridConstruction:
 class TestEngineAgreement:
     CELLS = ((0.0, 0.4), (0.1, 0.8))
 
-    @pytest.mark.parametrize("model", [ModelKind.NBS, ModelKind.CASE2])
+    @pytest.mark.parametrize("model", [ModelKind.NBS, ModelKind.CASE2, ModelKind.CASE1])
     @pytest.mark.parametrize("risk", [RiskProfile.ABS, RiskProfile.MSE])
     def test_numeric_engine_confirms_exact_closed_forms(self, model, risk):
         for c, d in self.CELLS:
@@ -131,8 +132,9 @@ class TestEngineAgreement:
             assert numeric == pytest.approx(closed, abs=1e-6)
 
     def test_outside_option_median_approximation_within_percent_band(self):
+        # The paper's midpoint rule; the sweep's closed forms are exact.
         for c, d in self.CELLS:
-            closed = single_cell(ModelKind.CASE1, RiskProfile.ABS, c, d)
+            closed = paper_case1_median(validate_bounds(0.0, 0.2, c, d)).theta1
             numeric = single_cell(
                 ModelKind.CASE1, RiskProfile.ABS, c, d, engine="numeric"
             )
