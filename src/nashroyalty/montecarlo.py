@@ -43,6 +43,16 @@ SHARD_SIZE = 1 << 18
 # many equal bins over [0, 1].
 _QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 _BIN_COUNT = 201
+_EDGES = np.linspace(0.0, 1.0, _BIN_COUNT + 1)  # np.histogram's bin edges
+
+# A summary reads its sample in blocks of this many values, whose scratch
+# arrays stay in cache, and over about this many fine buckets.
+_BLOCK = 1 << 15
+_BUCKETS = 4096
+# np.histogram's edge correction can change a bin only where 201 x lies
+# within about 6e-14 of an integer; a block with a value this close to one
+# is binned by np.histogram.
+_NEAR_EDGE = 1e-12
 
 
 def _shard_rng(seed: int, index: int) -> np.random.Generator:
@@ -100,7 +110,8 @@ class SampleSummary:
     0.05, 0.25, 0.5, 0.75 and 0.95, by numpy's default ``linear`` rule
     (``np.quantile``'s values, bit for bit); ``histogram_mode`` is the
     center of the fullest of ``bin_count`` (201) equal bins over [0, 1]
-    (lowest such bin on ties).  ``seed`` records provenance when known.
+    (lowest such bin on ties), binned by ``np.histogram``'s edges.
+    ``seed`` records provenance when known.
     """
 
     n: int
@@ -118,77 +129,149 @@ def summarize(samples, seed: int | None = None) -> SampleSummary:
     Raises :class:`EmptySampleError` if the sample is empty and
     :class:`OutOfRangeError` if any value is NaN or lies outside [0, 1].
     The quantiles equal ``np.quantile``'s default ``linear`` rule bit for
-    bit.  The standard error of the mean uses the unbiased sample
-    variance and is reported as 0 for a single observation.
+    bit and the histogram ``np.histogram``'s, but the sample is never
+    sorted: two passes over blocks of it count fine buckets, then gather
+    the few buckets that hold the order statistics the rule reads (see
+    :class:`_FineGrid`).  The standard error of the mean uses
+    the unbiased sample variance and is reported as 0 for a single
+    observation.  The caller's array is not written.
     """
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySampleError("cannot summarize an empty sample")
     n = int(arr.size)
-    # The histogram drops NaN and every value outside [0, 1], so a full
-    # count shows the whole sample lies in [0, 1] without a pass of its own.
-    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=(0.0, 1.0))
-    outside = n - int(counts.sum())
-    if outside:
+    lo, hi = float(arr.min()), float(arr.max())
+    if not 0.0 <= lo <= hi <= 1.0:  # NaN fails every comparison
+        inside = int(np.count_nonzero((arr >= 0.0) & (arr <= 1.0)))
         raise OutOfRangeError(
-            f"a share sample must lie in [0, 1]; {outside} of {n} values do not"
+            f"a share sample must lie in [0, 1]; {n - inside} of {n} values do not"
         )
     mean = float(arr.mean())
     if n > 1:
         se = float(arr.std(ddof=1) / math.sqrt(n))
     else:
         se = 0.0
+    grid = _FineGrid(lo, hi)
+    fine, counts = grid.count(arr)
+    positions = [(n - 1) * p for p in _QUANTILE_PROBS]
+    ranks = sorted({min(r, n - 1) for v in positions for r in (int(v), int(v) + 1)})
+    order = grid.order_statistics(arr, fine, ranks)
+    quantiles = []
+    for p, v in zip(_QUANTILE_PROBS, positions):
+        i = int(v)
+        lo_value, hi_value = order[min(i, n - 1)], order[min(i + 1, n - 1)]
+        # numpy's _lerp: interpolate from the nearer order statistic.
+        gamma = v - i
+        step = hi_value - lo_value
+        if gamma >= 0.5:
+            quantiles.append((p, hi_value - step * (1.0 - gamma)))
+        else:
+            quantiles.append((p, lo_value + step * gamma))
     k = int(np.argmax(counts))
-    histogram_mode = float((edges[k] + edges[k + 1]) / 2.0)
     return SampleSummary(
         n=n,
         mean=mean,
         std_error_of_mean=se,
-        quantiles=_quantiles(arr, counts, edges),
-        histogram_mode=histogram_mode,
+        quantiles=tuple(quantiles),
+        histogram_mode=float((_EDGES[k] + _EDGES[k + 1]) / 2.0),
         bin_count=_BIN_COUNT,
         seed=seed,
     )
 
 
-def _quantiles(arr, counts, edges) -> tuple[tuple[float, float], ...]:
-    """``np.quantile(arr, p)`` for each p in ``_QUANTILE_PROBS``.
+class _FineGrid:
+    """Monotone fine buckets over a sample's own range [lo, hi].
 
-    The histogram's cumulative counts name the bin that holds each order
-    statistic the ``linear`` rule reads, so only those bins' elements are
-    gathered and partitioned, never the whole sample.
+    Value x falls in bucket ``floor(x * scale) - offset``, where ``scale``
+    is 201 times a power of two: the buckets split every histogram bin into
+    ``2**shift`` equal parts, and about ``_BUCKETS`` of them span [lo, hi]
+    down to a range of 2**-45 of a bin (a narrower one, zero and subnormal
+    widths included, gets one or two buckets).
+    Rounding is monotone, so a bucket's values all lie at or above those of
+    every lower bucket, and counts alone locate each order statistic.
+    Both passes read the sample in blocks of ``_BLOCK`` values through a
+    few scratch arrays of that size.
     """
-    n = arr.size
-    positions = [(n - 1) * p for p in _QUANTILE_PROBS]
-    ranks = sorted({min(r, n - 1) for v in positions for r in (int(v), int(v) + 1)})
-    ends = np.cumsum(counts)
-    bins = np.searchsorted(ends, ranks, side="right").tolist()
-    order = {}  # rank -> order statistic
-    # Masks reused across bins: fresh temporaries per bin cost twice as much.
-    inside = np.empty(n, dtype=bool)
-    below = np.empty(n, dtype=bool)
-    for k in sorted(set(bins)):
-        # np.histogram's edge rule: edges[k] <= x < edges[k + 1], the
-        # last bin closed on the right.
-        np.greater_equal(arr, edges[k], out=inside)
-        upper = np.less if k < len(counts) - 1 else np.less_equal
-        upper(arr, edges[k + 1], out=below)
-        inside &= below
-        members = arr[inside]
-        first = int(ends[k]) - len(members)
-        local = [r - first for r, b in zip(ranks, bins) if b == k]
+
+    def __init__(self, lo: float, hi: float):
+        # Keep x * scale below 2**53, where floats hold integers exactly;
+        # subtracting the integer offset is then exact too.
+        shift = 45
+        while shift and _BIN_COUNT * 2.0**shift * (hi - lo) > _BUCKETS:
+            shift -= 1
+        self.shift = shift
+        self.scale = _BIN_COUNT * 2.0**shift
+        self.offset = math.floor(lo * self.scale)
+        self.size = math.floor(hi * self.scale) - self.offset + 1
+        self._scaled = np.empty(_BLOCK)
+        self._bucket = np.empty(_BLOCK, dtype=np.uint16)
+
+    def _blocks(self, arr):
+        """Each block of ``arr`` with its values' buckets."""
+        for start in range(0, arr.size, _BLOCK):
+            block = arr[start : start + _BLOCK]
+            scaled = self._scaled[: block.size]
+            bucket = self._bucket[: block.size]
+            np.multiply(block, self.scale, out=scaled)
+            np.subtract(scaled, self.offset, out=scaled)
+            np.copyto(bucket, scaled, casting="unsafe")  # floor: scaled >= 0
+            yield block, bucket
+
+    def count(self, arr):
+        """Bucket counts, and ``np.histogram``'s 201 bin counts over [0, 1].
+
+        Each bucket lies in one bin, the bin floor(201 x) of its values.
+        ``np.histogram`` starts from that bin and moves x to a neighbour
+        where a comparison with the edges says so, which can happen only
+        when 201 x lies within about 6e-14 of an integer.  Blocks with no
+        value that close add their buckets to their bins; the rare block
+        with one is binned by ``np.histogram`` itself.
+        """
+        fine = np.zeros(self.size, dtype=np.intp)
+        binned = np.zeros(self.size, dtype=np.intp)  # buckets np.histogram counted
+        counts = np.zeros(_BIN_COUNT + 1, dtype=np.intp)  # bin 201: x = 1's bucket, empty
+        frac = np.empty(_BLOCK)
+        whole = np.empty(_BLOCK)
+        for block, bucket in self._blocks(arr):
+            block_fine = np.bincount(bucket, minlength=self.size)
+            fine += block_fine
+            f, w = frac[: block.size], whole[: block.size]
+            np.multiply(block, float(_BIN_COUNT), out=f)
+            np.floor(f, out=w)
+            f -= w
+            if f.min() < _NEAR_EDGE or f.max() > 1.0 - _NEAR_EDGE:
+                counts[:_BIN_COUNT] += np.histogram(block, _BIN_COUNT, (0.0, 1.0))[0]
+                binned += block_fine
+        bins = (np.arange(self.size) + self.offset) >> self.shift
+        np.add.at(counts, bins, fine - binned)
+        return fine, counts[:_BIN_COUNT]
+
+    def order_statistics(self, arr, fine, ranks) -> dict[int, float]:
+        """The values of the given ranks (0-based) in the sorted sample."""
+        ends = np.cumsum(fine)
+        buckets = np.searchsorted(ends, ranks, side="right").tolist()
+        wanted = sorted(set(buckets))
+        # Gathered and sorted, the members of the wanted buckets hold them
+        # one after another; first[k] is where bucket k starts there,
+        # less the rank of its lowest value in the whole sample.
+        first = {}
+        size = 0
+        for k in wanted:
+            first[k] = size - int(ends[k] - fine[k])
+            size += int(fine[k])
+        want = np.zeros(self.size, dtype=bool)
+        want[wanted] = True
+        mask = np.empty(_BLOCK, dtype=bool)
+        members = np.empty(size)
+        stop = 0
+        for block, bucket in self._blocks(arr):
+            picked = mask[: block.size]
+            np.take(want, bucket, out=picked)
+            start, stop = stop, stop + int(np.count_nonzero(picked))
+            np.compress(picked, block, out=members[start:stop])
+        local = [r + first[k] for r, k in zip(ranks, buckets)]
         members.partition(local)
-        order.update((first + i, float(members[i])) for i in local)
-    quantiles = []
-    for p, v in zip(_QUANTILE_PROBS, positions):
-        i = int(v)
-        lo, hi = order[min(i, n - 1)], order[min(i + 1, n - 1)]
-        # numpy's _lerp: interpolate from the nearer order statistic.
-        gamma = v - i
-        step = hi - lo
-        value = hi - step * (1.0 - gamma) if gamma >= 0.5 else lo + step * gamma
-        quantiles.append((p, value))
-    return tuple(quantiles)
+        return {r: float(members[i]) for r, i in zip(ranks, local)}
 
 
 def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:

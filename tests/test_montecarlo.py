@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,57 @@ SUMMARY_SEED42 = [
         0.2164179104477612,
         0.2500240961388753,
         8.015695201250676e-05,
+    ),
+]
+
+# A box with nonzero lower bounds, so the pins below cover draws of
+# low + range * u with low > 0, which GOLDEN (a = c = 0) does not.
+OFFSET_BOX = validate_bounds(0.1, 0.3, 0.2, 0.6)
+
+# SHA-256 of sample_thetas(model, OFFSET_BOX, SHARD_SIZE + 17, seed=42).
+OFFSET_STREAM_SHA256 = [
+    (ModelKind.NBS, "6d539fafce283437e480315153e35fe3ad7d44c0d0cb6bd05c38c1a4dc243ed8"),
+    (ModelKind.CASE1, "64af97b207965eab1415284b25faeff16893b7241c52b74526dedf3d75eb0911"),
+    (ModelKind.CASE2, "d42aff4ae16b376e09a5fa87b7c04a9f8d698daa83f2a3a1aad830e0270093cb"),
+    (
+        FixedAlphaModel(0.3),
+        "2294c55ff7c7c11023730fddce46e0c94ab54b837f5e944e93cea326223d46ee",
+    ),
+]
+
+# mc_summary(model, OFFSET_BOX, 10**6, seed=42), laid out as SUMMARY_SEED42.
+OFFSET_SUMMARY_SEED42 = [
+    (
+        ModelKind.NBS,
+        (0.2948504548691407, 0.35005041507457374, 0.4000192154818746,
+         0.4500406036508949, 0.5051864450816761),
+        0.3606965174129353,
+        0.4000183156795407,
+        6.451419070033207e-05,
+    ),
+    (
+        ModelKind.CASE1,
+        (0.23086526574217425, 0.30319625591696003, 0.36135302880769304,
+         0.4258046711464239, 0.5077816493324552),
+        0.33582089552238803,
+        0.3650297851878361,
+        8.344091452473745e-05,
+    ),
+    (
+        ModelKind.CASE2,
+        (0.19362358234151872, 0.26980261014821294, 0.33337285524071836,
+         0.40357927803698634, 0.5104109009332516),
+        0.3308457711442786,
+        0.3399657665544388,
+        9.453731085780828e-05,
+    ),
+    (
+        FixedAlphaModel(0.3),
+        (0.23115644066745716, 0.2817557693055863, 0.3200315333594165,
+         0.3583052759788241, 0.40893754301959634),
+        0.31592039800995025,
+        0.3200194587014302,
+        5.317533543824359e-05,
     ),
 ]
 
@@ -366,6 +418,169 @@ class TestSummarize:
         assert summary.seed == 11
         assert summary.n == 1000
         assert summary.bin_count == 201
+
+
+class TestOffsetBoxPins:
+    @pytest.mark.parametrize("model, digest", OFFSET_STREAM_SHA256, ids=str)
+    def test_two_shard_stream_hashes(self, model, digest):
+        draws = sample_thetas(model, OFFSET_BOX, SHARD_SIZE + 17, seed=42)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "model, quantiles, mode, mean, se",
+        OFFSET_SUMMARY_SEED42,
+        ids=[str(row[0]) for row in OFFSET_SUMMARY_SEED42],
+    )
+    def test_full_size_summary_is_pinned(self, model, quantiles, mode, mean, se):
+        summary = mc_summary(model, OFFSET_BOX, 1_000_000, seed=42)
+        assert summary.quantiles == tuple(zip(PROBS, quantiles))
+        assert summary.histogram_mode == mode
+        assert summary.mean == mean
+        assert summary.std_error_of_mean == se
+        assert (summary.n, summary.bin_count, summary.seed) == (1_000_000, 201, 42)
+
+
+# Longer than one block of the summary's scan and not a multiple of it.
+BLOCKED_N = 3 * montecarlo._BLOCK + 1001
+THIN_BOX = validate_bounds(0.3, 0.3 + 1e-7, 0.2, 0.2 + 1e-7)
+
+
+def assert_matches_numpy(x):
+    """summarize(x) equals numpy's quantiles, histogram, mean and std."""
+    summary = summarize(x)
+    assert (summary.quantiles, summary.histogram_mode) == numpy_summary_values(x)
+    assert summary.mean == float(x.mean())
+    assert summary.std_error_of_mean == float(x.std(ddof=1) / math.sqrt(x.size))
+
+
+def edge_values():
+    """Every histogram edge and its neighbours one ulp away, inside [0, 1]."""
+    values = np.concatenate(
+        [EDGES, np.nextafter(EDGES, -np.inf), np.nextafter(EDGES, np.inf)]
+    )
+    return values[(values >= 0.0) & (values <= 1.0)]
+
+
+class TestBlockedSummary:
+    """summarize over several blocks, bit for bit against numpy."""
+
+    def test_support_inside_one_histogram_bin(self):
+        rng = np.random.default_rng(23)
+        assert_matches_numpy(rng.uniform(0.3, 0.3 + 1e-7, BLOCKED_N))
+
+    @pytest.mark.parametrize("low", [0.0, 1e-310, 0.25], ids=str)
+    def test_range_one_ulp_wide(self, low):
+        # From 0 and from 1e-310 the range is 5e-324 wide.
+        rng = np.random.default_rng(29)
+        pair = np.array([low, np.nextafter(low, 1.0)])
+        assert_matches_numpy(pair[rng.integers(0, 2, BLOCKED_N)])
+
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    def test_point_mass_box_gives_a_constant_summary(self, model):
+        bounds = validate_bounds(0.3, 0.3, 0.1, 0.1)
+        x = sample_thetas(model, bounds, BLOCKED_N, seed=37)
+        summary = mc_summary(model, bounds, BLOCKED_N, seed=37)
+        assert (summary.quantiles, summary.histogram_mode) == numpy_summary_values(x)
+        assert summary.mean == float(x.mean())
+        assert summary.std_error_of_mean == float(x.std(ddof=1) / math.sqrt(x.size))
+        assert {value for _, value in summary.quantiles} == {float(x[0])}
+
+    def test_heavy_ties_at_zero_and_one(self):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0.0, 1.0, BLOCKED_N)
+        x[rng.random(BLOCKED_N) < 0.4] = 0.0
+        x[rng.random(BLOCKED_N) < 0.3] = 1.0
+        assert_matches_numpy(x)
+
+    def test_all_ties_at_one(self):
+        assert_matches_numpy(np.ones(BLOCKED_N))
+
+    def test_values_on_every_edge_and_one_ulp_either_side(self):
+        rng = np.random.default_rng(43)
+        edges = edge_values()
+        x = rng.uniform(0.0, 1.0, BLOCKED_N)
+        x[::2] = edges[rng.integers(0, edges.size, x[::2].size)]
+        assert_matches_numpy(x)
+
+    def test_edges_alone_over_a_narrow_range(self):
+        # Only edges and their neighbours, around a few bins: the fullest
+        # bin is decided by the edge rule alone.
+        rng = np.random.default_rng(47)
+        edges = edge_values()[300:320]
+        assert_matches_numpy(edges[rng.integers(0, edges.size, BLOCKED_N)])
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("bounds", [GOLDEN, OFFSET_BOX, THIN_BOX], ids=str)
+    def test_sampled_shares(self, model, bounds):
+        assert_matches_numpy(sample_thetas(model, bounds, BLOCKED_N, seed=53))
+
+
+class TestSummarizeInput:
+    def test_leaves_the_input_unchanged(self):
+        x = sample_thetas(ModelKind.CASE1, GOLDEN, BLOCKED_N, seed=59)
+        before = x.tobytes()
+        summarize(x)
+        assert x.tobytes() == before
+
+    def test_accepts_a_read_only_array(self):
+        x = sample_thetas(ModelKind.NBS, GOLDEN, BLOCKED_N, seed=61)
+        expected = summarize(x.copy())
+        x.setflags(write=False)
+        assert summarize(x) == expected
+
+    def test_accepts_a_strided_view(self):
+        x = sample_thetas(ModelKind.CASE2, GOLDEN, 3 * BLOCKED_N, seed=67)
+        view = x[1::3]
+        before = x.tobytes()
+        assert summarize(view) == summarize(view.copy())
+        assert_matches_numpy(view)
+        assert x.tobytes() == before
+
+    def test_accepts_a_two_dimensional_array(self):
+        x = sample_thetas(ModelKind.CASE1, GOLDEN, 2 * 3 * 7001, seed=71)
+        assert summarize(x.reshape(6, 7001)) == summarize(x)
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([math.nan, 0.3], 1),
+            ([math.inf, 0.2], 1),
+            ([0.2, -math.inf], 1),
+            ([-0.5, 0.5], 1),
+            ([0.5, 1.5], 1),
+            ([-5e-324, 0.5], 1),
+            ([np.nextafter(1.0, 2.0), 0.5], 1),
+            ([2.0, 3.0], 2),
+            ([math.nan, -1.0, 0.4, 1.0, 0.0], 2),
+        ],
+        ids=str,
+    )
+    def test_out_of_range_message_counts_the_bad_values(self, values, bad):
+        n = len(values)
+        with pytest.raises(OutOfRangeError, match=rf"; {bad} of {n} values do not$"):
+            summarize(np.array(values))
+
+    def test_out_of_range_in_a_late_block_rejected(self):
+        x = sample_thetas(ModelKind.NBS, GOLDEN, BLOCKED_N, seed=73)
+        x[-1] = math.nan
+        with pytest.raises(OutOfRangeError, match=rf"1 of {BLOCKED_N} values do not"):
+            summarize(x)
+
+
+class TestSummarizeMemory:
+    """summarize's traced peak stays near one sample-sized temporary."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("bounds", [GOLDEN, THIN_BOX], ids=["golden", "thin"])
+    def test_peak_is_at_most_the_sample_plus_one_mib(self, model, bounds):
+        x = sample_thetas(model, bounds, 1_000_000, seed=79)
+        tracemalloc.start()
+        try:
+            summarize(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 2**20
 
 
 class TestConvergence:
