@@ -22,12 +22,8 @@ full precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
-import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bargaining import (
@@ -36,6 +32,7 @@ from .bargaining import (
     ModelKind,
     PayoffBounds,
     PerceptionMatrix,
+    _Record,
     _require_count,
     alpha_from_perceptions,
     as_share_model,
@@ -87,8 +84,7 @@ class ConfigError(ValueError):
     """A scenario config file or flag set is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """One fully resolved estimation scenario.
 
     ``model`` is what the engines run: a :class:`ModelKind`, or a
@@ -98,8 +94,23 @@ class ScenarioConfig:
     bounds: PayoffBounds
     model: ModelKind | FixedAlphaModel
     risk: RiskProfile | None
-    financials: FinancialStatement | None = None
-    grid_points: int = 2001
+    financials: FinancialStatement | None
+    grid_points: int
+    __slots__ = tuple(__annotations__)
+
+    def __init__(
+        self,
+        bounds: PayoffBounds,
+        model: ModelKind | FixedAlphaModel,
+        risk: RiskProfile | None,
+        financials: FinancialStatement | None = None,
+        grid_points: int = 2001,
+    ) -> None:
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "risk", risk)
+        object.__setattr__(self, "financials", financials)
+        object.__setattr__(self, "grid_points", grid_points)
 
 
 # Each config block: the record it builds, whose field names are also the
@@ -118,8 +129,8 @@ _BLOCKS = {
 _CONFIG_KEYS = {"model", "risk", "grid_points", *_BLOCKS}
 
 
-def _fields(block: str) -> list[str]:
-    return [field.name for field in dataclasses.fields(_BLOCKS[block][0])]
+def _fields(block: str) -> tuple[str, ...]:
+    return _BLOCKS[block][0].__slots__
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
@@ -129,16 +140,24 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
 
 
 def _load_config_file(path: Path) -> dict:
+    import json
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     _check_keys(data, _CONFIG_KEYS, str(path))
@@ -258,6 +277,8 @@ def _cmd_estimate(args) -> int:
         rate = royalty_rate(result.theta1, config.financials)
 
     if args.json:
+        import json
+
         payload = {
             "theta1": result.theta1,
             "theta2": result.theta2,
@@ -571,6 +592,8 @@ def main(argv=None) -> int:
             if isinstance(exc, kind):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

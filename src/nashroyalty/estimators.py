@@ -27,11 +27,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 from .bargaining import (
     ModelKind,
     PayoffBounds,
+    _Record,
     _require_unit,
     as_model_kind,
     as_share_model,
@@ -96,8 +96,7 @@ def as_risk_profile(risk) -> RiskProfile:
         ) from None
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(_Record):
     """A point estimate of both parties' shares, from either engine.
 
     ``theta2`` is always exactly ``1 - theta1``.  ``method_note`` records
@@ -109,6 +108,12 @@ class EstimateResult:
     theta1: float
     theta2: float
     method_note: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, theta1: float, theta2: float, method_note: str) -> None:
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
+        object.__setattr__(self, "method_note", method_note)
 
 
 def _result(theta1: float, note: str) -> EstimateResult:

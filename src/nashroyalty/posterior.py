@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .bargaining import (
     FixedAlphaModel,
     PayoffBounds,
     ShareModel,
+    _Record,
     _require_count,
     _require_unit,
     as_share_model,
@@ -205,15 +205,35 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorCurve:
-    """Share density and CDF tabulated on an even grid spanning [0, 1]."""
+class PosteriorCurve(_Record):
+    """Share density and CDF tabulated on an even grid spanning [0, 1].
+
+    Holds arrays, so two curves are equal only if they are the same object.
+    """
 
     thetas: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
     model: ShareModel
     bounds: PayoffBounds
+    __slots__ = tuple(__annotations__)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        thetas: np.ndarray,
+        pdf: np.ndarray,
+        cdf: np.ndarray,
+        model: ShareModel,
+        bounds: PayoffBounds,
+    ) -> None:
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "pdf", pdf)
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "bounds", bounds)
 
 
 def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCurve:
@@ -313,8 +333,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     return min(1.0, max(0.0, hi - float(area.sum())))
 
 
-@dataclass(frozen=True)
-class ModeResult:
+class ModeResult(_Record):
     """Grid argmax of the share density.
 
     ``plateau`` records whether the maximum was attained on more than one
@@ -323,9 +342,11 @@ class ModeResult:
 
     value: float
     plateau: bool
+    __slots__ = tuple(__annotations__)
 
-    def __float__(self) -> float:
-        return self.value
+    def __init__(self, value: float, plateau: bool) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "plateau", plateau)
 
 
 def mode_from_curve(curve: PosteriorCurve) -> ModeResult:

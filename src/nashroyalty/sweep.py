@@ -9,11 +9,15 @@ CSV and JSON for plotting.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
-from .bargaining import ModelKind, as_model_kind, as_share_model, validate_bounds
+from .bargaining import (
+    ModelKind,
+    _Record,
+    as_model_kind,
+    as_share_model,
+    validate_bounds,
+)
 from .errors import (
     BoundsValidationError,
     DegeneratePayoffsError,
@@ -38,33 +42,49 @@ __all__ = [
 _ENGINES = ("closed_form", "numeric")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     d: float
     theta_hat: float
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, d: float, theta_hat: float) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "theta_hat", theta_hat)
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(_Record):
     c: float
     rows: tuple[SweepRow, ...]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, c: float, rows: tuple[SweepRow, ...]) -> None:
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class MapReferencePoint:
+class MapReferencePoint(_Record):
     d: float
     theta_map: float
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, d: float, theta_map: float) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "theta_map", theta_map)
 
 
-@dataclass(frozen=True)
-class OmittedCell:
+class OmittedCell(_Record):
     c: float
     d: float
     reason: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, c: float, d: float, reason: str) -> None:
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Record):
     """One estimator family over a (c, d) grid, plus the MAP reference line."""
 
     model: ModelKind
@@ -74,6 +94,25 @@ class SweepTable:
     series: tuple[SweepSeries, ...]
     map_reference: tuple[MapReferencePoint, ...]
     omitted: tuple[OmittedCell, ...]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(
+        self,
+        model: ModelKind,
+        risk: RiskProfile,
+        a: float,
+        b: float,
+        series: tuple[SweepSeries, ...],
+        map_reference: tuple[MapReferencePoint, ...],
+        omitted: tuple[OmittedCell, ...],
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "risk", risk)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "map_reference", map_reference)
+        object.__setattr__(self, "omitted", omitted)
 
 
 def _grid(step: float, top: float) -> tuple[float, ...]:
@@ -213,5 +252,7 @@ def to_json_dict(table: SweepTable) -> dict:
 
 def write_json(table: SweepTable, path) -> None:
     """Write the JSON mirror (two-space indent, LF endings, UTF-8)."""
+    import json
+
     text = json.dumps(to_json_dict(table), indent=2) + "\n"
     Path(path).write_bytes(text.encode("utf-8"))

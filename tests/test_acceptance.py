@@ -280,7 +280,7 @@ def test_criterion_6_model_invariants():
                     d,
                     epsabs=1e-12,
                 )
-                return value / bounds.area
+                return value / (bounds.width1 * bounds.width2)
             mean_cost = cost(estimate(model, RiskProfile.MSE, bounds).theta1)
             for risk in (RiskProfile.MAP, RiskProfile.ABS):
                 other = cost(estimate(model, risk, bounds).theta1)

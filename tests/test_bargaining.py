@@ -42,7 +42,6 @@ class TestValidateBounds:
         bounds = validate_bounds(0.0, 0.2, 0.0, 0.8)
         assert (bounds.a, bounds.b, bounds.c, bounds.d) == (0.0, 0.2, 0.0, 0.8)
         assert bounds.width1 == pytest.approx(0.2)
-        assert bounds.area == pytest.approx(0.16)
 
     def test_point_mass_bounds_accepted(self):
         bounds = validate_bounds(0.3, 0.3, 0.1, 0.1)

@@ -94,7 +94,7 @@ def reference_cdf(model: ModelKind, bounds, t: float) -> float:
             epsrel=1e-12,
             limit=300,
         )
-    return min(1.0, max(0.0, value / bounds.area))
+    return min(1.0, max(0.0, value / (bounds.width1 * bounds.width2)))
 
 
 # --- boxes ----------------------------------------------------------------------

@@ -143,12 +143,22 @@ class TestConfigFiles:
         # (0 + 0.2 - 0 - 0.4)/4 + 0.5
         assert "party 1 share estimate (theta1): 0.450" in out
 
-    def test_malformed_json_reports_the_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b'{"bounds": {\n  "a": 0.0,,\n}}', "invalid JSON at line 2"),
+            (b"\xff\xfe", "not UTF-8 text"),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+            (b'{"grid_points": ' + b"1" * 4301 + b"}", "4300 digits"),
+        ],
+        ids=["syntax", "not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_malformed_config_exits_2(self, capsys, tmp_path, content, named):
         path = tmp_path / "broken.json"
-        path.write_text('{"bounds": {\n  "a": 0.0,,\n}}', encoding="utf-8")
-        code, _, err = run(capsys, ["estimate", "--config", str(path)])
-        assert code == 2
-        assert "line 2" in err
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["estimate", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and named in err
 
     def test_unknown_top_level_key_is_named(self, capsys, tmp_path):
         payload = dict(self.BASE, modle="nbs")

@@ -77,7 +77,7 @@ def quadrature_mean(model: ModelKind, bounds) -> float:
     value, _ = integrate.dblquad(
         lambda y, x: theta_model(model, x, y), a, b, c, d, epsabs=1e-12
     )
-    return value / bounds.area
+    return value / (bounds.width1 * bounds.width2)
 
 
 def mpmath_case2_mean(bounds) -> mpmath.mpf:

@@ -583,6 +583,29 @@ class TestSummarizeMemory:
         assert peak <= x.nbytes + 2**20
 
 
+class TestMcSummaryInPlace:
+    """mc_summary takes its variance in place and its shares in blocks: the
+    same summary as summarize, bit for bit, with a smaller footprint."""
+
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 17, SHARD_SIZE + 17])
+    def test_equals_summarize_of_the_same_sample(self, model, n):
+        expected = summarize(sample_thetas(model, GOLDEN, n, seed=5), seed=5)
+        assert mc_summary(model, GOLDEN, n, seed=5) == expected
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_peak_is_the_sample_plus_one_shard_of_draws(self, model):
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            mc_summary(model, OFFSET_BOX, n, seed=79)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The sample, one shard's d1 and d2 draws, and block-sized scratch.
+        assert peak <= 8 * n + 2 * 8 * SHARD_SIZE + 3 * 2**20
+
+
 class TestConvergence:
     N = 200_000
 

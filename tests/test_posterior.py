@@ -304,10 +304,9 @@ class TestNumericMode:
         assert mode.value == pytest.approx(0.5, abs=1e-9)
         assert mode.plateau is False
 
-    def test_float_conversion_and_curve_reuse(self):
+    def test_curve_mode_matches_the_closed_form(self):
         curve = pdf_curve(ModelKind.NBS, GOLDEN, n_points=801)
         mode = mode_from_curve(curve)
-        assert float(mode) == mode.value
         assert mode.value == estimate(ModelKind.NBS, RiskProfile.MAP, GOLDEN).theta1
 
 

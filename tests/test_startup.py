@@ -3,7 +3,9 @@
 ``estimate`` on a named model, ``reference`` and a closed-form ``sweep``
 need only the closed forms, so numpy, which takes longer to import than
 they take to run, must stay out of ``sys.modules``.  The engine commands
-load it on demand and still work.  Each probe runs in a fresh interpreter,
+load it on demand and still work.  Those same commands in text mode also
+leave out dataclasses, inspect, json and traceback; json loads only where
+a command reads or writes JSON.  Each probe runs in a fresh interpreter,
 since this test process has numpy loaded already.
 """
 
@@ -32,6 +34,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
+# Runs each argv, its words joined by a unit separator, through cli.main and
+# prints the exit codes, then which of WATCHED are loaded.  It imports no
+# module of its own that would load one of them, as CLI_PROBE's json does.
+WATCHED = ("dataclasses", "inspect", "json", "traceback")
+LEAN_PROBE = f"""
+import contextlib, io, sys
+from nashroyalty import cli
+codes = []
+for arg in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes.append(cli.main(arg.split("\\x1f")))
+    assert err.getvalue() == "", err.getvalue()
+print(*codes)
+print(*[name for name in {WATCHED!r} if name in sys.modules])
+"""
+
 EXPORTS_PROBE = """
 import json, sys
 import nashroyalty
@@ -42,7 +61,7 @@ print(json.dumps([before, listed, missing, "numpy" in sys.modules]))
 """
 
 
-def probe(script: str, *args: str):
+def run_fresh(script: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
@@ -52,7 +71,19 @@ def probe(script: str, *args: str):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def probe(script: str, *args: str):
+    return json.loads(run_fresh(script, *args))
+
+
+def lean_probe(*runs: list[str]) -> tuple[list[str], list[str]]:
+    """Exit codes of the runs in one fresh process, and the watched modules
+    it has loaded at the end."""
+    stdout = run_fresh(LEAN_PROBE, *("\x1f".join(run) for run in runs))
+    codes, loaded = stdout.split("\n")[:2]
+    return codes.split(), loaded.split()
 
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
@@ -98,3 +129,22 @@ def test_package_exports_resolve_on_demand():
     assert before is False
     assert unlisted == [] and missing == []
     assert after is True  # the engines' names were loaded to resolve them
+
+
+def test_text_mode_commands_load_no_dataclasses_json_or_traceback(tmp_path):
+    assert lean_probe() == ([], [])  # importing the CLI loads none of them
+    estimate = ["estimate", "--model", "case1", "--risk", "abs", *GOLDEN_ARGS]
+    sweep = ["sweep", "--model", "case2", "--risk", "mse", "--a", "0", "--b", "0.2",
+             "--c", "0", "--d", "0", "--out", str(tmp_path / "sweep.csv")]
+    assert lean_probe(estimate, ["reference"], sweep) == (["0", "0", "0"], [])
+
+
+def test_json_loads_where_it_is_used(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        '{"bounds": {"a": 0, "b": 0.2, "c": 0, "d": 0.8}, "model": "nbs", "risk": "mse"}',
+        encoding="utf-8",
+    )
+    estimate = ["estimate", "--model", "nbs", "--risk", "map", *GOLDEN_ARGS, "--json"]
+    assert lean_probe(estimate) == (["0"], ["json"])
+    assert lean_probe(["estimate", "--config", str(config)]) == (["0"], ["json"])
