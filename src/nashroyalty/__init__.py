@@ -99,6 +99,7 @@ __all__ = [
     "PerceptionMatrix",
     "PayoffBounds",
     "ShareModel",
+    "FixedAlphaModel",
     "validate_bounds",
     "alpha_from_perceptions",
     "theta_model",
@@ -108,33 +109,6 @@ __all__ = [
     "EstimateResult",
     "estimate",
     "closed_cdf",
-    # posterior engine
-    "FixedAlphaModel",
-    "PosteriorCurve",
-    "ModeResult",
-    "cdf_at",
-    "pdf_curve",
-    "numeric_median",
-    "numeric_mean",
-    "mode_from_curve",
-    # monte carlo
-    "SHARD_SIZE",
-    "SampleSummary",
-    "sample_thetas",
-    "summarize",
-    "mc_summary",
-    "random_valid_bounds",
-    # sweep
-    "SweepTable",
-    "SweepSeries",
-    "SweepRow",
-    "MapReferencePoint",
-    "OmittedCell",
-    "family_sweep",
-    "write_csv",
-    "write_map_csv",
-    "to_json_dict",
-    "write_json",
     # errors
     "RoyaltyModelError",
     "BoundsValidationError",
@@ -146,4 +120,6 @@ __all__ = [
     "DegenerateDistributionError",
     "EmptySampleError",
     "NumericalAccuracyError",
+    # the engines: posterior, monte carlo, sweep
+    *_LAZY_HOME,
 ]

@@ -97,10 +97,12 @@ class _Record:
     """A frozen record: slotted fields, equality and hash by value, and a
     ``Name(field=value, ...)`` repr.
 
-    Each subclass declares its fields once, as class annotations, follows
-    them with ``__slots__ = tuple(__annotations__)``, so that ``__slots__``
-    lists the field names in declaration order, and sets them in its own
-    ``__init__`` with one ``object.__setattr__`` per field.  Assignment
+    Each subclass declares its fields once, as class annotations, followed
+    by ``__slots__ = tuple(__annotations__)`` to list them in order.  The
+    constructor takes every field, by position or by keyword, and raises
+    :class:`TypeError` naming the record if one is missing, unknown, given
+    twice, or in excess; a record that validates its input defines its own
+    ``__init__`` and passes the checked values on to this one.  Assignment
     and deletion raise :class:`AttributeError`; ``copy`` and ``pickle``
     rebuild a record through its ``__init__``.
     """
@@ -108,6 +110,33 @@ class _Record:
     # For start-up time: importing the stdlib record decorator took 7-9 ms (2 vCPUs).
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of ``cls(*args, **kwargs)`` in declaration order."""
+        names, n = cls.__slots__, len(args)
+        if n + len(kwargs) == len(names):
+            try:
+                return args + tuple([kwargs[name] for name in names[n:]])
+            except KeyError:
+                pass
+        problem = f"takes {len(names)} fields but {n} were given"
+        for words, keys in (
+            ("got unknown field(s)", [k for k in kwargs if k not in names]),
+            ("got multiple values for field(s)", [k for k in names[:n] if k in kwargs]),
+            ("missing field(s)", [k for k in names[n:] if k not in kwargs]),
+        ):
+            if keys and n <= len(names):
+                problem = f"{words}: {', '.join(map(repr, keys))}"
+                break
+        raise TypeError(f"{cls.__qualname__}() {problem}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -155,8 +184,7 @@ class FinancialStatement(_Record):
     def __init__(self, operating_revenue: float, operating_cost: float) -> None:
         revenue = _require_amount("operating_revenue", operating_revenue)
         cost = _require_amount("operating_cost", operating_cost)
-        object.__setattr__(self, "operating_revenue", revenue)
-        object.__setattr__(self, "operating_cost", cost)
+        super().__init__(revenue, cost)
         if revenue <= cost:
             raise OutOfRangeError(
                 "operating income must be positive: operating_revenue "
@@ -187,10 +215,12 @@ class PerceptionMatrix(_Record):
     __slots__ = tuple(__annotations__)
 
     def __init__(self, p11: float, p12: float, p21: float, p22: float) -> None:
-        object.__setattr__(self, "p11", _require_unit("p11", p11))
-        object.__setattr__(self, "p12", _require_unit("p12", p12))
-        object.__setattr__(self, "p21", _require_unit("p21", p21))
-        object.__setattr__(self, "p22", _require_unit("p22", p22))
+        super().__init__(
+            _require_unit("p11", p11),
+            _require_unit("p12", p12),
+            _require_unit("p21", p21),
+            _require_unit("p22", p22),
+        )
 
 
 class PayoffBounds(_Record):
@@ -209,10 +239,7 @@ class PayoffBounds(_Record):
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
         a, b = _require_unit("a", a), _require_unit("b", b)
         c, d = _require_unit("c", c), _require_unit("d", d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
         if a > b:
             raise DisorderedBoundsError(
                 f"bounds must satisfy a <= b, got a = {a!r} > b = {b!r}"
@@ -414,7 +441,7 @@ class FixedAlphaModel(ShareModel, _Record):
     __slots__ = tuple(__annotations__)
 
     def __init__(self, alpha: float) -> None:
-        object.__setattr__(self, "alpha", _require_unit("alpha", alpha))
+        super().__init__(_require_unit("alpha", alpha))
 
     def theta(self, x, y):
         return x + self.alpha * (1.0 - x - y)

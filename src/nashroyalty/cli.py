@@ -98,20 +98,6 @@ class ScenarioConfig(_Record):
     grid_points: int
     __slots__ = tuple(__annotations__)
 
-    def __init__(
-        self,
-        bounds: PayoffBounds,
-        model: ModelKind | FixedAlphaModel,
-        risk: RiskProfile | None,
-        financials: FinancialStatement | None = None,
-        grid_points: int = 2001,
-    ) -> None:
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "risk", risk)
-        object.__setattr__(self, "financials", financials)
-        object.__setattr__(self, "grid_points", grid_points)
-
 
 # Each config block: the record it builds, whose field names are also the
 # destinations of its flags, and the message that names missing fields.

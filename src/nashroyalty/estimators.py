@@ -110,15 +110,10 @@ class EstimateResult(_Record):
     method_note: str
     __slots__ = tuple(__annotations__)
 
-    def __init__(self, theta1: float, theta2: float, method_note: str) -> None:
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "theta2", theta2)
-        object.__setattr__(self, "method_note", method_note)
-
 
 def _result(theta1: float, note: str) -> EstimateResult:
     theta1 = min(1.0, max(0.0, float(theta1)))
-    return EstimateResult(theta1=theta1, theta2=1.0 - theta1, method_note=note)
+    return EstimateResult(theta1, 1.0 - theta1, note)
 
 
 def _case2_mean(bounds: PayoffBounds) -> float:

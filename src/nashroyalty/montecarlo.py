@@ -29,7 +29,6 @@ from .bargaining import (
     _Record,
     _require_count,
     as_share_model,
-    validate_bounds,
 )
 from .errors import EmptySampleError, OutOfRangeError
 
@@ -119,8 +118,8 @@ class SampleSummary(_Record):
     ``quantiles`` holds (probability, value) pairs at the probabilities
     0.05, 0.25, 0.5, 0.75 and 0.95, by numpy's default ``linear`` rule
     (``np.quantile``'s values, bit for bit); ``histogram_mode`` is the
-    center of the fullest of ``bin_count`` (201) equal bins over [0, 1]
-    (lowest such bin on ties), binned by ``np.histogram``'s edges.
+    center of the fullest of 201 equal bins over [0, 1] (lowest such bin
+    on ties), binned by ``np.histogram``'s edges.
     ``seed`` records provenance when known.
     """
 
@@ -129,27 +128,8 @@ class SampleSummary(_Record):
     std_error_of_mean: float
     quantiles: tuple[tuple[float, float], ...]
     histogram_mode: float
-    bin_count: int
     seed: int | None
     __slots__ = tuple(__annotations__)
-
-    def __init__(
-        self,
-        n: int,
-        mean: float,
-        std_error_of_mean: float,
-        quantiles: tuple[tuple[float, float], ...],
-        histogram_mode: float,
-        bin_count: int,
-        seed: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std_error_of_mean", std_error_of_mean)
-        object.__setattr__(self, "quantiles", quantiles)
-        object.__setattr__(self, "histogram_mode", histogram_mode)
-        object.__setattr__(self, "bin_count", bin_count)
-        object.__setattr__(self, "seed", seed)
 
 
 def summarize(samples, seed: int | None = None) -> SampleSummary:
@@ -212,7 +192,6 @@ def _summary(arr, seed: int | None, own: bool) -> SampleSummary:
         std_error_of_mean=se,
         quantiles=tuple(quantiles),
         histogram_mode=float((_EDGES[k] + _EDGES[k + 1]) / 2.0),
-        bin_count=_BIN_COUNT,
         seed=seed,
     )
 
@@ -334,4 +313,4 @@ def random_valid_bounds(rng: np.random.Generator) -> PayoffBounds:
     while True:
         a, b, c, d = rng.uniform(0.0, 1.0, 4)
         if a <= b and c <= d and b + d <= 1.0:
-            return validate_bounds(a, b, c, d)
+            return PayoffBounds(a, b, c, d)

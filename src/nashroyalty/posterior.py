@@ -221,20 +221,6 @@ class PosteriorCurve(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        thetas: np.ndarray,
-        pdf: np.ndarray,
-        cdf: np.ndarray,
-        model: ShareModel,
-        bounds: PayoffBounds,
-    ) -> None:
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "pdf", pdf)
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "bounds", bounds)
-
 
 def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCurve:
     """Tabulate the share CDF on an even grid and differentiate it.
@@ -344,10 +330,6 @@ class ModeResult(_Record):
     plateau: bool
     __slots__ = tuple(__annotations__)
 
-    def __init__(self, value: float, plateau: bool) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "plateau", plateau)
-
 
 def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     """The share density's maximum on the grid of a tabulated curve.
@@ -397,4 +379,4 @@ def numeric_estimate(
         value = numeric_median(model, bounds)
     else:
         value = numeric_mean(model, bounds)
-    return EstimateResult(theta1=value, theta2=1.0 - value, method_note=NOTE_NUMERIC)
+    return EstimateResult(value, 1.0 - value, NOTE_NUMERIC)

@@ -9,14 +9,15 @@ CSV and JSON for plotting.
 
 from __future__ import annotations
 
+import enum
 from pathlib import Path
 
 from .bargaining import (
     ModelKind,
+    PayoffBounds,
     _Record,
     as_model_kind,
     as_share_model,
-    validate_bounds,
 )
 from .errors import (
     BoundsValidationError,
@@ -47,19 +48,11 @@ class SweepRow(_Record):
     theta_hat: float
     __slots__ = tuple(__annotations__)
 
-    def __init__(self, d: float, theta_hat: float) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "theta_hat", theta_hat)
-
 
 class SweepSeries(_Record):
     c: float
     rows: tuple[SweepRow, ...]
     __slots__ = tuple(__annotations__)
-
-    def __init__(self, c: float, rows: tuple[SweepRow, ...]) -> None:
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rows", rows)
 
 
 class MapReferencePoint(_Record):
@@ -67,21 +60,12 @@ class MapReferencePoint(_Record):
     theta_map: float
     __slots__ = tuple(__annotations__)
 
-    def __init__(self, d: float, theta_map: float) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "theta_map", theta_map)
-
 
 class OmittedCell(_Record):
     c: float
     d: float
     reason: str
     __slots__ = tuple(__annotations__)
-
-    def __init__(self, c: float, d: float, reason: str) -> None:
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "reason", reason)
 
 
 class SweepTable(_Record):
@@ -95,24 +79,6 @@ class SweepTable(_Record):
     map_reference: tuple[MapReferencePoint, ...]
     omitted: tuple[OmittedCell, ...]
     __slots__ = tuple(__annotations__)
-
-    def __init__(
-        self,
-        model: ModelKind,
-        risk: RiskProfile,
-        a: float,
-        b: float,
-        series: tuple[SweepSeries, ...],
-        map_reference: tuple[MapReferencePoint, ...],
-        omitted: tuple[OmittedCell, ...],
-    ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "risk", risk)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "map_reference", map_reference)
-        object.__setattr__(self, "omitted", omitted)
 
 
 def _grid(step: float, top: float) -> tuple[float, ...]:
@@ -143,7 +109,7 @@ def family_sweep(
     risk = as_risk_profile(risk)
     if engine not in _ENGINES:
         raise OutOfRangeError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    validate_bounds(a, b, 0.0, 0.0)
+    PayoffBounds(a, b, 0.0, 0.0)
     if c_values is None:
         c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
@@ -162,7 +128,7 @@ def family_sweep(
             if d < c:
                 continue
             try:
-                bounds = validate_bounds(a, b, c, d)
+                bounds = PayoffBounds(a, b, c, d)
             except BoundsValidationError as exc:
                 raise type(exc)(f"sweep cell (c={c!r}, d={d!r}): {exc}") from exc
             try:
@@ -170,14 +136,14 @@ def family_sweep(
             except DegeneratePayoffsError as exc:
                 omitted.append(OmittedCell(c=c, d=d, reason=str(exc)))
                 continue
-            rows.append(SweepRow(d=d, theta_hat=value))
+            rows.append(SweepRow(d, value))
         series.append(SweepSeries(c=c, rows=tuple(rows)))
 
     share = as_share_model(model)
     map_reference = []
     for d in d_grid:
         try:
-            validate_bounds(a, b, 0.0, d)
+            PayoffBounds(a, b, 0.0, d)
         except BoundsValidationError as exc:
             raise type(exc)(f"map reference point d={d!r}: {exc}") from exc
         try:
@@ -225,29 +191,21 @@ def write_map_csv(table: SweepTable, path) -> None:
     write_rows(path, "d,theta_map", rows)
 
 
+def _plain(value):
+    """A record as a dict of its fields in order, a tuple as a list and an
+    enum member as its value, all the way down."""
+    if isinstance(value, _Record):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
+
+
 def to_json_dict(table: SweepTable) -> dict:
     """Mirror the table structure as JSON-ready primitives."""
-    return {
-        "model": table.model.value,
-        "risk": table.risk.value,
-        "a": table.a,
-        "b": table.b,
-        "series": [
-            {
-                "c": block.c,
-                "rows": [{"d": row.d, "theta_hat": row.theta_hat} for row in block.rows],
-            }
-            for block in table.series
-        ],
-        "map_reference": [
-            {"d": point.d, "theta_map": point.theta_map}
-            for point in table.map_reference
-        ],
-        "omitted": [
-            {"c": cell.c, "d": cell.d, "reason": cell.reason}
-            for cell in table.omitted
-        ],
-    }
+    return _plain(table)
 
 
 def write_json(table: SweepTable, path) -> None:

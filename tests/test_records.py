@@ -90,7 +90,7 @@ RECORDS = {
         "EstimateResult(theta1=0.35, theta2=0.65, method_note='exact closed form')",
     ),
     "ScenarioConfig": (
-        lambda: ScenarioConfig(golden(), ModelKind.NBS, RiskProfile.MSE),
+        lambda: ScenarioConfig(golden(), ModelKind.NBS, RiskProfile.MSE, None, 2001),
         lambda: ScenarioConfig(
             golden(), FixedAlphaModel(0.6), RiskProfile.MSE,
             FinancialStatement(500.0, 360.0), 201,
@@ -147,12 +147,12 @@ RECORDS = {
             std_error_of_mean=0.005,
             quantiles=((0.05, 0.1), (0.5, 0.35)),
             histogram_mode=0.3482587064676617,
-            bin_count=201,
+            seed=None,
         ),
-        lambda: SampleSummary(1000, 0.35, 0.005, ((0.05, 0.1), (0.5, 0.35)), 0.3, 201, 7),
+        lambda: SampleSummary(1000, 0.35, 0.005, ((0.05, 0.1), (0.5, 0.35)), 0.3, 7),
         "SampleSummary(n=1000, mean=0.35, std_error_of_mean=0.005, "
         "quantiles=((0.05, 0.1), (0.5, 0.35)), histogram_mode=0.3482587064676617, "
-        "bin_count=201, seed=None)",
+        "seed=None)",
     ),
 }
 VALUE_RECORDS = [name for name in RECORDS if name != "PosteriorCurve"]
@@ -178,13 +178,17 @@ def same_fields(left, right) -> bool:
     )
 
 
-def test_every_record_is_listed():
+def record_classes() -> set[type]:
     classes, pending = set(), [_Record]
     while pending:
         for cls in pending.pop().__subclasses__():
-            classes.add(cls.__name__)
+            classes.add(cls)
             pending.append(cls)
-    assert classes == set(RECORDS)
+    return classes
+
+
+def test_every_record_is_listed():
+    assert {cls.__name__ for cls in record_classes()} == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", VALUE_RECORDS)
@@ -252,3 +256,37 @@ def test_posterior_curve_compares_by_identity():
     assert hash(first) == object.__hash__(first)
     assert len({first, second, first}) == 2
 
+
+def test_only_the_input_records_define_a_constructor():
+    # The rest bind their fields through _Record's one constructor.
+    own = {cls.__name__ for cls in record_classes() if "__init__" in vars(cls)}
+    assert own == {"FinancialStatement", "PerceptionMatrix", "PayoffBounds", "FixedAlphaModel"}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_fields_bind_by_position_or_keyword(name):
+    record = build(name)
+    cls, given = type(record), values(record)
+    by_keyword = dict(zip(fields(record), given))
+    half = len(given) // 2
+    mixed = dict(list(by_keyword.items())[half:])
+    for twin in (cls(*given), cls(**by_keyword), cls(*given[:half], **mixed)):
+        assert same_fields(twin, record)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_misfit_arguments_raise_type_error_naming_the_record(name):
+    record = build(name)
+    cls, names, given = type(record), fields(record), values(record)
+    by_keyword = dict(zip(names, given))
+    # Each call, and a word its message must hold besides the record's name.
+    calls = [
+        ((), dict(list(by_keyword.items())[:-1]), repr(names[-1])),  # missing
+        ((), {**by_keyword, "extra": 1}, "'extra'"),  # unknown keyword
+        ((*given, given[-1]), {}, str(len(names) + 1)),  # one positional too many
+        (given[:1], by_keyword, repr(names[0])),  # by position and by keyword
+    ]
+    for args, kwargs, word in calls:
+        with pytest.raises(TypeError, match=rf"^{name}(\.__init__)?\(\) ") as info:
+            cls(*args, **kwargs)
+        assert word in str(info.value)

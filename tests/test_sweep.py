@@ -1,5 +1,6 @@
 """Sweep tables: grid construction, omission rules, serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -219,3 +220,35 @@ class TestSerialization:
         write_json(table, first)
         write_json(table, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of write_json's bytes.  The JSON mirror's keys, their order,
+# nesting and float text are its file format, so no byte may move.
+JSON_PINS = {
+    "case1_abs_default": (
+        lambda: family_sweep(ModelKind.CASE1, RiskProfile.ABS, 0.0, 0.2),
+        "b410a8b4ab3719d0ec7125c1bd7bbb349529d7d19bed81349705e0ed6b810643",
+    ),
+    "case2_omitted_origin": (
+        lambda: family_sweep(
+            ModelKind.CASE2,
+            RiskProfile.MSE,
+            0.0,
+            0.0,
+            c_values=[0.0, 0.1],
+            d_grid=[0.0, 0.1, 0.2],
+        ),
+        "869b501fb8fdb874105ee39345637a43360c69f56f078b866e535a3bce6e8d0c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_PINS))
+def test_json_bytes_are_pinned(name, tmp_path):
+    make, digest = JSON_PINS[name]
+    table = make()
+    path = tmp_path / "sweep.json"
+    write_json(table, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    if name == "case2_omitted_origin":
+        assert [(cell.c, cell.d) for cell in table.omitted] == [(0.0, 0.0)]
