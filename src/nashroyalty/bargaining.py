@@ -52,6 +52,11 @@ __all__ = [
 # Slack for d1 + d2 <= 1: points sampled on the edge of a valid payoff
 # rectangle (b + d = 1) can overshoot the simplex by a few ulps.
 _SUM_SLACK = 1e-12
+# A case2 rectangle whose bounds all lie below this size is scaled up before
+# its CDF is taken.  Below it, a bound times a share of 2^-53 or more can
+# fall out of the normal floats and lose bits: on (0, 5e-324, 0, 5e-324)
+# both engines read P{theta <= 1/2} = 0 unscaled.
+_CASE2_TINY = 2.0**-969
 
 
 class ModelKind(enum.Enum):
@@ -330,6 +335,12 @@ class ShareModel:
         lo, hi = self.at(bounds.a, bounds.d), self.at(bounds.b, bounds.c)
         return (lo, lo) if lo > hi else (lo, hi)
 
+    def rescaled(self, bounds: PayoffBounds) -> PayoffBounds:
+        """The rectangle that the CDF of either engine works on, with the
+        same share distribution: ``bounds`` itself, except for a share
+        that is scale invariant (see :class:`_Case2`)."""
+        return bounds
+
 
 class _Nbs(ShareModel):
     """The symmetric split of the surplus: alpha = 1/2."""
@@ -390,6 +401,8 @@ class _Case2(ShareModel):
         # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
         # always, and theta <= 0 only on the axis x = 0.
         inner = (t > 0.0) & (t < 1.0)
+        if np.all(inner):  # the quadrature's usual case: skip the edges
+            return x * (1.0 - t) / t
         safe_t = np.where(inner, t, 1.0)
         edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
         return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
@@ -427,6 +440,21 @@ class _Case2(ShareModel):
         lo = 1.0 if a == d == 0.0 else self.at(a, d)
         hi = 0.0 if b == c == 0.0 else self.at(b, c)
         return lo, hi
+
+    def rescaled(self, bounds: PayoffBounds) -> PayoffBounds:
+        """``bounds`` times the power of two that brings its largest bound
+        into [1/4, 1/2), when that bound is below ``_CASE2_TINY``.
+
+        The share is the same at scaled points, and scaling by a power of
+        two is exact, so every corner value rounds as before; b + d stays
+        below 1.  Other rectangles, and the origin, are returned as given.
+        """
+        top = max(bounds.b, bounds.d)
+        if not 0.0 < top < _CASE2_TINY:
+            return bounds
+        power = -math.frexp(top)[1] - 1
+        a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+        return PayoffBounds(*(math.ldexp(v, power) for v in (a, b, c, d)))
 
 
 class FixedAlphaModel(ShareModel, _Record):

@@ -244,6 +244,8 @@ def paper_case1_median(bounds: PayoffBounds) -> EstimateResult:
 
 
 def _midpoint_value(model: ModelKind, bounds: PayoffBounds) -> float:
+    # Scaled up, a case2 box of bounds near the float floor has exact midpoints.
+    bounds = as_share_model(model).rescaled(bounds)
     return theta_model(
         model, _middle(bounds.a, bounds.b), _middle(bounds.c, bounds.d)
     )
@@ -348,7 +350,9 @@ def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
     its end values for ``NBS`` and ``CASE2``, whose level curves are
     straight, and an elementary integral for ``CASE1``.  A point-mass side
     reduces P to a 1-D ratio; outside the support [lo, hi), and for a
-    deterministic share, the CDF is a step.  Agrees with ``cdf_at`` within
+    deterministic share, the CDF is a step.  A ``CASE2`` rectangle of
+    bounds below 2^-969 is first scaled up by an exact power of two, since
+    the share is scale invariant.  Agrees with ``cdf_at`` within
     its error target (README, *Accuracy notes*).  ``model`` may be given
     by its string value; an unknown model, or a ``t`` outside [0, 1],
     raises :class:`OutOfRangeError`.
@@ -369,7 +373,9 @@ def _cdf_and_density(
     The density is returned as 0 for the other models and at a
     point-mass side, where no caller reads it.
     """
-    lo, hi = as_share_model(model).support(bounds)
+    share_model = as_share_model(model)
+    bounds = share_model.rescaled(bounds)
+    lo, hi = share_model.support(bounds)
     if not lo <= t < hi:  # also every t of a deterministic share, lo == hi
         return (1.0 if t >= hi else 0.0), 0.0
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d

@@ -64,18 +64,23 @@ _CDF_TOL = 1e-12
 # 0.004 the target is this floor over the thinner side instead.
 _ROUNDOFF_FLOOR = 16.0 * sys.float_info.epsilon
 # Refinement limits: bisection rounds, and panels open at once for one
-# integral.  With _CHUNK integrals per pass they also bound memory.
+# integral.  With _CHUNK integrals per pass they also bound memory.  The
+# first round's nodes for 256 integrals take 72 KiB per array, small enough
+# that a pass reuses heap memory; at 512 (144 KiB) the heap was trimmed and
+# faulted in again on every pass.
 _MAX_ROUNDS = 50
 _MAX_OPEN_PANELS = 32
-_CHUNK = 512
+_CHUNK = 256
 # The mean's t-panels may err ten times the CDF target per unit t, so that
 # CDF values within their own target cannot keep a panel open.
 _MEAN_TOL_FACTOR = 10.0
 _MEDIAN_TOL = 1e-9
 # Median bracketing: points per round at these fractions of the bracket
 # around the interpolated root, plus the bracket midpoint.
-_MEDIAN_OFFSETS = np.concatenate(
-    (-(4.0 ** -np.arange(1, 9)), [0.0], 4.0 ** -np.arange(8, 0, -1))
+_MEDIAN_OFFSETS = (
+    *(-(4.0**-k) for k in range(1, 9)),
+    0.0,
+    *(4.0**-k for k in range(8, 0, -1)),
 )
 _MODE_TIE_TOL = 1e-9
 
@@ -85,24 +90,38 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
 
     ``fn(nodes, rows)`` returns the integrand at ``nodes``, one line of
     quadrature nodes per open panel, where ``rows`` names the interval each
-    panel belongs to.  Each integral may err by ``tol`` times its
-    interval's length.  A panel is accepted once its error estimate is at
-    most ``tol`` times its own length, and all open panels of an integral
-    are accepted once their estimates, with those already accepted, fit
-    its allowance (which a panel next to an endpoint singularity needs);
-    the other panels are bisected and evaluated again in the next round.
-    Raises :class:`NumericalAccuracyError` when panels are still open after
-    ``_MAX_ROUNDS`` rounds, or when one integral needs more than
-    ``_MAX_OPEN_PANELS`` panels at once.
+    panel belongs to: an index array, or a full slice in the first round,
+    which has one panel per interval in order.  Each integral may err by
+    ``tol`` times its interval's length.  A panel is accepted once its
+    error estimate is at most ``tol`` times its own length, and all open
+    panels of an integral are accepted once their estimates, with those
+    already accepted, fit its allowance (which a panel next to an endpoint
+    singularity needs); the other panels are bisected and evaluated again
+    in the next round.  Raises :class:`NumericalAccuracyError` when panels
+    are still open after ``_MAX_ROUNDS`` rounds, or when one integral needs
+    more than ``_MAX_OPEN_PANELS`` panels at once.
     """
+    width = right - left
+    allowance = tol * width
+    half = 0.5 * width
+    mid = left + half
+    fine, error = _panel_sums(fn, mid, half, slice(None))
+    # With one panel per interval both acceptance rules read the same.
+    done = error <= allowance
+    if _every(done):
+        return fine + 0.0  # the 0.0 + fine of an accumulated total
     count = left.size
-    total = np.zeros(count)
-    spent = np.zeros(count)  # error estimates of the accepted panels
-    allowance = tol * (right - left)
+    total = np.where(done, fine, 0.0)
+    spent = np.where(done, error, 0.0)  # error estimates of the accepted panels
     rows = np.arange(count)
-    for _ in range(_MAX_ROUNDS):
+    for _ in range(1, _MAX_ROUNDS):
+        redo = ~done
+        left, mid, right, rows = left[redo], mid[redo], right[redo], rows[redo]
         if rows.size == 0:
             return total
+        left = np.concatenate((left, mid))
+        right = np.concatenate((mid, right))
+        rows = np.concatenate((rows, rows))
         if (
             rows.size > _MAX_OPEN_PANELS
             and np.bincount(rows, minlength=count).max() > _MAX_OPEN_PANELS
@@ -111,24 +130,34 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
                 f"quadrature needs more than {_MAX_OPEN_PANELS} panels on one "
                 f"interval to reach its error target ({tol:.1e} per unit length)"
             )
-        half = 0.5 * (right - left)
+        width = right - left
+        half = 0.5 * width
         mid = left + half
-        values = fn(mid[:, None] + half[:, None] * _NODES, rows)
-        fine = half * (values[:, :24] * _W24).sum(axis=1)
-        error = np.abs(fine - half * (values[:, 24:] * _W12).sum(axis=1))
+        fine, error = _panel_sums(fn, mid, half, rows)
         pending = spent + np.bincount(rows, weights=error, minlength=count)
-        done = (pending <= allowance)[rows] | (error <= tol * (right - left))
+        done = (pending <= allowance)[rows] | (error <= tol * width)
         total += np.bincount(rows[done], weights=fine[done], minlength=count)
         spent += np.bincount(rows[done], weights=error[done], minlength=count)
-        redo = ~done
-        left, mid, right, rows = left[redo], mid[redo], right[redo], rows[redo]
-        left = np.concatenate((left, mid))
-        right = np.concatenate((mid, right))
-        rows = np.concatenate((rows, rows))
     raise NumericalAccuracyError(
         f"quadrature missed its error target ({tol:.1e} per unit length) "
         f"after {_MAX_ROUNDS} bisection rounds"
     )
+
+
+def _every(mask: np.ndarray) -> bool:
+    # mask.all(), which passes through a Python-level wrapper, takes a few
+    # times as long on the short masks of single-point calls.
+    return np.count_nonzero(mask) == mask.size
+
+
+def _panel_sums(fn, mid: np.ndarray, half: np.ndarray, rows):
+    """Each panel's 24-point sum and its distance to the 12-point sum."""
+    nodes = half[:, None] * _NODES
+    nodes += mid[:, None]
+    values = fn(nodes, rows)
+    fine = half * (values[:, :24] * _W24).sum(axis=1)
+    error = np.abs(fine - half * (values[:, 24:] * _W12).sum(axis=1))
+    return fine, error
 
 
 def _tolerance(*lengths: float) -> float:
@@ -148,20 +177,31 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     height = d - c
-    x_c = np.clip(ops.d1_threshold(c, t), a, b)
-    x_d = np.clip(ops.d1_threshold(d, t), x_c, b)
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
+    x_c = np.minimum(np.maximum(ops.d1_threshold(c, t), a), b)
+    x_d = np.minimum(np.maximum(ops.d1_threshold(d, t), x_c), b)
     covered = x_c - a
     tol = _tolerance(b - a, height)
-    open_rows = np.flatnonzero(x_d > x_c)
-    for start in range(0, open_rows.size, _CHUNK):
-        chunk = open_rows[start : start + _CHUNK]
-        t_chunk = t[chunk]
 
+    def band(t_part, left, right):
         def column(x, rows):
-            y0 = ops.d2_threshold(x, t_chunk[rows, None])
-            return np.clip(d - y0, 0.0, height) / height
+            # In place: a round's nodes can fill _CHUNK x 36 floats.
+            share = d - ops.d2_threshold(x, t_part[rows, None])
+            np.maximum(share, 0.0, out=share)
+            np.minimum(share, height, out=share)
+            share /= height
+            return share
 
-        covered[chunk] += _integrate(column, x_c[chunk], x_d[chunk], tol)
+        return _integrate(column, left, right, tol)
+
+    is_open = x_d > x_c
+    if t.size <= _CHUNK and _every(is_open):
+        covered += band(t, x_c, x_d)
+    else:
+        open_rows = np.flatnonzero(is_open)
+        for start in range(0, open_rows.size, _CHUNK):
+            chunk = open_rows[start : start + _CHUNK]
+            covered[chunk] += band(t[chunk], x_c[chunk], x_d[chunk])
     return covered / (b - a)
 
 
@@ -172,25 +212,34 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
     absolute (to the roundoff floor ``16 eps / side`` on rectangles with a
     side thinner than about 0.004); degenerate rectangles reduce to
     1-D length ratios, and a deterministic share yields the step value 0
-    or 1.  A value is the same whatever other points share the call.
+    or 1.  A value is the same whatever other points share the call.  The
+    rectangle is the model's ``rescaled`` one: for case2, bounds below
+    2^-969 are first scaled up exactly.
     """
+    bounds = ops.rescaled(bounds)
     lo, hi = ops.support(bounds)
     if lo == hi:  # deterministic share: CDF is a step
         return np.where(ts >= lo, 1.0, 0.0)
-    out = np.where(ts >= hi, 1.0, 0.0)
     inside = (ts >= lo) & (ts < hi)
-    t = ts[inside]
+    whole = _every(inside)
+    t = ts if whole else ts[inside]
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     # Near t = 0 or on very thin rectangles a crossing can overflow; +-inf is
     # the right limit there and every length is clipped to the rectangle.
     with np.errstate(over="ignore"):
         if bounds.is_point_mass1:
-            share = np.clip(d - ops.d2_threshold(a, t), 0.0, d - c) / (d - c)
+            y0 = ops.d2_threshold(a, t)
+            share = np.minimum(np.maximum(d - y0, 0.0), d - c) / (d - c)
         elif bounds.is_point_mass2:
-            share = np.clip(ops.d1_threshold(c, t) - a, 0.0, b - a) / (b - a)
+            x0 = ops.d1_threshold(c, t)
+            share = np.minimum(np.maximum(x0 - a, 0.0), b - a) / (b - a)
         else:
             share = _cross_sections(ops, bounds, t)
-    out[inside] = np.clip(share, 0.0, 1.0)
+    share = np.minimum(np.maximum(share, 0.0), 1.0)
+    if whole:
+        return share
+    out = np.where(ts >= hi, 1.0, 0.0)
+    out[inside] = share
     return out
 
 
@@ -261,28 +310,33 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     a few ulps wide, as for a point mass.
     """
     ops = as_share_model(model)
+    bounds = ops.rescaled(bounds)  # its widths set the target
     lo, hi = ops.support(bounds)
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
     target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2, hi - lo))
     f_lo, f_hi = 0.0, 1.0
     for _ in range(100):  # each round at least halves the bracket
-        if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
+        middle = 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(middle):
             break
-        guess = lo + (0.5 - f_lo) / (f_hi - f_lo) * (hi - lo)
-        ts = np.append(guess + (hi - lo) * _MEDIAN_OFFSETS, 0.5 * (lo + hi))
-        ts = np.unique(ts[(ts > lo) & (ts < hi)])
-        probs = _cdf(ops, bounds, ts)
+        span = hi - lo
+        guess = lo + (0.5 - f_lo) / (f_hi - f_lo) * span
+        ladder = {guess + span * offset for offset in _MEDIAN_OFFSETS}
+        ladder.add(middle)
+        ts = sorted(t for t in ladder if lo < t < hi)
+        probs = _cdf(ops, bounds, np.array(ts))
         gaps = np.abs(probs - 0.5)
-        best = int(np.argmin(gaps))
+        best = int(gaps.argmin())
         if gaps[best] <= target:
-            return float(ts[best])
-        below = np.flatnonzero(probs < 0.5)
-        above = np.flatnonzero(probs > 0.5)
-        if below.size:
-            lo, f_lo = float(ts[below[-1]]), float(probs[below[-1]])
-        if above.size:
-            hi, f_hi = float(ts[above[0]]), float(probs[above[0]])
+            return ts[best]
+        values = probs.tolist()
+        below = [i for i, p in enumerate(values) if p < 0.5]
+        above = [i for i, p in enumerate(values) if p > 0.5]
+        if below:
+            lo, f_lo = ts[below[-1]], values[below[-1]]
+        if above:
+            hi, f_hi = ts[above[0]], values[above[0]]
     raise NumericalAccuracyError(
         f"the median bracket closed at [{lo!r}, {hi!r}] with CDF values "
         f"{f_lo!r} and {f_hi!r}, none within {target:.1e} of 1/2"
@@ -299,6 +353,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     deterministic share returns its value.
     """
     ops = as_share_model(model)
+    bounds = ops.rescaled(bounds)  # its widths set the target
     lo, hi = ops.support(bounds)
     if lo == hi:
         return lo

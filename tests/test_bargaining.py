@@ -25,6 +25,7 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
+from nashroyalty.bargaining import as_share_model
 from nashroyalty.posterior import numeric_estimate
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -120,6 +121,54 @@ class TestThetaGeneral:
         theta = FixedAlphaModel(alpha).at(d1, d2)
         assert d1 - 1e-12 <= theta <= 1.0 - d2 + 1e-12
         assert 0.0 <= theta <= 1.0
+
+
+class TestRescaledBounds:
+    """Only case2 rescales, and only rectangles of bounds below 2^-969."""
+
+    CASE2 = as_share_model(ModelKind.CASE2)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.0, 0.2, 0.0, 0.8),
+            (1e-300, 2e-300, 0.0, 0.5),
+            (0.0, 2.0**-969, 0.0, 2.0**-969),
+            (0.0, 0.0, 0.0, 0.0),
+        ],
+        ids=str,
+    )
+    def test_other_rectangles_pass_through(self, box):
+        bounds = validate_bounds(*box)
+        assert self.CASE2.rescaled(bounds) is bounds
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.0, 5e-324, 0.0, 5e-324),
+            (5e-324, 1e-320, 0.0, 3e-321),
+            (1e-310, 3e-310, 2e-310, 9e-310),
+            (0.0, 2.0**-970, 0.0, 2.0**-970),
+        ],
+        ids=str,
+    )
+    def test_tiny_rectangles_scale_by_an_exact_power_of_two(self, box):
+        bounds = validate_bounds(*box)
+        scaled = self.CASE2.rescaled(bounds)
+        top = max(scaled.b, scaled.d)
+        assert 0.25 <= top < 0.5
+        # The factor 2^power itself can overflow a float.
+        power = math.frexp(top)[1] - math.frexp(max(bounds.b, bounds.d))[1]
+        for name in ("a", "b", "c", "d"):
+            value = getattr(scaled, name)
+            assert value == math.ldexp(getattr(bounds, name), power)
+            assert math.ldexp(value, -power) == getattr(bounds, name)
+
+    @pytest.mark.parametrize("model", [ModelKind.NBS, ModelKind.CASE1])
+    def test_other_models_never_rescale(self, model):
+        bounds = validate_bounds(0.0, 5e-324, 0.0, 5e-324)
+        assert as_share_model(model).rescaled(bounds) is bounds
+        assert FixedAlphaModel(0.5).rescaled(bounds) is bounds
 
 
 class TestThetaModel:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nashroyalty import (
+    FixedAlphaModel,
     ModelKind,
     NumericalAccuracyError,
     RiskProfile,
@@ -27,6 +28,7 @@ from nashroyalty import (
     theta_model,
     validate_bounds,
 )
+from nashroyalty import posterior
 from nashroyalty.bargaining import ShareModel, as_share_model
 from nashroyalty.posterior import _cdf, _integrate
 
@@ -182,6 +184,62 @@ def test_a_value_does_not_depend_on_its_batch(model):
     assert np.array_equal(batched[::16], alone)
 
 
+# Thin d1 sides at the simplex edge.  On the second, as on GOLDEN, case1's
+# integrals bisect for some CDF points and settle in one round for others.
+THIN = validate_bounds(0.0, 1e-3, 0.5, 0.999)
+NARROW = validate_bounds(0.0, 0.05, 0.0, 0.95)
+SHARES = [*ModelKind, FixedAlphaModel(0.3)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _alone(model, bounds, ts) -> np.ndarray:
+    return np.array([cdf_at(model, bounds, float(t)) for t in ts])
+
+
+@pytest.mark.parametrize("bounds", [THIN, NARROW, GOLDEN, *RANDOM_BOXES[:12]], ids=_box_id)
+@pytest.mark.parametrize("model", SHARES, ids=str)
+def test_a_call_over_the_support_matches_each_point_alone(model, bounds):
+    # Points inside the support, in one chunk and shuffled.  Where some of
+    # them bisect, the call runs the bisection loop for all of them, while
+    # the points that settle alone return from the first round.
+    ops = as_share_model(model)
+    lo, hi = ops.support(bounds)
+    ts = np.random.default_rng(7).permutation(np.linspace(lo, hi, 35)[1:-1])
+    assert _bits(_cdf(ops, bounds, ts)) == _bits(_alone(model, bounds, ts))
+
+
+@pytest.mark.parametrize("bounds", [THIN, NARROW, *RANDOM_BOXES[:2]], ids=_box_id)
+@pytest.mark.parametrize("model", SHARES, ids=str)
+def test_a_chunked_call_matches_each_point_alone(model, bounds):
+    # More points than one chunk holds, some of them outside the support.
+    ts = np.linspace(0.0, 1.0, 2 * posterior._CHUNK + 3)
+    batched = _cdf(as_share_model(model), bounds, ts)
+    assert _bits(batched) == _bits(_alone(model, bounds, ts))
+
+
+@pytest.mark.parametrize("bounds", [NARROW, GOLDEN], ids=_box_id)
+def test_one_call_mixes_settled_and_bisecting_points(monkeypatch, bounds):
+    # The two tests above hold the first-round exit to the bisection loop
+    # only if one call holds both kinds of point: count each point's rounds.
+    rounds = []
+    panel_sums = posterior._panel_sums
+
+    def counted(*args):
+        rounds[-1] += 1
+        return panel_sums(*args)
+
+    monkeypatch.setattr(posterior, "_panel_sums", counted)
+    lo, hi = as_share_model(ModelKind.CASE1).support(bounds)
+    for t in np.linspace(lo, hi, 35)[1:-1]:
+        rounds.append(0)
+        cdf_at(ModelKind.CASE1, bounds, float(t))
+    assert 1 in rounds
+    assert max(rounds) > 1
+
+
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_array_crossings_match_scalar_reference(model):
     ops = as_share_model(model)
@@ -205,6 +263,23 @@ def test_quadrature_closes_a_square_root_endpoint():
     assert abs(value[0] - 2.0 / 3.0) <= 1e-12
 
 
+def test_quadrature_refuses_more_than_the_open_panel_limit():
+    # 1e4 oscillations per unit length: 64 panels would be open at once.
+    with pytest.raises(NumericalAccuracyError, match="more than 32 panels"):
+        _integrate(
+            lambda x, rows: np.sin(1e4 * x),
+            np.array([0.0, 0.0]),
+            np.array([1.0, 1e-6]),
+            1e-12,
+        )
+
+
+def test_quadrature_refuses_more_than_the_round_limit():
+    # No panel at the square root's endpoint meets a target of 1e-300.
+    with pytest.raises(NumericalAccuracyError, match="after 50 bisection rounds"):
+        _integrate(lambda x, rows: np.sqrt(x), np.array([0.0]), np.array([1.0]), 1e-300)
+
+
 class _WigglyOps(ShareModel):
     """The symmetric model with a crossing that oscillates within one panel."""
 
@@ -224,7 +299,7 @@ class _WigglyOps(ShareModel):
 
 
 def test_unresolvable_crossing_raises_numerical_accuracy_error():
-    with pytest.raises(NumericalAccuracyError):
+    with pytest.raises(NumericalAccuracyError, match="more than 32 panels"):
         cdf_at(_WigglyOps(), GOLDEN, 0.35)
 
 

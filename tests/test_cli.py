@@ -109,6 +109,13 @@ class TestEstimateCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["theta1"] == median
 
+    def test_case2_overpayment_on_a_subnormal_square(self, capsys):
+        argv = ["estimate", "--model", "case2", "--risk", "abs", "--json"]
+        argv += ["--a", "0", "--b", "5e-324", "--c", "0", "--d", "5e-324"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["overpayment_prob"] == 0.5
+
     def test_missing_bounds_exit_2(self, capsys):
         code, _, err = run(capsys, ["estimate", "--model", "nbs", "--risk", "map"])
         assert code == 2

@@ -182,6 +182,21 @@ class TestAbsEstimate:
         for model in ModelKind:
             assert estimate(model, RiskProfile.ABS, GOLDEN).method_note == NOTE_EXACT
 
+    @pytest.mark.parametrize(
+        "box, median",
+        [
+            # The midpoints of 3 and 2 times 5e-324 round to 2 and 1 times
+            # it, which gave 2/3; scaled up first, they are exact.
+            ((0.0, 1.5e-323, 0.0, 1e-323), 0.6),
+            ((0.0, 5e-324, 0.0, 5e-324), 0.5),
+            ((0.0, 0.0, 0.0, 5e-324), 0.0),
+        ],
+        ids=str,
+    )
+    def test_case2_median_on_subnormal_boxes(self, box, median):
+        bounds = validate_bounds(*box)
+        assert estimate(ModelKind.CASE2, RiskProfile.ABS, bounds).theta1 == median
+
     @given(valid_bounds())
     def test_symmetric_model_abs_equals_mse_bitwise(self, bounds):
         assert (
@@ -545,6 +560,14 @@ class TestClosedCdf:
         assert closed_cdf("case2", other_axis, 1.0) == 1.0
         with pytest.raises(DegeneratePayoffsError):
             closed_cdf("case2", validate_bounds(0.0, 0.0, 0.0, 0.0), 0.5)
+
+    @pytest.mark.parametrize("side", [5e-324, 1e-320, 2.0**-1000], ids=str)
+    def test_case2_on_subnormal_squares(self, side):
+        # P{d1 <= d2 t / (1 - t)} on a square: t / (2 (1 - t)) for t <= 1/2.
+        # Unscaled, the crossing at 5e-324 rounded to 0 and so did P.
+        square = validate_bounds(0.0, side, 0.0, side)
+        assert closed_cdf("case2", square, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert closed_cdf("case2", square, 0.4) == pytest.approx(1 / 3, abs=1e-15)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_steps_outside_the_support(self, model):

@@ -1,0 +1,142 @@
+"""Exact bits and call counts of the numeric posterior engine.
+
+The digests below were captured from the engine before its per-call
+overhead was cut; a change that should leave every value alone must keep
+them.  The kernel-call counts guard the engine's cost without timing it:
+a change that adds ``_cdf`` calls has to update them on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from nashroyalty import FixedAlphaModel, validate_bounds
+from nashroyalty import posterior
+from nashroyalty.posterior import mode_from_curve, numeric_mean, numeric_median, pdf_curve
+
+BOXES = {
+    "golden": validate_bounds(0.0, 0.2, 0.0, 0.8),
+    "inner": validate_bounds(0.1, 0.3, 0.2, 0.6),
+    # A thin d1 side at the simplex edge: most of case1's integrals bisect.
+    "thin": validate_bounds(0.0, 1e-3, 0.5, 0.999),
+}
+MODELS = {
+    "nbs": "nbs",
+    "case1": "case1",
+    "case2": "case2",
+    "alpha0.3": FixedAlphaModel(0.3),
+}
+
+# (box, model): (SHA-256 of the 2001-point curve's cdf and pdf bytes,
+#                SHA-256 of repr((median, mean, mode))), values in comments.
+PINS = {
+    ("golden", "nbs"): (
+        "423b19597c3d9bd7712714186ea4a20ffb830a8e7436022d5245a5c6edb221d3",
+        "1615802d61626f7e05d7bc3d270c9c9283de3933d7d7f8f4f7e2cc8fe6d7de8e",
+    ),  # (0.35, 0.35, 0.19999999999999996)
+    ("golden", "case1"): (
+        "5c6b92c2c85441b6d2e8bc4d4578d01abf3cb29f9a657b37acfb7c76db6ca13a",
+        "66455d7baba7624bb47b0389392dbf2c215a62a1ac44c35c4a74d9ecd866845d",
+    ),  # (0.27712503477624306, 0.30000000000000004, 0.19999999999999996)
+    ("golden", "case2"): (
+        "91452eb550f741115bb64248405e41fb4753a4695cf17246a1d93ba6a02fb1da",
+        "456335b2cdd107d164772182611401329a278bbbc18ac809c7528639908d413d",
+    ),  # (0.2, 0.25489263642584326, 0.2)
+    ("golden", "alpha0.3"): (
+        "b9f868c4f4daf573707984999b62458767e2e6b35142c0fe46663502f09bc9ab",
+        "85f38c86bbfb8f5a1394e18edef02a5acbea15c457a697158f9eca5d71229d52",
+    ),  # (0.25, 0.25, 0.2)
+    ("inner", "nbs"): (
+        "2c7d2ec516bcae100c3858b36bb5147cebe346ac03a52f1a105d0028f4fec496",
+        "be1817585777157aa4bc6c025c9255880ddbbfa6d52f1dc09e5aa2439af27c9b",
+    ),  # (0.4, 0.4, 0.35)
+    ("inner", "case1"): (
+        "93d1242769618d1f39157b55ae5de01e1cac3a7d1b796d6c60629bbae5a577ca",
+        "b595761bb1bc9ab8da56146403b1f4be51f72b0544c9abb1d96965903bbce718",
+    ),  # (0.36131597772454216, 0.365, 0.335)
+    ("inner", "case2"): (
+        "503defc8124209c1d34c6901a6a52e8190a12982327f6c8ab946a626917c894b",
+        "964c6aae1e4fd8ce1cc99c253e60410c61e2831fa400447e494cd58507d4a388",
+    ),  # (0.3333333333333385, 0.33992282504270077, 0.33333333333333337)
+    ("inner", "alpha0.3"): (
+        "c24b3591bbfd5dae8e9507ea7a5b7ad2657c52de0942a4a2e30f439a16992912",
+        "ff0a364d4e2bec1767b8584b38a9f2245bdc28de28e5824621f8c9ddd0c8cd8b",
+    ),  # (0.31999999999999995, 0.32, 0.32999999999999996)
+    ("thin", "nbs"): (
+        "099ed37d3777771026c7549191e40c8eacf59aafbe71ae07bfa4855392d44ec1",
+        "954f72c6201f5902c8d3b2962486d5a9dd669eb75eb64af27b145c3db85e0985",
+    ),  # (0.1255, 0.12550000000000003, 0.0010000000000000009)
+    ("thin", "case1"): (
+        "1dc5cf91af119bca5697688c5c92b4a2ffc526ea4f8be7d296d88c004209f40d",
+        "eafc5e3f3e28fde8bd71176b8c5d20f7326c5952bd5557174101c86cfe1d4a61",
+    ),  # (0.0318756216904498, 0.0422499999999635, 0.0010000000000000009)
+    ("thin", "case2"): (
+        "c9484d5c35841522940c2ada9054df4026f21dfcc85a605fe08ac159d5a5699a",
+        "a45bed83318259aecf9e13b586a73e4e4d89e6f5f7574d08840e15cbee7d2aee",
+    ),  # (0.0006666666666659963, 0.0006928671637888377, 0.001)
+    ("thin", "alpha0.3"): (
+        "fafa6ddfe4278e8b44d34dd49b1ec70a0f91bd8b3a10b17766e96944958e1c60",
+        "6d1eb0d21dd7bbb4fc3922992945229de004d693dfd1ffd0028defd2bcf48c60",
+    ),  # (0.0755, 0.0755, 0.001)
+}
+
+
+@pytest.mark.parametrize("box, model", sorted(PINS))
+def test_curve_and_estimates_keep_their_bits(box, model):
+    bounds, share = BOXES[box], MODELS[model]
+    curve = pdf_curve(share, bounds, 2001)
+    values = repr(
+        (
+            numeric_median(share, bounds),
+            numeric_mean(share, bounds),
+            mode_from_curve(curve).value,
+        )
+    )
+    curve_digest = hashlib.sha256(curve.cdf.tobytes() + curve.pdf.tobytes()).hexdigest()
+    values_digest = hashlib.sha256(values.encode()).hexdigest()
+    assert (curve_digest, values_digest) == PINS[box, model], values
+
+
+# Kernel calls per estimate; columns nbs, case1, case2, alpha0.3.
+CALLS = {
+    ("golden", numeric_median): (1, 4, 2, 1),
+    ("golden", numeric_mean): (1, 2, 2, 1),
+    ("inner", numeric_median): (1, 4, 4, 1),
+    ("inner", numeric_mean): (1, 1, 1, 1),
+    ("thin", numeric_median): (1, 4, 3, 1),
+    ("thin", numeric_mean): (1, 9, 1, 1),
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = posterior._cdf
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(posterior, "_cdf", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "box, estimator", sorted(CALLS, key=lambda key: (key[0], key[1].__name__))
+)
+def test_estimates_make_a_fixed_number_of_kernel_calls(kernel_calls, box, estimator):
+    counts = []
+    for share in MODELS.values():
+        kernel_calls.clear()
+        estimator(share, BOXES[box])
+        counts.append(len(kernel_calls))
+    assert tuple(counts) == CALLS[box, estimator]
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
+    curve = pdf_curve(MODELS[model], BOXES[box])
+    assert len(kernel_calls) == 1
+    mode_from_curve(curve)
+    assert len(kernel_calls) == 2

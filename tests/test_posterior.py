@@ -258,6 +258,37 @@ class TestNumericMedian:
             numeric_median(ModelKind.NBS, GOLDEN)
 
 
+class TestSubnormalCase2Boxes:
+    """case2 boxes whose bounds lie below 2^-969 are scaled up exactly."""
+
+    @pytest.mark.parametrize("side", [5e-324, 1e-320, 2.0**-1000], ids=str)
+    def test_cdf_on_a_square(self, side):
+        # On a square, d1 / (d1 + d2) <= t exactly when d1 <= d2 t / (1 - t),
+        # which holds on t / (2 (1 - t)) of it for t <= 1/2.
+        square = validate_bounds(0.0, side, 0.0, side)
+        assert cdf_at(ModelKind.CASE2, square, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert cdf_at(ModelKind.CASE2, square, 0.4) == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (0.0, 5e-324, 0.0, 5e-324),
+            (0.0, 1.5e-323, 0.0, 1e-323),
+            (5e-324, 1e-320, 0.0, 3e-321),
+            (1e-310, 3e-310, 2e-310, 9e-310),
+        ],
+        ids=str,
+    )
+    def test_median_and_mean_match_the_closed_forms(self, box):
+        # Unscaled, the CDF's target on sides this thin is 1, and the median
+        # missed by as much as 0.052 on these boxes.
+        bounds = validate_bounds(*box)
+        median = estimate(ModelKind.CASE2, RiskProfile.ABS, bounds).theta1
+        mean = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
+        assert numeric_median(ModelKind.CASE2, bounds) == pytest.approx(median, abs=1e-9)
+        assert numeric_mean(ModelKind.CASE2, bounds) == pytest.approx(mean, abs=1e-12)
+
+
 class TestNumericMean:
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize(
