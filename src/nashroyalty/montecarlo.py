@@ -11,16 +11,20 @@ part of the contract:
   concatenated in index order.
 * Within a shard the d1 values occupy the first 2**18 positions of the
   stream and the d2 values the next 2**18, even when fewer are needed, so
-  a sample of size n is a prefix of every larger sample with the same seed
-  and is independent of how many workers might execute shards.  Only the
-  values a sample returns are generated; the rest of each block is
-  skipped with PCG64's jump-ahead (``advance``, O'Neill 2014), which
+  a sample of size n is a prefix of every larger sample with the same seed.
+  Only the values a sample returns are generated; the rest of each block
+  is skipped with PCG64's jump-ahead (``advance``, O'Neill 2014), which
   leaves the stream where drawing the whole block would.
+* Shards run on up to one thread per CPU.  Each has its own stream and
+  writes only its own slice of the sample, so the sample's bits do not
+  depend on how many threads run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -64,6 +68,14 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     """Draw n share values under independent uniform payoffs.
 
@@ -72,44 +84,83 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     only when a = c = 0) is redrawn within its shard; a rectangle on which
     the share is nowhere defined raises :class:`DegeneratePayoffsError`, and
     an ``n`` that is not an integer of at least 1 :class:`OutOfRangeError`.
+
+    Shards run on up to one thread per CPU, the calling thread among them.
+    Each writes only its own slice of the result, so the values do not
+    depend on how many threads run; a worker's exception is raised here.
     """
     share = as_share_model(model)
     n = _require_count("n", n, 1)
     share.support(bounds)  # raises where the share is nowhere defined
-    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     out = np.empty(n, dtype=np.float64)
-    for index in range((n + SHARD_SIZE - 1) // SHARD_SIZE):
-        start = index * SHARD_SIZE
-        stop = min(n, start + SHARD_SIZE)
-        m = stop - start
-        rng = _shard_rng(seed, index)
-        # Fixed-size blocks keep short samples prefixes of long ones; each
-        # uniform double takes one step of the stream.
-        d1 = rng.uniform(a, b, m)
-        rng.bit_generator.advance(SHARD_SIZE - m)
-        d2 = rng.uniform(c, d, m)
-        rng.bit_generator.advance(SHARD_SIZE - m)
-        _shard_thetas(share, bounds, rng, d1, d2, out[start:stop])
+    shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
+    workers = min(_cpu_count(), shards)  # one shard: no thread
+    failures = []
+
+    def draw(first: int) -> None:
+        for index in range(first, shards, workers):
+            start = index * SHARD_SIZE
+            _draw_shard(share, bounds, seed, index, out[start : start + SHARD_SIZE])
+
+    def work(first: int) -> None:
+        try:
+            draw(first)
+        except BaseException as error:  # raised again by the caller
+            failures.append(error)
+
+    started = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            started.append(thread)
+        draw(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
     return out
 
 
-def _shard_thetas(share, bounds: PayoffBounds, rng, d1, d2, theta) -> None:
-    """Write the clipped shares of one shard's pairs to ``theta``.
+def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> None:
+    """Write the clipped shares of shard ``index``'s first pairs to ``theta``.
 
-    Undefined pairs are redrawn.  The shares are computed ``_BLOCK`` pairs
-    at a time, so the model's temporaries stay small (see :func:`mc_summary`).
+    The d1 draws take the first ``SHARD_SIZE`` steps of the shard's stream
+    and the d2 draws the next ``SHARD_SIZE``, even when fewer are needed, so
+    short samples stay prefixes of long ones.  A shard of more than one
+    ``_BLOCK`` reads both halves at once through a second cursor on the
+    stream, a block of each at a time, so its scratch stays block-sized
+    (see :func:`mc_summary`).  Undefined pairs are redrawn from the stream
+    after both halves: the next d1, then the next d2.
     """
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    m = theta.size
+    rng = _shard_rng(seed, index)
     with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
-        for start in range(0, theta.size, _BLOCK):
-            part = slice(start, start + _BLOCK)
-            theta[part] = share.theta(d1[part], d2[part])
+        if m <= _BLOCK:  # one block, on one cursor
+            d1 = rng.uniform(a, b, m)
+            rng.bit_generator.advance(SHARD_SIZE - m)
+            d2 = rng.uniform(c, d, m)
+            theta[:] = share.theta(d1, d2)
+            np.clip(theta, 0.0, 1.0, out=theta)
+        else:
+            ahead = _shard_rng(seed, index)
+            ahead.bit_generator.advance(SHARD_SIZE)
+            for start in range(0, m, _BLOCK):
+                part = theta[start : start + _BLOCK]
+                d1 = rng.uniform(a, b, part.size)
+                d2 = ahead.uniform(c, d, part.size)
+                part[:] = share.theta(d1, d2)
+                np.clip(part, 0.0, 1.0, out=part)
+            rng = ahead
+        rng.bit_generator.advance(SHARD_SIZE - m)
         while math.isnan(theta.sum()):  # rare, so no mask unless needed
             stuck = np.isnan(theta)
             k = int(stuck.sum())
-            d1[stuck] = rng.uniform(bounds.a, bounds.b, k)
-            d2[stuck] = rng.uniform(bounds.c, bounds.d, k)
-            theta[stuck] = share.theta(d1[stuck], d2[stuck])
-    np.clip(theta, 0.0, 1.0, out=theta)
+            d1 = rng.uniform(a, b, k)
+            d2 = rng.uniform(c, d, k)
+            theta[stuck] = np.clip(share.theta(d1, d2), 0.0, 1.0)
 
 
 class SampleSummary(_Record):
@@ -295,11 +346,12 @@ def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     """Sample and summarize in one step, recording the seed.
 
     The sample is this function's own, so its variance is taken in place.
-    With the shares computed in blocks, a 10**6 sample then adds about 4 MB
-    (one shard's payoff draws) to the sample's 8 MB.  A loop of calls stays
-    below glibc's heap trim threshold (twice the largest block it has
-    mapped and freed, 16 MB here), so it reuses its heap instead of
-    returning it and faulting it back in on every call.
+    With the payoffs drawn and the shares computed in blocks, a 10**6
+    sample then adds about 1 MiB of block scratch per sampling thread to
+    the sample's 8 MB.  A loop of calls stays below glibc's heap trim
+    threshold (twice the largest block it has mapped and freed, 16 MB
+    here), so it reuses its heap instead of returning it and faulting it
+    back in on every call.
     """
     return _summary(sample_thetas(model, bounds, n, seed), seed, own=True)
 

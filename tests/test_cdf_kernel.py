@@ -263,6 +263,21 @@ def test_quadrature_closes_a_square_root_endpoint():
     assert abs(value[0] - 2.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("rounds, converges", [(18, True), (17, False)])
+def test_quadrature_may_close_its_last_panels_in_its_last_round(
+    monkeypatch, rounds, converges
+):
+    # The square root at 1e-12 needs exactly 18 rounds, the first included.
+    monkeypatch.setattr(posterior, "_MAX_ROUNDS", rounds)
+    left, right = np.array([0.0]), np.array([1.0])
+    if converges:
+        value = _integrate(lambda x, rows: np.sqrt(x), left, right, 1e-12)
+        assert abs(value[0] - 2.0 / 3.0) <= 1e-12
+    else:
+        with pytest.raises(NumericalAccuracyError, match="after 17 bisection rounds"):
+            _integrate(lambda x, rows: np.sqrt(x), left, right, 1e-12)
+
+
 def test_quadrature_refuses_more_than_the_open_panel_limit():
     # 1e4 oscillations per unit length: 64 panels would be open at once.
     with pytest.raises(NumericalAccuracyError, match="more than 32 panels"):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -192,6 +193,45 @@ share_samples = st.one_of(
 )
 
 
+BLOCK = montecarlo._BLOCK
+
+
+class StreamCursor:
+    """A shard generator that knows its position in the shard's stream.
+
+    Records the size of every ``uniform`` call in ``sizes`` and replaces
+    the draws at the stream positions in ``zeroed`` by the lower bound.
+    """
+
+    def __init__(self, rng, sizes, zeroed):
+        self.rng, self.sizes, self.zeroed = rng, sizes, zeroed
+        self.position = 0
+        self.bit_generator = self  # advance() moves the real generator too
+
+    def advance(self, delta):
+        self.rng.bit_generator.advance(delta)
+        self.position += delta
+
+    def uniform(self, low, high, size):
+        draws = self.rng.uniform(low, high, size)
+        self.sizes.append(size)
+        for p in self.zeroed:
+            if 0 <= p - self.position < size:
+                draws[p - self.position] = low
+        self.position += size
+        return draws
+
+
+def track_streams(monkeypatch, sizes, zeroed=()):
+    """Make every shard generator a :class:`StreamCursor`."""
+    shard_rng = montecarlo._shard_rng
+    monkeypatch.setattr(
+        montecarlo,
+        "_shard_rng",
+        lambda seed, index: StreamCursor(shard_rng(seed, index), sizes, zeroed),
+    )
+
+
 class TestPinnedStreams:
     def test_raw_generator_layout(self):
         sequence = np.random.SeedSequence(entropy=42, spawn_key=(0,))
@@ -232,57 +272,136 @@ class TestPinnedStreams:
         short = sample_thetas(ModelKind.CASE1, GOLDEN, 10**6, seed=3)
         assert np.array_equal(short, long[: 10**6])
 
-    @pytest.mark.parametrize("n", [1, 17, 20_000, SHARD_SIZE - 1])
+    @pytest.mark.parametrize(
+        "n", [1, 17, 20_000, SHARD_SIZE - 1, SHARD_SIZE + 17, 3 * SHARD_SIZE + 5]
+    )
     def test_short_samples_generate_only_the_draws_they_return(self, monkeypatch, n):
-        shard_rng = montecarlo._shard_rng
         sizes = []
-
-        class CountedSizes:
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
-
-            def uniform(self, low, high, size):
-                sizes.append(size)
-                return self.rng.uniform(low, high, size)
-
-        monkeypatch.setattr(
-            montecarlo, "_shard_rng", lambda s, i: CountedSizes(shard_rng(s, i))
-        )
+        track_streams(monkeypatch, sizes)
         sample_thetas(ModelKind.CASE1, GOLDEN, n, seed=4)
         assert sum(sizes) == 2 * n
 
-    def test_undefined_pair_is_redrawn_from_its_shard_stream(self, monkeypatch):
-        # GOLDEN has a = c = 0.  Zero both full blocks of shard 0 at index k,
-        # so the proportional share there is 0/0 and must be redrawn.
-        k, seed = 5, 3
-        shard_rng = montecarlo._shard_rng
-
-        class ZeroedBlocks:
-            def __init__(self, rng):
-                self.rng, self.calls = rng, 0
-                self.bit_generator = rng.bit_generator  # skips unread draws
-
-            def uniform(self, low, high, size):
-                draws = self.rng.uniform(low, high, size)
-                if self.calls < 2:  # the d1 block, then the d2 block
-                    draws[k] = 0.0
-                self.calls += 1
-                return draws
-
-        monkeypatch.setattr(
-            montecarlo, "_shard_rng", lambda s, i: ZeroedBlocks(shard_rng(s, i))
-        )
-        forced = sample_thetas(ModelKind.CASE2, GOLDEN, 10, seed=seed)
+    # One block on one cursor, and the third of four blocks read through two.
+    @pytest.mark.parametrize("n, k", [(10, 5), (3 * BLOCK + 10, 2 * BLOCK + 5)])
+    def test_undefined_pair_is_redrawn_from_its_shard_stream(self, monkeypatch, n, k):
+        # GOLDEN has a = c = 0.  Zero the d1 and d2 draws of pair k of shard
+        # 0, so the proportional share there is 0/0 and must be redrawn.
+        seed = 3
+        track_streams(monkeypatch, [], zeroed=(k, SHARD_SIZE + k))
+        forced = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=seed)
         monkeypatch.undo()
-        expected = sample_thetas(ModelKind.CASE2, GOLDEN, 10, seed=seed)
+        expected = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=seed)
         # The replacement pair is the next d1 draw and the next d2 draw of
         # the same stream, after both full blocks.
-        rng = shard_rng(seed, 0)
+        rng = montecarlo._shard_rng(seed, 0)
         rng.uniform(0.0, 0.2, SHARD_SIZE)
         rng.uniform(0.0, 0.8, SHARD_SIZE)
         x, y = rng.uniform(0.0, 0.2, 1), rng.uniform(0.0, 0.8, 1)
         expected[k] = (x / (x + y))[0]
         assert np.array_equal(forced, expected)
+
+
+# Worker counts to run the shards on: no test starts more than four threads.
+WORKER_COUNTS = (1, 2, 3, 5)
+# Two shards, four with a short last one, and the benchmark's sample size.
+PARALLEL_SIZES = (SHARD_SIZE + 17, 3 * SHARD_SIZE + 5, 10**6)
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+
+
+class TestParallelShards:
+    """Shards run on up to one thread per CPU, with the same bits."""
+
+    @pytest.mark.parametrize("n", PARALLEL_SIZES)
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    def test_same_bits_on_any_worker_count(self, monkeypatch, model, n):
+        samples = []
+        for cpus in WORKER_COUNTS:
+            on_cpus(monkeypatch, cpus)
+            samples.append(sample_thetas(model, OFFSET_BOX, n, seed=11).tobytes())
+        assert samples == samples[:1] * len(WORKER_COUNTS)
+
+    def test_same_bits_with_more_workers_than_cores_and_fast_switching(
+        self, monkeypatch
+    ):
+        expected = sample_thetas(ModelKind.CASE2, OFFSET_BOX, 10**6, seed=13)
+        on_cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                x = sample_thetas(ModelKind.CASE2, OFFSET_BOX, 10**6, seed=13)
+                assert np.array_equal(x, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", PARALLEL_SIZES)
+    def test_redrawn_pairs_have_the_same_bits_on_any_worker_count(self, monkeypatch, n):
+        # Pairs 5 and BLOCK + 7 of every shard are 0/0 and redrawn.
+        pairs = (5, BLOCK + 7)
+        zeroed = [*pairs, *(SHARD_SIZE + k for k in pairs)]  # d1, then d2
+        track_streams(monkeypatch, [], zeroed)
+        samples = []
+        for cpus in WORKER_COUNTS:
+            on_cpus(monkeypatch, cpus)
+            samples.append(sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=12))
+        monkeypatch.undo()
+        plain = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=12)
+        redrawn = [s + k for s in range(0, n, SHARD_SIZE) for k in pairs if s + k < n]
+        assert np.flatnonzero(samples[0] != plain).tolist() == redrawn
+        assert all(np.array_equal(x, samples[0]) for x in samples[1:])
+
+    def test_shards_run_on_one_thread_per_cpu(self, monkeypatch):
+        shard_rng = montecarlo._shard_rng
+        threads = {}
+
+        def recorded(seed, index):
+            threads.setdefault(threading.current_thread(), set()).add(index)
+            return shard_rng(seed, index)
+
+        monkeypatch.setattr(montecarlo, "_shard_rng", recorded)
+        on_cpus(monkeypatch, 3)
+        sample_thetas(ModelKind.CASE1, GOLDEN, 3 * SHARD_SIZE + 5, seed=1)
+        assert len(threads) == 3
+        assert 0 in threads[threading.current_thread()]  # the caller takes a share
+        assert sorted(i for shards in threads.values() for i in shards) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_a_shard_error_reaches_the_caller_after_every_join(
+        self, monkeypatch, failing
+    ):
+        shard_rng = montecarlo._shard_rng
+
+        def broken(seed, index):
+            if index == failing:
+                raise RuntimeError(f"shard {index} failed")
+            return shard_rng(seed, index)
+
+        monkeypatch.setattr(montecarlo, "_shard_rng", broken)
+        on_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
+            sample_thetas(ModelKind.CASE1, GOLDEN, 3 * SHARD_SIZE + 5, seed=1)
+        assert threading.active_count() == before
+
+    def test_one_shard_starts_no_thread_and_one_generator(self, monkeypatch):
+        # verify's default sample: one shard, and one block of it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-shard sample constructed a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        on_cpus(monkeypatch, 4)
+        calls = []
+        shard_rng = montecarlo._shard_rng
+        monkeypatch.setattr(
+            montecarlo, "_shard_rng", lambda s, i: calls.append(i) or shard_rng(s, i)
+        )
+        sample_thetas(ModelKind.CASE1, GOLDEN, 20_000, seed=1)
+        assert calls == [0]
+        sample_thetas(ModelKind.CASE1, GOLDEN, SHARD_SIZE, seed=1)
+        assert calls == [0, 0, 0]  # a second cursor for a shard of many blocks
 
 
 class TestSampleValidity:
@@ -591,17 +710,22 @@ class TestMcSummaryInPlace:
         expected = summarize(sample_thetas(model, GOLDEN, n, seed=5), seed=5)
         assert mc_summary(model, GOLDEN, n, seed=5) == expected
 
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_peak_is_the_sample_plus_one_shard_of_draws(self, model):
+    def test_peak_is_the_sample_plus_block_scratch_per_worker(
+        self, monkeypatch, model, cpus
+    ):
         n = 1_000_000
+        on_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:
             mc_summary(model, OFFSET_BOX, n, seed=79)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The sample, one shard's d1 and d2 draws, and block-sized scratch.
-        assert peak <= 8 * n + 2 * 8 * SHARD_SIZE + 3 * 2**20
+        # The sample; per worker a d1 block, a d2 block and three temporaries
+        # of the share; and the summary's block-sized scratch.
+        assert peak <= 8 * n + cpus * 5 * 8 * BLOCK + 2**20
 
 
 class TestConvergence:
