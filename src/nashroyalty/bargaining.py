@@ -314,7 +314,10 @@ class ShareModel:
       {d1 <= d1_threshold(y, t)}.
 
     The crossings take arrays (or scalars), broadcast them, and return
-    +-inf where the level set misses the line.  Only the quadrature in
+    +-inf where the level set misses the line.  ``d1_threshold`` must
+    broadcast a column of payoffs against ``t``, each row equal to the
+    call on its own float y: the quadrature takes the crossings of y = c
+    and y = d from one call on ``[[c], [d]]``.  Only the quadrature in
     :mod:`nashroyalty.posterior` calls them, so they import numpy where
     they need it and this module loads without it.
     """
@@ -358,6 +361,26 @@ class _Nbs(ShareModel):
         return y + 2.0 * t - 1.0
 
 
+def _every(mask) -> bool:
+    # np.all passes through Python-level wrappers, a few times slower on
+    # short masks.  The mask of a scalar is a bool, which has no size.
+    import numpy as np
+
+    return np.count_nonzero(mask) == getattr(mask, "size", 1)
+
+
+def _one_minus_root(arg, missed):
+    """1 - sqrt(max(arg, 0)), and +inf where ``missed``, computed in ``arg``:
+    the quadrature's calls fill blocks of 256 x 36 nodes."""
+    import numpy as np
+
+    np.maximum(arg, 0.0, out=arg)
+    np.sqrt(arg, out=arg)
+    np.subtract(1.0, arg, out=arg)
+    arg[missed] = np.inf
+    return arg
+
+
 class _Case1(ShareModel):
     """Weight shifted by the outside-option gap: alpha = 1/2 + (d1 - d2) / 2."""
 
@@ -372,15 +395,20 @@ class _Case1(ShareModel):
         # Level sets are hyperbolas centred at (1, 1): theta <= t  <=>
         # (1 - y)^2 <= (1 - x)^2 + 2 t - 1, written without the cancellation
         # of the 1s that would swamp small x and t.
-        arg = 2.0 * (t - x) + x * x
-        return np.where(arg < 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+        arg = np.asarray(t - x, dtype=float)  # 0-d for scalars: in place below
+        arg *= 2.0
+        arg += x * x
+        return _one_minus_root(arg, arg < 0.0)
 
     @staticmethod
     def d1_threshold(y, t):
         import numpy as np
 
-        arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
-        return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+        # float_power squares through pow, as ** does on a float y; ** 2 on
+        # an array multiplies, which rounds differently on about one value
+        # in a thousand.
+        arg = np.asarray(np.float_power(1.0 - y, 2.0) + 1.0 - 2.0 * t)
+        return _one_minus_root(arg, arg <= 0.0)
 
 
 class _Case2(ShareModel):
@@ -401,8 +429,10 @@ class _Case2(ShareModel):
         # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
         # always, and theta <= 0 only on the axis x = 0.
         inner = (t > 0.0) & (t < 1.0)
-        if np.all(inner):  # the quadrature's usual case: skip the edges
-            return x * (1.0 - t) / t
+        if _every(inner):  # the quadrature's usual case: skip the edges
+            cut = x * (1.0 - t)
+            cut /= t
+            return cut
         safe_t = np.where(inner, t, 1.0)
         edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
         return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
@@ -412,6 +442,10 @@ class _Case2(ShareModel):
         import numpy as np
 
         below = t < 1.0
+        if _every(below):
+            cut = t * y
+            cut /= 1.0 - t
+            return cut
         safe_gap = np.where(below, 1.0 - t, 1.0)
         return np.where(below, t * y / safe_gap, np.inf)
 

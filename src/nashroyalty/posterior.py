@@ -26,6 +26,7 @@ from .bargaining import (
     PayoffBounds,
     ShareModel,
     _Record,
+    _every,
     _require_count,
     _require_unit,
     as_share_model,
@@ -54,6 +55,7 @@ __all__ = [
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
 _NODES = np.concatenate((_X24, _X12))
+_WEIGHTS = np.concatenate((_W24, _W12))
 # Absolute error target on CDF values.  The mode search compares density
 # differences of order (CDF error / grid step), so it sits far below what
 # the estimates themselves need.
@@ -89,9 +91,10 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
     """Integral of ``fn`` over each interval [left[i], right[i]].
 
     ``fn(nodes, rows)`` returns the integrand at ``nodes``, one line of
-    quadrature nodes per open panel, where ``rows`` names the interval each
-    panel belongs to: an index array, or a full slice in the first round,
-    which has one panel per interval in order.  Each integral may err by
+    quadrature nodes per open panel, as a new array that the quadrature
+    may overwrite; ``rows`` names the interval each panel belongs to: an
+    index array, or a full slice in the first round, which has one panel
+    per interval in order.  Each integral may err by
     ``tol`` times its interval's length.  A panel is accepted once its
     error estimate is at most ``tol`` times its own length, and all open
     panels of an integral are accepted once their estimates, with those
@@ -146,19 +149,18 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
     )
 
 
-def _every(mask: np.ndarray) -> bool:
-    # mask.all(), which passes through a Python-level wrapper, takes a few
-    # times as long on the short masks of single-point calls.
-    return np.count_nonzero(mask) == mask.size
-
-
 def _panel_sums(fn, mid: np.ndarray, half: np.ndarray, rows):
     """Each panel's 24-point sum and its distance to the 12-point sum."""
     nodes = half[:, None] * _NODES
     nodes += mid[:, None]
     values = fn(nodes, rows)
-    fine = half * (values[:, :24] * _W24).sum(axis=1)
-    error = np.abs(fine - half * (values[:, 24:] * _W12).sum(axis=1))
+    values *= _WEIGHTS
+    fine = np.add.reduce(values[:, :24], axis=1)
+    fine *= half
+    error = np.add.reduce(values[:, 24:], axis=1)
+    error *= half
+    np.subtract(fine, error, out=error)
+    np.abs(error, out=error)
     return fine, error
 
 
@@ -179,9 +181,10 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     height = d - c
+    cross = ops.d1_threshold(np.array([[c], [d]]), t)  # rows y = c and y = d
     # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
-    x_c = np.minimum(np.maximum(ops.d1_threshold(c, t), a), b)
-    x_d = np.minimum(np.maximum(ops.d1_threshold(d, t), x_c), b)
+    x_c = np.minimum(np.maximum(cross[0], a), b)
+    x_d = np.minimum(np.maximum(cross[1], x_c), b)
     covered = x_c - a
     tol = _tolerance(b - a, height)
 
@@ -204,7 +207,8 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
         for start in range(0, open_rows.size, _CHUNK):
             chunk = open_rows[start : start + _CHUNK]
             covered[chunk] += band(t[chunk], x_c[chunk], x_d[chunk])
-    return covered / (b - a)
+    covered /= b - a
+    return covered
 
 
 def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
@@ -237,7 +241,8 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
             share = np.minimum(np.maximum(x0 - a, 0.0), b - a) / (b - a)
         else:
             share = _cross_sections(ops, bounds, t)
-    share = np.minimum(np.maximum(share, 0.0), 1.0)
+    np.maximum(share, 0.0, out=share)
+    np.minimum(share, 1.0, out=share)
     if whole:
         return share
     out = np.where(ts >= hi, 1.0, 0.0)
@@ -292,11 +297,41 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
             f"the share is deterministically {lo!r} on these bounds; "
             "the distribution has no density curve"
         )
-    thetas = np.linspace(0.0, 1.0, n_points)
+    # np.linspace(0, 1, n_points) without its Python wrapper: the same steps.
+    thetas = np.arange(n_points, dtype=float)
+    thetas *= 1.0 / (n_points - 1)
+    thetas[-1] = 1.0
     cdf = _cdf(ops, bounds, thetas)
-    pdf = np.gradient(cdf, thetas)
+    pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
     return PosteriorCurve(thetas=thetas, pdf=pdf, cdf=cdf, model=ops, bounds=bounds)
+
+
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, x)`` without its argument handling: the same
+    arithmetic in the same order, including its branch for evenly spaced
+    ``x``, which it takes when every step rounds alike (as on
+    ``np.linspace(0, 1, 2**k + 1)``)."""
+    dx = x[1:] - x[:-1]
+    out = np.empty_like(f)
+    inner = out[1:-1]
+    if _every(dx == dx[0]):
+        np.subtract(f[2:], f[:-2], out=inner)
+        inner /= 2.0 * dx[0]
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        span = dx1 + dx2
+        below = -dx2 / (dx1 * span)
+        here = (dx2 - dx1) / (dx1 * dx2)
+        above = dx1 / (dx2 * span)
+        np.multiply(below, f[:-2], out=inner)
+        here *= f[1:-1]
+        inner += here
+        above *= f[2:]
+        inner += above
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
 
 
 def numeric_median(model, bounds: PayoffBounds) -> float:
@@ -365,7 +400,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
             cuts.append(ops.at(x, y))
         except DegeneratePayoffsError:
             pass  # the proportional model's corner at the origin
-    edges = np.unique(np.clip(cuts, lo, hi))
+    edges = np.array(sorted({min(max(cut, lo), hi) for cut in cuts}))
 
     def cdf(ts, _rows):
         return _cdf(ops, bounds, ts.ravel()).reshape(ts.shape)
@@ -404,13 +439,11 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     plateau = tied.size > 1
     step = curve.thetas[1] - curve.thetas[0]
     corner = ops.at(bounds.b, bounds.d)
-    ts = np.array([corner - step, corner, corner + step])
-    valid = (ts >= 0.0) & (ts <= 1.0)
-    probs = np.full(3, np.nan)
-    probs[valid] = _cdf(ops, bounds, ts[valid])
-    one_sided = np.diff(probs) / step  # into the corner, out of it
-    one_sided = one_sided[~np.isnan(one_sided)]
-    if one_sided.size and one_sided.max() >= peak - _MODE_TIE_TOL:
+    # corner lies in [0, 1], so only an end point of the three can drop out.
+    ts = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
+    probs = _cdf(ops, bounds, np.array(ts)).tolist()
+    # Slopes into the corner and out of it.
+    if any((q - p) / step >= peak - _MODE_TIE_TOL for p, q in zip(probs, probs[1:])):
         return ModeResult(value=corner, plateau=plateau)
     return ModeResult(value=float(curve.thetas[tied[-1]]), plateau=plateau)
 

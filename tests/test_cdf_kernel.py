@@ -252,6 +252,76 @@ def test_array_crossings_match_scalar_reference(model):
             assert d1[i] == pytest.approx(_ref_d1_threshold(model, p, t), abs=1e-15)
 
 
+def _numpy_d2_threshold(model, x, t):
+    """The crossings as numpy expressions, before they worked in place."""
+    if model is ModelKind.CASE1:
+        arg = 2.0 * (t - x) + x * x
+        return np.where(arg < 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+    if model is ModelKind.CASE2:
+        inner = (t > 0.0) & (t < 1.0)
+        if np.all(inner):
+            return x * (1.0 - t) / t
+        safe_t = np.where(inner, t, 1.0)
+        edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
+        return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
+    return as_share_model(model).d2_threshold(x, t)
+
+
+def _numpy_d1_threshold(model, y, t):
+    if model is ModelKind.CASE1:
+        arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
+        return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
+    if model is ModelKind.CASE2:
+        below = t < 1.0
+        safe_gap = np.where(below, 1.0 - t, 1.0)
+        return np.where(below, t * y / safe_gap, np.inf)
+    return as_share_model(model).d1_threshold(y, t)
+
+
+# The last two payoffs square to different bits as a float (** 2 is pow)
+# and in an array (** 2 multiplies).
+CROSSING_PAYOFFS = [
+    *np.linspace(0.0, 1.0, 11).tolist(),
+    0.32789142927284987,
+    0.2544372552686815,
+]
+CROSSING_SHARES = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 1.0])
+
+
+@pytest.mark.parametrize(
+    "model", [*SHARES, FixedAlphaModel(0.0), FixedAlphaModel(1.0)], ids=str
+)
+def test_crossings_keep_the_bits_of_their_numpy_expressions(model):
+    # The engine used to call d1_threshold with one float y per row, and now
+    # calls it on the column [[c], [d]]: each row must match its float's call.
+    ops = as_share_model(model)
+    crossings = (
+        (ops.d1_threshold, _numpy_d1_threshold),
+        (ops.d2_threshold, _numpy_d2_threshold),
+    )
+    payoffs = np.array(CROSSING_PAYOFFS)
+    scalar_shares = CROSSING_SHARES.tolist()
+    # The inner shares take case2's fast paths.
+    row_shares = (CROSSING_SHARES, CROSSING_SHARES[1:-1])
+    for t in (*scalar_shares, *row_shares):
+        for p in CROSSING_PAYOFFS:
+            for crossing, reference in crossings:
+                assert _bits(crossing(p, t)) == _bits(reference(model, p, t))
+    for t in scalar_shares:  # 1-D payoffs
+        for crossing, reference in crossings:
+            alone = [reference(model, p, t) for p in CROSSING_PAYOFFS]
+            assert _bits(crossing(payoffs, t)) == _bits(alone)
+        # d2's expression has no square to round apart on an array.
+        assert _bits(ops.d2_threshold(payoffs, t)) == _bits(
+            _numpy_d2_threshold(model, payoffs, t)
+        )
+    for t in row_shares:  # a column of payoffs against a row of shares
+        for column in (payoffs[:2, None], payoffs[:, None]):
+            for crossing, reference in crossings:
+                rows = [reference(model, p, t) for p in column[:, 0].tolist()]
+                assert _bits(crossing(column, t)) == _bits(rows)
+
+
 # --- numerical health ---------------------------------------------------------------
 
 

@@ -204,6 +204,17 @@ class TestPdfCurve:
         # carries an O(grid step) sampling error.
         assert curve.pdf.max() == pytest.approx(3.125, abs=0.02)
 
+    @pytest.mark.parametrize("n_points", [3, 5, 17, 2001, 2049])
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    def test_density_is_numpys_gradient_of_the_cdf(self, model, n_points):
+        # np.gradient takes its evenly spaced branch at n = 2**k + 1, where
+        # every grid step rounds alike; at 2001 it does not.
+        curve = pdf_curve(model, GOLDEN, n_points)
+        thetas = np.linspace(0.0, 1.0, n_points)
+        assert curve.thetas.tobytes() == thetas.tobytes()
+        pdf = np.maximum(np.gradient(curve.cdf, thetas), 0.0)
+        assert curve.pdf.tobytes() == pdf.tobytes()
+
     def test_too_few_points_rejected(self):
         with pytest.raises(OutOfRangeError):
             pdf_curve(ModelKind.NBS, GOLDEN, n_points=2)
@@ -299,12 +310,38 @@ class TestNumericMean:
             validate_bounds(0.05, 0.6, 0.1, 0.35),
             validate_bounds(0.2, 0.2, 0.0, 0.8),
             validate_bounds(0.1, 0.5, 0.3, 0.3),
+            # Corner images that coincide (every model maps (a, c) and
+            # (b, d) to 1/2), and case2's corner at the origin.
+            validate_bounds(0.1, 0.3, 0.1, 0.3),
+            validate_bounds(0.0, 0.3, 0.0, 0.5),
         ],
     )
-    def test_matches_closed_form(self, model, bounds):
+    def test_matches_closed_form(self, monkeypatch, model, bounds):
+        panels = []
+        integrate = posterior._integrate
+
+        def recorded(fn, left, right, tol):
+            panels.append((left, right))
+            return integrate(fn, left, right, tol)
+
+        monkeypatch.setattr(posterior, "_integrate", recorded)
         assert numeric_mean(model, bounds) == pytest.approx(
             estimate(model, RiskProfile.MSE, bounds).theta1, abs=1e-8
         )
+        # The t-panels split the support at the corner images, as numpy's
+        # clipped, sorted and deduplicated cut list did.
+        ops = as_share_model(model)
+        lo, hi = ops.support(bounds)
+        cuts = [lo, hi]
+        for x, y in ((bounds.a, bounds.c), (bounds.b, bounds.d)):
+            try:
+                cuts.append(ops.at(x, y))
+            except DegeneratePayoffsError:
+                pass
+        edges = np.unique(np.clip(cuts, lo, hi))
+        left, right = panels[0]  # the mean's own call comes first
+        assert left.tobytes() == edges[:-1].tobytes()
+        assert right.tobytes() == edges[1:].tobytes()
 
     def test_degenerate_axis_values(self):
         assert numeric_mean(ModelKind.CASE2, validate_bounds(0, 0, 0.2, 0.6)) == 0.0

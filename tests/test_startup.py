@@ -2,11 +2,11 @@
 
 ``estimate`` on a named model, ``reference`` and a closed-form ``sweep``
 need only the closed forms, so numpy, which takes longer to import than
-they take to run, must stay out of ``sys.modules``.  The engine commands
-load it on demand and still work.  Those same commands in text mode also
-leave out dataclasses, inspect, json and traceback; json loads only where
-a command reads or writes JSON.  Each probe runs in a fresh interpreter,
-since this test process has numpy loaded already.
+they take to run, must stay out of ``sys.modules``; in text mode they also
+leave out dataclasses, inspect, json and traceback, and json loads only
+where a command reads or writes JSON.  The engine commands load numpy on
+demand and still work, and they leave out numpy.ma.  Each probe runs in a
+fresh interpreter, since this test process has numpy loaded already.
 """
 
 import json
@@ -37,7 +37,7 @@ print(json.dumps(report))
 # Runs each argv, its words joined by a unit separator, through cli.main and
 # prints the exit codes, then which of WATCHED are loaded.  It imports no
 # module of its own that would load one of them, as CLI_PROBE's json does.
-WATCHED = ("dataclasses", "inspect", "json", "traceback")
+WATCHED = ("dataclasses", "inspect", "json", "traceback", "numpy.ma")
 LEAN_PROBE = f"""
 import contextlib, io, sys
 from nashroyalty import cli
@@ -148,3 +148,24 @@ def test_json_loads_where_it_is_used(tmp_path):
     estimate = ["estimate", "--model", "nbs", "--risk", "map", *GOLDEN_ARGS, "--json"]
     assert lean_probe(estimate) == (["0"], ["json"])
     assert lean_probe(["estimate", "--config", str(config)]) == (["0"], ["json"])
+
+
+def test_engine_commands_leave_out_numpy_ma(tmp_path):
+    # np.unique, which once split the numeric mean's t-panels, imports it
+    # (more than 1 MiB of memory) on its first call.
+    config = tmp_path / "perception.json"
+    config.write_text(
+        json.dumps(
+            {
+                "bounds": {"a": 0.1, "b": 0.4, "c": 0.2, "d": 0.5},
+                "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
+                "risk": "mse",
+            }
+        ),
+        encoding="utf-8",
+    )
+    posterior = ["posterior", "--model", "case1", *GOLDEN_ARGS,
+                 "--out", str(tmp_path / "curve.csv")]
+    for run in (["estimate", "--config", str(config)], posterior):
+        codes, loaded = lean_probe(run)
+        assert codes == ["0"] and "numpy.ma" not in loaded, loaded
