@@ -53,10 +53,13 @@ __all__ = [
 # rectangle (b + d = 1) can overshoot the simplex by a few ulps.
 _SUM_SLACK = 1e-12
 # A case2 rectangle whose bounds all lie below this size is scaled up before
-# its CDF is taken.  Below it, a bound times a share of 2^-53 or more can
-# fall out of the normal floats and lose bits: on (0, 5e-324, 0, 5e-324)
-# both engines read P{theta <= 1/2} = 0 unscaled.
-_CASE2_TINY = 2.0**-969
+# its CDF is taken.  The share is scale invariant, but the engines' error
+# targets read absolute side widths: unscaled, the median of (0.1 s, 0.3 s,
+# 0.2 s, 0.6 s) read 0.342857 at s = 1e-13 (exact: 1/3).  Near the float
+# floor a bound times a share of 2^-53 or more also falls out of the normal
+# floats and loses bits: on (0, 5e-324, 0, 5e-324) both engines read
+# P{theta <= 1/2} = 0 unscaled.
+_CASE2_TINY = 0.25
 
 
 class ModelKind(enum.Enum):

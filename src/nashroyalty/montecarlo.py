@@ -15,6 +15,13 @@ part of the contract:
   Only the values a sample returns are generated; the rest of each block
   is skipped with PCG64's jump-ahead (``advance``, O'Neill 2014), which
   leaves the stream where drawing the whole block would.
+* One cursor per shard reads both halves, a block at a time: it fills
+  the block's d1 values, jumps ahead to its d2 values, and jumps back by
+  advancing a full period of 2**128 steps less ``SHARD_SIZE``.  Each fill
+  is ``Generator.random`` into the sample itself (d1) or into the shard's
+  own block-sized scratch (d2), scaled in place by ``uniform``'s own
+  arithmetic, so the values are ``uniform``'s bit for bit and a thread
+  holds one block of scratch.
 * Shards run on up to one thread per CPU.  Each has its own stream and
   writes only its own slice of the sample, so the sample's bits do not
   depend on how many threads run.
@@ -46,6 +53,8 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 18
+# PCG64's period: advancing this many steps leaves the stream where it is.
+_PERIOD = 1 << 128
 
 # What every summary reports: these quantiles, and the fullest of this
 # many equal bins over [0, 1].
@@ -128,39 +137,52 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
 
     The d1 draws take the first ``SHARD_SIZE`` steps of the shard's stream
     and the d2 draws the next ``SHARD_SIZE``, even when fewer are needed, so
-    short samples stay prefixes of long ones.  A shard of more than one
-    ``_BLOCK`` reads both halves at once through a second cursor on the
-    stream, a block of each at a time, so its scratch stays block-sized
-    (see :func:`mc_summary`).  Undefined pairs are redrawn from the stream
-    after both halves: the next d1, then the next d2.
+    short samples stay prefixes of long ones.  One cursor reads both halves
+    a ``_BLOCK`` at a time: it fills the block's d1 values, jumps ahead to
+    its d2 values, and, unless the block is the last, jumps back to the next
+    d1 values by advancing ``2**128 - SHARD_SIZE`` steps, a full period of
+    PCG64 less ``SHARD_SIZE``.  The d1 values are drawn into the block's
+    slice of ``theta``, which their shares then overwrite, and the d2 values
+    into one block-sized scratch array that the shard keeps for all its
+    blocks (see :func:`mc_summary`).  Undefined pairs are redrawn from the
+    stream after both halves: the next d1, then the next d2.
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     m = theta.size
     rng = _shard_rng(seed, index)
+    cursor = rng.bit_generator
+    d2 = np.empty(min(m, _BLOCK))
     with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
-        if m <= _BLOCK:  # one block, on one cursor
-            d1 = rng.uniform(a, b, m)
-            rng.bit_generator.advance(SHARD_SIZE - m)
-            d2 = rng.uniform(c, d, m)
-            theta[:] = share.theta(d1, d2)
-            np.clip(theta, 0.0, 1.0, out=theta)
-        else:
-            ahead = _shard_rng(seed, index)
-            ahead.bit_generator.advance(SHARD_SIZE)
-            for start in range(0, m, _BLOCK):
-                part = theta[start : start + _BLOCK]
-                d1 = rng.uniform(a, b, part.size)
-                d2 = ahead.uniform(c, d, part.size)
-                part[:] = share.theta(d1, d2)
-                np.clip(part, 0.0, 1.0, out=part)
-            rng = ahead
-        rng.bit_generator.advance(SHARD_SIZE - m)
+        for start in range(0, m, _BLOCK):
+            x = theta[start : start + _BLOCK]
+            k = x.size
+            y = d2[:k]
+            _fill_uniform(rng, x, a, b)
+            cursor.advance(SHARD_SIZE - k)  # to this block's d2 draws
+            _fill_uniform(rng, y, c, d)
+            if start + k < m:
+                cursor.advance(_PERIOD - SHARD_SIZE)  # back to the next d1 draws
+            np.clip(share.theta(x, y), 0.0, 1.0, out=x)
+        cursor.advance(SHARD_SIZE - m)  # past the d2 half, to the redraws
         while math.isnan(theta.sum()):  # rare, so no mask unless needed
             stuck = np.isnan(theta)
             k = int(stuck.sum())
-            d1 = rng.uniform(a, b, k)
-            d2 = rng.uniform(c, d, k)
-            theta[stuck] = np.clip(share.theta(d1, d2), 0.0, 1.0)
+            x, y = np.empty(k), np.empty(k)
+            _fill_uniform(rng, x, a, b)
+            _fill_uniform(rng, y, c, d)
+            theta[stuck] = np.clip(share.theta(x, y), 0.0, 1.0)
+
+
+def _fill_uniform(rng: np.random.Generator, out, low: float, high: float) -> None:
+    """Write ``rng.uniform(low, high, out.size)`` to ``out``, bit for bit.
+
+    numpy's ``uniform`` draws the same doubles as ``random`` and returns
+    ``low + (high - low) * u``; this applies that arithmetic in place, so
+    no new array is made.
+    """
+    rng.random(out=out)
+    out *= high - low
+    out += low
 
 
 class SampleSummary(_Record):
@@ -346,12 +368,13 @@ def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     """Sample and summarize in one step, recording the seed.
 
     The sample is this function's own, so its variance is taken in place.
-    With the payoffs drawn and the shares computed in blocks, a 10**6
-    sample then adds about 1 MiB of block scratch per sampling thread to
-    the sample's 8 MB.  A loop of calls stays below glibc's heap trim
-    threshold (twice the largest block it has mapped and freed, 16 MB
-    here), so it reuses its heap instead of returning it and faulting it
-    back in on every call.
+    Each shard draws its payoffs on one cursor and computes its shares a
+    block at a time, its d1 values into the sample itself and its d2 values
+    into one block-sized scratch array, so a 10**6 sample adds about 1 MiB
+    of block scratch per sampling thread to the sample's 8 MB.  A loop of
+    calls stays below glibc's heap trim threshold (twice the largest block
+    it has mapped and freed, 16 MB here), so it reuses its heap instead of
+    returning it and faulting it back in on every call.
     """
     return _summary(sample_thetas(model, bounds, n, seed), seed, own=True)
 

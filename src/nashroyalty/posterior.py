@@ -362,12 +362,11 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
         ladder = {guess + span * offset for offset in _MEDIAN_OFFSETS}
         ladder.add(middle)
         ts = sorted(t for t in ladder if lo < t < hi)
-        probs = _cdf(ops, bounds, np.array(ts))
-        gaps = np.abs(probs - 0.5)
-        best = int(gaps.argmin())
-        if gaps[best] <= target:
-            return ts[best]
-        values = probs.tolist()
+        values = _cdf(ops, bounds, np.array(ts)).tolist()
+        gaps = [abs(p - 0.5) for p in values]
+        gap = min(gaps)
+        if gap <= target:
+            return ts[gaps.index(gap)]  # the first point as close
         below = [i for i, p in enumerate(values) if p < 0.5]
         above = [i for i, p in enumerate(values) if p > 0.5]
         if below:

@@ -124,7 +124,7 @@ class TestThetaGeneral:
 
 
 class TestRescaledBounds:
-    """Only case2 rescales, and only rectangles of bounds below 2^-969."""
+    """Only case2 rescales, and only rectangles of bounds below 1/4."""
 
     CASE2 = as_share_model(ModelKind.CASE2)
 
@@ -133,7 +133,7 @@ class TestRescaledBounds:
         [
             (0.0, 0.2, 0.0, 0.8),
             (1e-300, 2e-300, 0.0, 0.5),
-            (0.0, 2.0**-969, 0.0, 2.0**-969),
+            (0.0, 0.25, 0.0, 0.25),
             (0.0, 0.0, 0.0, 0.0),
         ],
         ids=str,
@@ -149,6 +149,7 @@ class TestRescaledBounds:
             (5e-324, 1e-320, 0.0, 3e-321),
             (1e-310, 3e-310, 2e-310, 9e-310),
             (0.0, 2.0**-970, 0.0, 2.0**-970),
+            (0.0, 0.1, 0.0, math.nextafter(0.25, 0.0)),
         ],
         ids=str,
     )

@@ -31,7 +31,7 @@ from nashroyalty import (
     validate_bounds,
 )
 from nashroyalty import montecarlo
-from nashroyalty.bargaining import as_share_model
+from nashroyalty.bargaining import ShareModel, as_share_model
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -199,9 +199,13 @@ BLOCK = montecarlo._BLOCK
 class StreamCursor:
     """A shard generator that knows its position in the shard's stream.
 
-    Records the size of every ``uniform`` call in ``sizes`` and replaces
-    the draws at the stream positions in ``zeroed`` by the lower bound.
+    Records the size of every ``random`` fill in ``sizes`` and replaces
+    the draws at the stream positions in ``zeroed`` by 0, which the
+    sampler scales to the lower bound.  Positions count modulo PCG64's
+    period 2**128, as ``advance`` does.
     """
+
+    PERIOD = 1 << 128
 
     def __init__(self, rng, sizes, zeroed):
         self.rng, self.sizes, self.zeroed = rng, sizes, zeroed
@@ -210,16 +214,15 @@ class StreamCursor:
 
     def advance(self, delta):
         self.rng.bit_generator.advance(delta)
-        self.position += delta
+        self.position = (self.position + delta) % self.PERIOD
 
-    def uniform(self, low, high, size):
-        draws = self.rng.uniform(low, high, size)
-        self.sizes.append(size)
+    def random(self, *, out):
+        self.rng.random(out=out)
+        self.sizes.append(out.size)
         for p in self.zeroed:
-            if 0 <= p - self.position < size:
-                draws[p - self.position] = low
-        self.position += size
-        return draws
+            if 0 <= p - self.position < out.size:
+                out[p - self.position] = 0.0
+        self.position = (self.position + out.size) % self.PERIOD
 
 
 def track_streams(monkeypatch, sizes, zeroed=()):
@@ -281,7 +284,7 @@ class TestPinnedStreams:
         sample_thetas(ModelKind.CASE1, GOLDEN, n, seed=4)
         assert sum(sizes) == 2 * n
 
-    # One block on one cursor, and the third of four blocks read through two.
+    # One block, and the third of four blocks of one shard.
     @pytest.mark.parametrize("n, k", [(10, 5), (3 * BLOCK + 10, 2 * BLOCK + 5)])
     def test_undefined_pair_is_redrawn_from_its_shard_stream(self, monkeypatch, n, k):
         # GOLDEN has a = c = 0.  Zero the d1 and d2 draws of pair k of shard
@@ -401,7 +404,94 @@ class TestParallelShards:
         sample_thetas(ModelKind.CASE1, GOLDEN, 20_000, seed=1)
         assert calls == [0]
         sample_thetas(ModelKind.CASE1, GOLDEN, SHARD_SIZE, seed=1)
-        assert calls == [0, 0, 0]  # a second cursor for a shard of many blocks
+        assert calls == [0, 0]  # one cursor for a shard of many blocks too
+
+
+class Holed(ShareModel):
+    """A share model left undefined (NaN) wherever d1 lies in the lower half
+    of its interval, so about half of each round of pairs is redrawn."""
+
+    def __init__(self, model, bounds):
+        self.inner = as_share_model(model)
+        self.cut = 0.5 * (bounds.a + bounds.b)
+
+    def theta(self, x, y):
+        return np.where(x < self.cut, np.nan, self.inner.theta(x, y))
+
+    def support(self, bounds):
+        return self.inner.support(bounds)
+
+
+def uniform_reference(share, bounds, n, seed):
+    """sample_thetas by its documented stream layout, from Generator.uniform.
+
+    Shard i draws all SHARD_SIZE of its d1 values, then all SHARD_SIZE of
+    its d2 values, and keeps the first pairs; undefined pairs are redrawn
+    from the same stream, all d1 values of a round and then its d2 values.
+    Returns the sample and the number of redraw rounds.
+    """
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    parts, rounds = [], 0
+    for index, start in enumerate(range(0, n, SHARD_SIZE)):
+        m = min(SHARD_SIZE, n - start)
+        rng = montecarlo._shard_rng(seed, index)
+        d1 = rng.uniform(a, b, SHARD_SIZE)[:m]
+        d2 = rng.uniform(c, d, SHARD_SIZE)[:m]
+        theta = np.clip(share.theta(d1, d2), 0.0, 1.0)
+        while np.isnan(theta).any():
+            stuck = np.isnan(theta)
+            k = int(stuck.sum())
+            x, y = rng.uniform(a, b, k), rng.uniform(c, d, k)
+            theta[stuck] = np.clip(share.theta(x, y), 0.0, 1.0)
+            rounds += 1
+        parts.append(theta)
+    return np.concatenate(parts), rounds
+
+
+class TestUniformReference:
+    """One cursor, jumping between the halves of each shard, draws what
+    Generator.uniform draws along the documented stream layout."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 17, 20_000, BLOCK, BLOCK + 1, SHARD_SIZE + 1, 10**6]
+    )
+    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
+    def test_sample_equals_the_uniform_reference(self, monkeypatch, model, n):
+        share = Holed(model, OFFSET_BOX)
+        expected, rounds = uniform_reference(share, OFFSET_BOX, n, seed=17)
+        assert rounds > 0 or n == 1
+        for cpus in WORKER_COUNTS:
+            on_cpus(monkeypatch, cpus)
+            x = sample_thetas(share, OFFSET_BOX, n, seed=17)
+            assert x.tobytes() == expected.tobytes(), f"{cpus} workers"
+
+
+# Pairs (lo, hi) for the uniform-fill guard: random ones, equal ends, and
+# widths of a few subnormal steps.
+FILL_PAIRS = [
+    *(tuple(sorted(pair)) for pair in np.random.default_rng(7).random((200, 2)).tolist()),
+    *((v, v) for v in (0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0)),
+    *((lo, lo + k * 5e-324) for lo in (0.0, 5e-324, 1e-310) for k in (1, 2, 3, 1000)),
+    (0.0, 2.2250738585072014e-308),
+    (0.0, 1.0),
+    (0.5, 0.5 + 2.0**-53),
+]
+
+
+class TestUniformFill:
+    def test_uniform_equals_the_in_place_fill_of_draw_shard(self):
+        for i, (lo, hi) in enumerate(FILL_PAIRS):
+            reference = np.random.Generator(np.random.PCG64(i))
+            rng = np.random.Generator(np.random.PCG64(i))
+            expected = reference.uniform(lo, hi, 999)
+            out = np.empty(999)
+            montecarlo._fill_uniform(rng, out, lo, hi)
+            message = (
+                f"Generator.uniform({lo!r}, {hi!r}) no longer equals random(out=...) "
+                "scaled in place; montecarlo._draw_shard's streams rely on it"
+            )
+            assert out.tobytes() == expected.tobytes(), message
+            assert rng.bit_generator.state == reference.bit_generator.state, message
 
 
 class TestSampleValidity:
@@ -723,8 +813,8 @@ class TestMcSummaryInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The sample; per worker a d1 block, a d2 block and three temporaries
-        # of the share; and the summary's block-sized scratch.
+        # The sample; per worker a d2 block and the share's temporaries; and
+        # the summary's block-sized scratch.
         assert peak <= 8 * n + cpus * 5 * 8 * BLOCK + 2**20
 
 

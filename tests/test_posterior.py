@@ -270,7 +270,7 @@ class TestNumericMedian:
 
 
 class TestSubnormalCase2Boxes:
-    """case2 boxes whose bounds lie below 2^-969 are scaled up exactly."""
+    """case2 boxes whose bounds lie below 1/4 are scaled up exactly."""
 
     @pytest.mark.parametrize("side", [5e-324, 1e-320, 2.0**-1000], ids=str)
     def test_cdf_on_a_square(self, side):
@@ -298,6 +298,14 @@ class TestSubnormalCase2Boxes:
         mean = estimate(ModelKind.CASE2, RiskProfile.MSE, bounds).theta1
         assert numeric_median(ModelKind.CASE2, bounds) == pytest.approx(median, abs=1e-9)
         assert numeric_mean(ModelKind.CASE2, bounds) == pytest.approx(mean, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-13, 1e-200], ids=str)
+    def test_small_box_median_is_scale_free(self, s):
+        # Unscaled, the median's target read the absolute side widths, and
+        # on this box it returned 0.342857 (CDF 0.5414) at both scales.
+        bounds = validate_bounds(0.1 * s, 0.3 * s, 0.2 * s, 0.6 * s)
+        median = numeric_median(ModelKind.CASE2, bounds)
+        assert median == pytest.approx(1 / 3, abs=1e-9)
 
 
 class TestNumericMean:
