@@ -270,14 +270,6 @@ class PayoffBounds(_Record):
     def width2(self) -> float:
         return self.d - self.c
 
-    @property
-    def is_point_mass1(self) -> bool:
-        return self.a == self.b
-
-    @property
-    def is_point_mass2(self) -> bool:
-        return self.c == self.d
-
     def swapped(self) -> "PayoffBounds":
         """The same negotiation with the parties' roles exchanged."""
         return PayoffBounds(self.c, self.d, self.a, self.b)

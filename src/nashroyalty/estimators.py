@@ -348,14 +348,14 @@ def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
     At a band end the curve sits on the row it crosses there, unless the
     rectangle clips the band.  The band's mean of d - y0 is the mean of
     its end values for ``NBS`` and ``CASE2``, whose level curves are
-    straight, and an elementary integral for ``CASE1``.  A point-mass side
-    reduces P to a 1-D ratio; outside the support [lo, hi), and for a
-    deterministic share, the CDF is a step.  A ``CASE2`` rectangle of
-    bounds below 2^-969 is first scaled up by an exact power of two, since
-    the share is scale invariant.  Agrees with ``cdf_at`` within
-    its error target (README, *Accuracy notes*).  ``model`` may be given
-    by its string value; an unknown model, or a ``t`` outside [0, 1],
-    raises :class:`OutOfRangeError`.
+    straight, and an elementary integral for ``CASE1``.  A point-mass d1
+    side is one column and a point-mass d2 side has an empty band; outside
+    the support [lo, hi), and for a deterministic share, the CDF is a step.
+    A ``CASE2`` rectangle whose largest bound is below 1/4 is first lifted
+    into [1/4, 1/2) by an exact power of two, since the share is scale
+    invariant.  Agrees with ``cdf_at`` within its error target (README,
+    *Accuracy notes*).  ``model`` may be given by its string value; an
+    unknown model, or a ``t`` outside [0, 1], raises :class:`OutOfRangeError`.
     """
     model = as_model_kind(model)
     t = _require_unit("t", t)

@@ -41,7 +41,7 @@ from .bargaining import (
     _require_count,
     as_share_model,
 )
-from .errors import EmptySampleError, OutOfRangeError
+from .errors import DegeneratePayoffsError, EmptySampleError, OutOfRangeError
 
 __all__ = [
     "SHARD_SIZE",
@@ -55,6 +55,9 @@ __all__ = [
 SHARD_SIZE = 1 << 18
 # PCG64's period: advancing this many steps leaves the stream where it is.
 _PERIOD = 1 << 128
+# Redraw rounds per shard: a model undefined on half the rectangle needs
+# about 20 for 10**6 draws; one undefined everywhere would never stop.
+_REDRAW_ROUNDS = 64
 
 # What every summary reports: these quantiles, and the fullest of this
 # many equal bins over [0, 1].
@@ -91,8 +94,9 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     Deterministic in (model, bounds, n, seed).  A drawn pair where the
     share is undefined (the proportional model at exactly (0, 0), possible
     only when a = c = 0) is redrawn within its shard; a rectangle on which
-    the share is nowhere defined raises :class:`DegeneratePayoffsError`, and
-    an ``n`` that is not an integer of at least 1 :class:`OutOfRangeError`.
+    the share is nowhere defined raises :class:`DegeneratePayoffsError`, as
+    do pairs still undefined after 64 rounds of redraws, and an ``n`` that
+    is not an integer of at least 1 :class:`OutOfRangeError`.
 
     Shards run on up to one thread per CPU, the calling thread among them.
     Each writes only its own slice of the result, so the values do not
@@ -145,7 +149,8 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
     slice of ``theta``, which their shares then overwrite, and the d2 values
     into one block-sized scratch array that the shard keeps for all its
     blocks (see :func:`mc_summary`).  Undefined pairs are redrawn from the
-    stream after both halves: the next d1, then the next d2.
+    stream after both halves, the next d1 and then the next d2, in at most
+    ``_REDRAW_ROUNDS`` rounds.
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     m = theta.size
@@ -164,9 +169,16 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
                 cursor.advance(_PERIOD - SHARD_SIZE)  # back to the next d1 draws
             np.clip(share.theta(x, y), 0.0, 1.0, out=x)
         cursor.advance(SHARD_SIZE - m)  # past the d2 half, to the redraws
+        rounds = 0
         while math.isnan(theta.sum()):  # rare, so no mask unless needed
             stuck = np.isnan(theta)
             k = int(stuck.sum())
+            if rounds == _REDRAW_ROUNDS:
+                raise DegeneratePayoffsError(
+                    f"the share stayed undefined at {k} of shard {index}'s {m} "
+                    f"payoff pairs after {rounds} rounds of redraws"
+                )
+            rounds += 1
             x, y = np.empty(k), np.empty(k)
             _fill_uniform(rng, x, a, b)
             _fill_uniform(rng, y, c, d)
@@ -253,12 +265,10 @@ def _summary(arr, seed: int | None, own: bool) -> SampleSummary:
     k = int(np.argmax(counts))
     if n == 1:
         se = 0.0
-    elif own:  # the steps of arr.std(ddof=1), whose mean is arr.mean()
-        np.subtract(arr, mean, out=arr)
-        np.square(arr, out=arr)
-        se = float(np.sqrt(np.add.reduce(arr) / (n - 1)) / math.sqrt(n))
-    else:
-        se = float(arr.std(ddof=1) / math.sqrt(n))
+    else:  # the steps of arr.std(ddof=1), whose mean is arr.mean()
+        spread = np.subtract(arr, mean, out=arr if own else None)
+        np.square(spread, out=spread)
+        se = float(np.sqrt(np.add.reduce(spread) / (n - 1)) / math.sqrt(n))
     return SampleSummary(
         n=n,
         mean=mean,

@@ -172,15 +172,27 @@ def _tolerance(*lengths: float) -> float:
 
 
 def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
-    """The CDF at support points ``t`` of a rectangle with two open sides.
+    """The CDF at support points ``t`` where the share is not deterministic.
 
-    The level curve theta = t crosses y = c at x_c and y = d at x_d.  Left
-    of x_c the whole column [c, d] lies in {theta <= t}, right of x_d none
-    of it does, and in between the fraction (d - y0(x, t)) / (d - c) does;
-    only that middle part needs quadrature.
+    Column x holds the fraction (d - y0(x, t)) / (d - c) of [c, d] in
+    {theta <= t}, and a point-mass d1 side (a = b) is that one column.  Else
+    theta = t crosses y = c at x_c and y = d at x_d: columns left of x_c lie
+    wholly in the event, those right of x_d wholly out, and only the band in
+    between needs quadrature.  A point-mass d2 side (c = d) has an empty band.
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     height = d - c
+
+    def column(x, t_x):
+        # In place: a round's nodes can fill _CHUNK x 36 floats.
+        share = d - ops.d2_threshold(x, t_x)
+        np.maximum(share, 0.0, out=share)
+        np.minimum(share, height, out=share)
+        share /= height
+        return share
+
+    if a == b:
+        return column(a, t)
     cross = ops.d1_threshold(np.array([[c], [d]]), t)  # rows y = c and y = d
     # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
     x_c = np.minimum(np.maximum(cross[0], a), b)
@@ -188,16 +200,8 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
     covered = x_c - a
     tol = _tolerance(b - a, height)
 
-    def band(t_part, left, right):
-        def column(x, rows):
-            # In place: a round's nodes can fill _CHUNK x 36 floats.
-            share = d - ops.d2_threshold(x, t_part[rows, None])
-            np.maximum(share, 0.0, out=share)
-            np.minimum(share, height, out=share)
-            share /= height
-            return share
-
-        return _integrate(column, left, right, tol)
+    def band(part, left, right):
+        return _integrate(lambda x, rows: column(x, part[rows, None]), left, right, tol)
 
     is_open = x_d > x_c
     if t.size <= _CHUNK and _every(is_open):
@@ -216,11 +220,12 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
 
     The one CDF kernel behind this module.  Values are accurate to 1e-12
     absolute (to the roundoff floor ``16 eps / side`` on rectangles with a
-    side thinner than about 0.004); degenerate rectangles reduce to
-    1-D length ratios, and a deterministic share yields the step value 0
-    or 1.  A value is the same whatever other points share the call.  The
-    rectangle is the model's ``rescaled`` one: for case2, bounds below
-    2^-969 are first scaled up exactly.
+    side thinner than about 0.004).  A deterministic share yields the step
+    value 0 or 1; in :func:`_cross_sections` a point-mass d1 side is one
+    column and a point-mass d2 side has an empty band.  A value is the same
+    whatever other points share the call.  The rectangle is the model's
+    ``rescaled`` one: a case2 rectangle whose largest bound is below 1/4 is
+    first lifted into [1/4, 1/2) by an exact power of two.
     """
     bounds = ops.rescaled(bounds)
     lo, hi = ops.support(bounds)
@@ -229,18 +234,10 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
     inside = (ts >= lo) & (ts < hi)
     whole = _every(inside)
     t = ts if whole else ts[inside]
-    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     # Near t = 0 or on very thin rectangles a crossing can overflow; +-inf is
     # the right limit there and every length is clipped to the rectangle.
     with np.errstate(over="ignore"):
-        if bounds.is_point_mass1:
-            y0 = ops.d2_threshold(a, t)
-            share = np.minimum(np.maximum(d - y0, 0.0), d - c) / (d - c)
-        elif bounds.is_point_mass2:
-            x0 = ops.d1_threshold(c, t)
-            share = np.minimum(np.maximum(x0 - a, 0.0), b - a) / (b - a)
-        else:
-            share = _cross_sections(ops, bounds, t)
+        share = _cross_sections(ops, bounds, t)
     np.maximum(share, 0.0, out=share)
     np.minimum(share, 1.0, out=share)
     if whole:

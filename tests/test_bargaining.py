@@ -46,7 +46,7 @@ class TestValidateBounds:
 
     def test_point_mass_bounds_accepted(self):
         bounds = validate_bounds(0.3, 0.3, 0.1, 0.1)
-        assert bounds.is_point_mass1 and bounds.is_point_mass2
+        assert bounds.a == bounds.b and bounds.c == bounds.d
 
     def test_disordered_interval_rejected(self):
         with pytest.raises(DisorderedBoundsError, match="a <= b"):

@@ -1,9 +1,11 @@
 """Exact bits and call counts of the numeric posterior engine.
 
 The digests below were captured from the engine before its per-call
-overhead was cut; a change that should leave every value alone must keep
-them.  The kernel-call counts guard the engine's cost without timing it:
-a change that adds ``_cdf`` calls has to update them on purpose.
+overhead was cut, and those of the point-mass boxes while the kernel still
+had a 1-D formula of its own for each point-mass side; a change that should
+leave every value alone must keep them.  The kernel-call counts guard the
+engine's cost without timing it: a change that adds ``_cdf`` calls has to
+update them on purpose.
 """
 
 import hashlib
@@ -19,6 +21,9 @@ BOXES = {
     "inner": validate_bounds(0.1, 0.3, 0.2, 0.6),
     # A thin d1 side at the simplex edge: most of case1's integrals bisect.
     "thin": validate_bounds(0.0, 1e-3, 0.5, 0.999),
+    # Point-mass sides: d1 known for certain, then d2.
+    "point1": validate_bounds(0.25, 0.25, 0.1, 0.6),
+    "point2": validate_bounds(0.1, 0.4, 0.3, 0.3),
 }
 MODELS = {
     "nbs": "nbs",
@@ -78,6 +83,38 @@ PINS = {
         "fafa6ddfe4278e8b44d34dd49b1ec70a0f91bd8b3a10b17766e96944958e1c60",
         "6d1eb0d21dd7bbb4fc3922992945229de004d693dfd1ffd0028defd2bcf48c60",
     ),  # (0.0755, 0.0755, 0.001)
+    ("point1", "nbs"): (
+        "9359944a42bb0d6d533759c0a6e9f0842e2e4ec7e6fe8b24597d0b3121d02072",
+        "4ffb79e44f0455f351851aecb980063db5063387dd290c6bd0e1b339bb3c27c7",
+    ),  # (0.44999999999999996, 0.45000000000000007, 0.325)
+    ("point1", "case1"): (
+        "4b630a42e73aeafc8af18603687e8ea0ea5ff7ca5b96d66a967038d2dfcbd1cc",
+        "c5546026360d7ae1d20adaf502cd07b2b026c0a1998fa28be0dbcd49cb7b14da",
+    ),  # (0.43000000000000377, 0.4404166666666667, 0.29875)
+    ("point1", "case2"): (
+        "e82ec5d2d886b934725b0a6711d4b141a376eb8c71c62962f52be18d1052d6c2",
+        "638602b31491813f325dbaca9ec9917e84fd4a96f22534b2a8c4ceddd823f57a",
+    ),  # (0.41666666673191877, 0.44365159750045147, 0.29411764705882354)
+    ("point1", "alpha0.3"): (
+        "71c1ecb33b3a754f0473f22e1a3b2fd835b43fde725958acfd6fec775bf1a9e8",
+        "9bc250e4939fac0d8e02bc809862f9aa98aae4d81b79f3a68b176ced77458fc3",
+    ),  # (0.37, 0.37, 0.295)
+    ("point2", "nbs"): (
+        "8bf054b179ab6c87e5fe10f7442c66196ef79e03b11e13345630c84125cd47f9",
+        "5ab20749c455007f8f30b2f0da6494374e41b414894beeaee02b4923f2e105ed",
+    ),  # (0.47500000000000003, 0.475, 0.55)
+    ("point2", "case1"): (
+        "7ff94d81a18b01cd7c0f78a0ca0149e00d843af85a02b49498a310c258faa1ee",
+        "b68914ead1170068b973b1dc56e340b1f40fb98f5532d7a22e0855ca6b9946b1",
+    ),  # (0.4637499998253422, 0.46, 0.5650000000000001)
+    ("point2", "case2"): (
+        "40d4e1be8ff79e9d63039c8da60106f3ba70dedb329e517bc680fd980854e445",
+        "b43f27492a00b2340aa632ad2c7a3e3795811f017340bb388b77e998c7d37373",
+    ),  # (0.45454545454485634, 0.44038421206457734, 0.5714285714285715)
+    ("point2", "alpha0.3"): (
+        "6f9cb7221705de6a4bb0bc760f670fa5c211eaaa96401c5318f16712cc4358d8",
+        "5ec17367681cf91633ee77b8d38bbf7196bca1d8b23e88b2f235d1cc46024cac",
+    ),  # (0.385, 0.385, 0.49)
 }
 
 
@@ -105,6 +142,10 @@ CALLS = {
     ("inner", numeric_mean): (1, 1, 1, 1),
     ("thin", numeric_median): (1, 4, 3, 1),
     ("thin", numeric_mean): (1, 9, 1, 1),
+    ("point1", numeric_median): (1, 4, 4, 1),
+    ("point1", numeric_mean): (1, 1, 1, 1),
+    ("point2", numeric_median): (1, 3, 4, 1),
+    ("point2", numeric_mean): (1, 1, 1, 1),
 }
 
 

@@ -422,6 +422,30 @@ class Holed(ShareModel):
         return self.inner.support(bounds)
 
 
+class Undefined(ShareModel):
+    """A share model undefined (NaN) at every payoff pair whose support does
+    not raise: ``at`` clips NaN to 0, so the support reads (0.0, 0.0)."""
+
+    @staticmethod
+    def theta(x, y):
+        return x * math.nan
+
+
+class TestRedrawLimit:
+    """Redraws stop after a fixed number of rounds with a named error."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("sampler", [sample_thetas, mc_summary])
+    def test_a_share_undefined_everywhere_raises(self, monkeypatch, sampler, cpus):
+        assert Undefined().support(OFFSET_BOX) == (0.0, 0.0)
+        on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        message = f"undefined at {SHARD_SIZE} of shard 0's {SHARD_SIZE} payoff pairs"
+        with pytest.raises(DegeneratePayoffsError, match=message):
+            sampler(Undefined(), OFFSET_BOX, SHARD_SIZE + 17, seed=1)
+        assert threading.active_count() == before
+
+
 def uniform_reference(share, bounds, n, seed):
     """sample_thetas by its documented stream layout, from Generator.uniform.
 
