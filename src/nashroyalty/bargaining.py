@@ -84,7 +84,7 @@ def _require_unit(name: str, value) -> float:
     return value
 
 
-def _require_count(name: str, value, minimum: int) -> int:
+def _require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     try:  # an integral float such as 2001.0 passes; 50.9 is not cut to 50
         count = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -93,7 +93,22 @@ def _require_count(name: str, value, minimum: int) -> int:
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
     if count < minimum:
         raise OutOfRangeError(f"{name} must be at least {minimum}, got {count!r}")
+    if maximum is not None and count > maximum:
+        raise OutOfRangeError(f"{name} must be at most {maximum}, got {count!r}")
     return count
+
+
+def _member(kind: type[enum.Enum], label: str, value):
+    """The ``kind`` member that is ``value`` or has it as its value.
+
+    Raises :class:`OutOfRangeError` naming the accepted values otherwise.
+    """
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        message = f"{label} must be one of {names}, got {value!r}"
+        raise OutOfRangeError(message) from None
 
 
 def _clip01(value: float) -> float:
@@ -275,13 +290,8 @@ class PayoffBounds(_Record):
         return PayoffBounds(self.c, self.d, self.a, self.b)
 
 
-def validate_bounds(a: float, b: float, c: float, d: float) -> PayoffBounds:
-    """Check payoff bounds and return them as a :class:`PayoffBounds`.
-
-    Raises :class:`OutOfRangeError`, :class:`DisorderedBoundsError`, or
-    :class:`SurplusViolationError` naming the violated constraint.
-    """
-    return PayoffBounds(a, b, c, d)
+# The checked constructor under the name the package has long exported.
+validate_bounds = PayoffBounds
 
 
 def alpha_from_perceptions(perceptions: PerceptionMatrix) -> float:
@@ -320,8 +330,21 @@ class ShareModel:
     __slots__ = ()
 
     def at(self, x: float, y: float) -> float:
-        """The share at one payoff pair, clipped to [0, 1] against roundoff."""
-        return _clip01(self.theta(x, y))
+        """The share at one payoff pair, clipped to [0, 1] against roundoff.
+
+        Raises :class:`DegeneratePayoffsError` where the rule is undefined:
+        where ``theta`` is NaN or divides by zero, as the proportional rule
+        d1 / (d1 + d2) does at the origin.
+        """
+        try:
+            share = self.theta(x, y)
+        except ZeroDivisionError:
+            share = math.nan
+        if math.isnan(share):
+            raise DegeneratePayoffsError(
+                f"the share is undefined at d1 = {x!r}, d2 = {y!r}"
+            )
+        return _clip01(share)
 
     def support(self, bounds: PayoffBounds) -> tuple[float, float]:
         """Smallest and largest share on the payoff rectangle.
@@ -410,7 +433,7 @@ class _Case2(ShareModel):
     """Weight proportional to payoff size: alpha = d1 / (d1 + d2).
 
     The share is constant on rays from the origin and undefined at the
-    origin itself; this class is the one place that knows it.
+    origin itself, where ``theta`` divides by zero.
     """
 
     @staticmethod
@@ -443,14 +466,6 @@ class _Case2(ShareModel):
             return cut
         safe_gap = np.where(below, 1.0 - t, 1.0)
         return np.where(below, t * y / safe_gap, np.inf)
-
-    def at(self, x: float, y: float) -> float:
-        if x + y == 0.0:
-            raise DegeneratePayoffsError(
-                "the proportional-weight share d1 / (d1 + d2) is undefined "
-                "at d1 = d2 = 0"
-            )
-        return super().at(x, y)
 
     def support(self, bounds: PayoffBounds) -> tuple[float, float]:
         """As for every model, except at the origin.
@@ -530,13 +545,7 @@ def as_model_kind(model) -> ModelKind:
 
     Raises :class:`OutOfRangeError` naming the accepted values otherwise.
     """
-    try:
-        return ModelKind(model)
-    except ValueError:
-        names = ", ".join(kind.value for kind in ModelKind)
-        raise OutOfRangeError(
-            f"model must be a ModelKind or one of {names}, got {model!r}"
-        ) from None
+    return _member(ModelKind, "model", model)
 
 
 def as_share_model(model) -> ShareModel:

@@ -35,11 +35,18 @@ from .bargaining import (
     _Record,
     _require_count,
     alpha_from_perceptions,
+    as_model_kind,
     as_share_model,
     royalty_rate,
 )
 from .errors import BoundsValidationError, DegeneracyError, NumericalAccuracyError
-from .estimators import RiskProfile, closed_cdf, estimate, paper_case1_median
+from .estimators import (
+    RiskProfile,
+    as_risk_profile,
+    closed_cdf,
+    estimate,
+    paper_case1_median,
+)
 
 # The engines (posterior, montecarlo) need numpy, which takes longer to
 # import than the closed-form commands take to run; each handler imports
@@ -115,10 +122,6 @@ _BLOCKS = {
 _CONFIG_KEYS = {"model", "risk", "grid_points", *_BLOCKS}
 
 
-def _fields(block: str) -> tuple[str, ...]:
-    return _BLOCKS[block][0].__slots__
-
-
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -148,11 +151,11 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     _check_keys(data, _CONFIG_KEYS, str(path))
     numbers = {"grid_points": data["grid_points"]} if "grid_points" in data else {}
-    for block in _BLOCKS:
+    for block, (kind, _) in _BLOCKS.items():
         if block in data:
             if not isinstance(data[block], dict):
                 raise ConfigError(f"{path}: field '{block}' must be an object")
-            _check_keys(data[block], set(_fields(block)), f"{path}: field '{block}'")
+            _check_keys(data[block], set(kind.__slots__), f"{path}: field '{block}'")
             numbers.update((f"{block}.{k}", v) for k, v in data[block].items())
     for name, value in numbers.items():
         # JSON true/false would pass as 1/0 and "0" as 0 further on.
@@ -163,13 +166,6 @@ def _load_config_file(path: Path) -> dict:
     return data
 
 
-def _positive_int(label: str, value, minimum: int, maximum: int | None = None) -> int:
-    value = _require_count(label, value, minimum)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{label} must be at most {maximum}, got {value}")
-    return value
-
-
 def _block(data: dict, args, block: str, required: bool = False):
     """The record of one config block with its same-named flags laid over.
 
@@ -177,7 +173,7 @@ def _block(data: dict, args, block: str, required: bool = False):
     flag; otherwise every field must be set.
     """
     kind, missing_message = _BLOCKS[block]
-    names = _fields(block)
+    names = kind.__slots__
     flags = {name: getattr(args, name, None) for name in names}
     flags = {name: value for name, value in flags.items() if value is not None}
     if not (required or block in data or flags):
@@ -187,17 +183,6 @@ def _block(data: dict, args, block: str, required: bool = False):
     if missing:
         raise ConfigError(missing_message + ", ".join(missing))
     return kind(**values)
-
-
-def _member(kind, field: str, value):
-    """The ``kind`` enum member named ``value``, as a config field."""
-    try:
-        return kind(value)
-    except ValueError:
-        names = ", ".join(member.value for member in kind)
-        raise ConfigError(
-            f"field '{field}' must be one of {names}; got {value!r}"
-        ) from None
 
 
 def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
@@ -217,10 +202,10 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
     elif model_name is None:
         raise ConfigError("field 'model' is required when no perceptions are given")
     else:
-        model = _member(ModelKind, "model", model_name)
+        model = as_model_kind(model_name)
 
     risk_name = getattr(args, "risk", None) or data.get("risk")
-    risk = None if risk_name is None else _member(RiskProfile, "risk", risk_name)
+    risk = None if risk_name is None else as_risk_profile(risk_name)
     if need_risk and risk is None:
         raise ConfigError("field 'risk' is required (map, abs, or mse)")
 
@@ -232,7 +217,7 @@ def _scenario_from(args, need_risk: bool) -> ScenarioConfig:
         model=model,
         risk=risk,
         financials=_block(data, args, "financials"),
-        grid_points=_positive_int(
+        grid_points=_require_count(
             "field 'grid_points'", grid_points, 3, _MAX_GRID_POINTS
         ),
     )
@@ -401,9 +386,9 @@ def _cmd_verify(args) -> int:
     from .montecarlo import random_valid_bounds, sample_thetas
     from .posterior import _cdf, numeric_estimate
 
-    samples = _positive_int("--samples", args.samples, 1, _MAX_SAMPLES)
-    mc_n = _positive_int("--mc-n", args.mc_n, 2, _MAX_MC_N)
-    seed = _positive_int("--seed", args.seed, 0)
+    samples = _require_count("--samples", args.samples, 1, _MAX_SAMPLES)
+    mc_n = _require_count("--mc-n", args.mc_n, 2, _MAX_MC_N)
+    seed = _require_count("--seed", args.seed, 0)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tuples = [random_valid_bounds(rng) for _ in range(samples)]

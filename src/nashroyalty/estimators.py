@@ -32,12 +32,13 @@ from .bargaining import (
     ModelKind,
     PayoffBounds,
     _Record,
+    _clip01,
+    _member,
     _require_unit,
     as_model_kind,
     as_share_model,
     theta_model,
 )
-from .errors import OutOfRangeError
 
 __all__ = [
     "RiskProfile",
@@ -87,13 +88,7 @@ def as_risk_profile(risk) -> RiskProfile:
 
     Raises :class:`OutOfRangeError` naming the accepted values otherwise.
     """
-    try:
-        return RiskProfile(risk)
-    except ValueError:
-        names = ", ".join(profile.value for profile in RiskProfile)
-        raise OutOfRangeError(
-            f"risk must be a RiskProfile or one of {names}, got {risk!r}"
-        ) from None
+    return _member(RiskProfile, "risk", risk)
 
 
 class EstimateResult(_Record):
@@ -112,7 +107,7 @@ class EstimateResult(_Record):
 
 
 def _result(theta1: float, note: str) -> EstimateResult:
-    theta1 = min(1.0, max(0.0, float(theta1)))
+    theta1 = _clip01(float(theta1))
     return EstimateResult(theta1, 1.0 - theta1, note)
 
 
@@ -403,4 +398,4 @@ def _cdf_and_density(
             else:
                 band = ((d - y_c) + (d - y_d)) / 2.0
             share += (x_d - x_c) / width * (band / height)
-    return min(1.0, max(0.0, share)), density
+    return _clip01(share), density

@@ -26,6 +26,7 @@ from .bargaining import (
     PayoffBounds,
     ShareModel,
     _Record,
+    _clip01,
     _every,
     _require_count,
     _require_unit,
@@ -404,7 +405,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     # A support only a few thousand ulps wide also rounds the t nodes.
     tol = _MEAN_TOL_FACTOR * _tolerance(bounds.width1, bounds.width2, hi - lo)
     area = _integrate(cdf, edges[:-1], edges[1:], tol)
-    return min(1.0, max(0.0, hi - float(area.sum())))
+    return _clip01(hi - float(area.sum()))
 
 
 class ModeResult(_Record):

@@ -109,7 +109,8 @@ def family_sweep(
     risk = as_risk_profile(risk)
     if engine not in _ENGINES:
         raise OutOfRangeError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    PayoffBounds(a, b, 0.0, 0.0)
+    checked = PayoffBounds(a, b, 0.0, 0.0)
+    a, b = checked.a, checked.b  # floats: a numpy 0 / 0 would warn in share.at
     if c_values is None:
         c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
@@ -154,8 +155,8 @@ def family_sweep(
     return SweepTable(
         model=model,
         risk=risk,
-        a=float(a),
-        b=float(b),
+        a=a,
+        b=b,
         series=tuple(series),
         map_reference=tuple(map_reference),
         omitted=tuple(omitted),
@@ -191,21 +192,17 @@ def write_map_csv(table: SweepTable, path) -> None:
     write_rows(path, "d,theta_map", rows)
 
 
-def _plain(value):
-    """A record as a dict of its fields in order, a tuple as a list and an
-    enum member as its value, all the way down."""
-    if isinstance(value, _Record):
-        return {name: _plain(getattr(value, name)) for name in value.__slots__}
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
-
-
 def to_json_dict(table: SweepTable) -> dict:
-    """Mirror the table structure as JSON-ready primitives."""
-    return _plain(table)
+    """Mirror the table structure as JSON-ready primitives: a record as a
+    dict of its fields in order, a tuple as a list and an enum member as
+    its value, all the way down."""
+    if isinstance(table, _Record):
+        return {name: to_json_dict(getattr(table, name)) for name in table.__slots__}
+    if isinstance(table, tuple):
+        return [to_json_dict(item) for item in table]
+    if isinstance(table, enum.Enum):
+        return table.value
+    return table
 
 
 def write_json(table: SweepTable, path) -> None:

@@ -185,7 +185,8 @@ class TestThetaModel:
             assert theta_model(ModelKind.CASE2, v, v) == 0.5
 
     def test_proportional_model_undefined_at_origin(self):
-        with pytest.raises(DegeneratePayoffsError, match="d1 = d2 = 0"):
+        message = "the share is undefined at d1 = 0.0, d2 = 0.0"
+        with pytest.raises(DegeneratePayoffsError, match=message):
             theta_model(ModelKind.CASE2, 0.0, 0.0)
 
     @given(payoff_pairs(), st.sampled_from(list(ModelKind)))

@@ -252,6 +252,47 @@ class TestConfigFiles:
         assert code == 2
         assert "cannot read config file" in err
 
+    def test_a_config_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        path = self.write(tmp_path, [0.0, 0.2, 0.0, 0.8])
+        code, out, err = run(capsys, ["estimate", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: config must be a JSON object\n"
+
+    def test_a_block_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        path = self.write(tmp_path, dict(self.BASE, bounds=[0.0, 0.2, 0.0, 0.8]))
+        code, out, err = run(capsys, ["estimate", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: field 'bounds' must be an object\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("model", "nash", "model must be one of nbs, case1, case2, got 'nash'"),
+            ("risk", "l2", "risk must be one of map, abs, mse, got 'l2'"),
+            ("risk", 1, "risk must be one of map, abs, mse, got 1"),
+        ],
+    )
+    def test_an_unknown_model_or_risk_exits_2(
+        self, capsys, tmp_path, key, value, message
+    ):
+        path = self.write(tmp_path, dict(self.BASE, **{key: value}))
+        code, out, err = run(capsys, ["estimate", "--config", path])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("model", "field 'model' is required when no perceptions are given"),
+            ("risk", "field 'risk' is required (map, abs, or mse)"),
+        ],
+    )
+    def test_a_missing_model_or_risk_exits_2(self, capsys, tmp_path, key, message):
+        payload = {k: v for k, v in self.BASE.items() if k != key}
+        code, out, err = run(
+            capsys, ["estimate", "--config", self.write(tmp_path, payload)]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestPerceptionScenarios:
     def scenario(self, tmp_path, extra=None):
@@ -279,6 +320,14 @@ class TestPerceptionScenarios:
         code, out, _ = run(capsys, ["estimate", "--config", self.scenario(tmp_path)])
         assert code == 0
         assert "alpha = 0.600" in out
+
+    def test_sweep_refuses_perceptions(self, capsys, tmp_path):
+        out = tmp_path / "family.csv"
+        argv = ["sweep", "--config", self.scenario(tmp_path), "--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert (code, stdout) == (2, "")
+        assert err == "error: sweep supports the named models only, not perceptions\n"
+        assert not out.exists()
 
     def test_perceptions_conflict_with_payoff_driven_models(self, capsys, tmp_path):
         code, _, err = run(
@@ -692,6 +741,14 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert named in err
 
+    def test_a_gap_over_the_tolerance_fails_with_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_EXACT_TOL", 0.0)
+        code, out, err = run(capsys, self.ARGS)
+        assert (code, err) == (1, "")
+        (result,) = [line for line in out.splitlines() if line.startswith("result:")]
+        assert result.startswith("result: FAIL: ")
+        assert "exceeds 0.0e+00 (" in result
+
 
 class TestReferenceCommand:
     def test_all_cells_pass(self, capsys):
@@ -699,3 +756,13 @@ class TestReferenceCommand:
         assert code == 0
         assert "result: PASS (all 18 cells match)" in out
         assert out.count(" PASS") >= 9
+
+    def test_a_wrong_golden_value_fails_with_exit_1(self, capsys, monkeypatch):
+        golden = dict(cli._GOLDEN)
+        golden[("nbs", "map")] = (0.201, 0.125)
+        monkeypatch.setattr(cli, "_GOLDEN", golden)
+        code, out, err = run(capsys, ["reference"])
+        assert (code, err) == (1, "")
+        assert "nbs    map      0.200     0.201          0.125     0.125  FAIL" in out
+        assert out.count("  FAIL") == 1
+        assert out.endswith("result: FAIL (1 of 18 cells mismatched)\n")

@@ -13,17 +13,20 @@ from nashroyalty import (
     NumericalAccuracyError,
     OutOfRangeError,
     RiskProfile,
+    ShareModel,
     cdf_at,
     estimate,
+    mc_summary,
     numeric_mean,
     numeric_median,
     pdf_curve,
+    sample_thetas,
     theta_model,
     validate_bounds,
 )
 from nashroyalty.bargaining import as_share_model
 from nashroyalty import posterior
-from nashroyalty.posterior import mode_from_curve
+from nashroyalty.posterior import ModeResult, mode_from_curve, numeric_estimate
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 ORIGIN = validate_bounds(0.0, 0.0, 0.0, 0.0)
@@ -356,6 +359,22 @@ class TestNumericMean:
         assert numeric_mean(ModelKind.CASE2, validate_bounds(0.2, 0.6, 0, 0)) == 1.0
 
 
+class Cube(ShareModel):
+    """theta = d1^3, whatever d2: nondecreasing in d1 and constant in d2."""
+
+    @staticmethod
+    def theta(x, y):
+        return x * x * x
+
+    @staticmethod
+    def d2_threshold(x, t):
+        return np.where(x * x * x <= t, -np.inf, np.inf)
+
+    @staticmethod
+    def d1_threshold(y, t):
+        return np.cbrt(t) + 0.0 * y
+
+
 class TestNumericMode:
     def test_golden_modes_equal_map_estimate_bitwise(self):
         for model in ModelKind:
@@ -384,6 +403,50 @@ class TestNumericMode:
         curve = pdf_curve(ModelKind.NBS, GOLDEN, n_points=801)
         mode = mode_from_curve(curve)
         assert mode.value == estimate(ModelKind.NBS, RiskProfile.MAP, GOLDEN).theta1
+
+    def test_a_peak_away_from_the_corner_is_the_largest_tied_grid_point(self):
+        # theta = d1^3 has density t^(-2/3) / 1.8 on [0.008, 0.512]: its grid
+        # maximum is the first grid point past 0.008, and the slope at the
+        # corner image 0.512 is far below it.
+        bounds = validate_bounds(0.2, 0.8, 0.1, 0.2)
+        curve = pdf_curve(Cube(), bounds)
+        assert curve.thetas[17] == 0.0085
+        assert mode_from_curve(curve) == ModeResult(value=0.0085, plateau=False)
+
+
+class Nowhere(ShareModel):
+    """A rule undefined (NaN) at every payoff pair, with the inherited
+    ``support``."""
+
+    @staticmethod
+    def theta(x, y):
+        return x * math.nan
+
+
+class TestUndefinedShare:
+    """``ShareModel.at`` raises where a rule is undefined, so both engines
+    raise on a rule that is undefined everywhere."""
+
+    BOX = validate_bounds(0.1, 0.3, 0.2, 0.6)
+    CALLS = {
+        "support": lambda box: Nowhere().support(box),
+        "cdf_at": lambda box: cdf_at(Nowhere(), box, 0.5),
+        "pdf_curve": lambda box: pdf_curve(Nowhere(), box),
+        **{
+            f"numeric_estimate-{risk.value}": (
+                lambda box, risk=risk: numeric_estimate(Nowhere(), risk, box)
+            )
+            for risk in RiskProfile
+        },
+        "sample_thetas": lambda box: sample_thetas(Nowhere(), box, 100, seed=1),
+        "mc_summary": lambda box: mc_summary(Nowhere(), box, 100, seed=1),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_every_engine_raises(self, call):
+        message = "the share is undefined at d1 = 0.1, d2 = 0.6"
+        with pytest.raises(DegeneratePayoffsError, match=message):
+            call(self.BOX)
 
 
 class TestFixedAlphaModel:

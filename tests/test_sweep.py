@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from nashroyalty import (
@@ -102,6 +103,15 @@ class TestGridConstruction:
         # The undefined d = 0 reference point is skipped as well.
         assert [point.d for point in table.map_reference] == [0.1, 0.2]
         assert all(point.theta_map == 0.0 for point in table.map_reference)
+
+    def test_numpy_scalar_bounds_meet_the_origin_without_a_warning(self):
+        # The suite fails on any warning, and numpy warns on 0 / 0.
+        zero = np.float64(0.0)
+        table = family_sweep(
+            ModelKind.CASE2, RiskProfile.MAP, zero, zero, [0.0], [0.0, 0.1]
+        )
+        assert [point.d for point in table.map_reference] == [0.1]
+        assert type(table.a) is type(table.b) is float
 
     def test_map_reference_is_the_upper_corner_share(self):
         table = family_sweep(ModelKind.CASE2, RiskProfile.ABS, 0.0, 0.2)
