@@ -318,13 +318,18 @@ class ShareModel:
     * ``d1_threshold(y, t)``: for d2 = y the event is
       {d1 <= d1_threshold(y, t)}.
 
-    The crossings take arrays (or scalars), broadcast them, and return
-    +-inf where the level set misses the line.  ``d1_threshold`` must
-    broadcast a column of payoffs against ``t``, each row equal to the
-    call on its own float y: the quadrature takes the crossings of y = c
-    and y = d from one call on ``[[c], [d]]``.  Only the quadrature in
-    :mod:`nashroyalty.posterior` calls them, so they import numpy where
-    they need it and this module loads without it.
+    The crossings take numpy arrays of shares (a payoff may be a float)
+    and broadcast them.  Only the quadrature in :mod:`nashroyalty.posterior`
+    calls them, and only at shares lo <= t < hi inside the support, where
+    the level set meets the rectangle: ``d1_threshold`` on the rows y = c
+    and y = d, in one call on the column ``[[c], [d]]`` whose every row
+    must equal the call on its own float y; ``d2_threshold`` on the
+    columns between those two crossings, where the level set crosses
+    [c, d], or on the one column of a point-mass d1 side.  It clips both
+    to the rectangle, so where a level set misses a line any value that
+    clips to the same edge as the exact +-inf gives the same CDF; it does
+    not silence overflow.  The crossings import numpy where they need it,
+    so this module loads without it.
     """
 
     __slots__ = ()
@@ -379,23 +384,15 @@ class _Nbs(ShareModel):
         return y + 2.0 * t - 1.0
 
 
-def _every(mask) -> bool:
-    # np.all passes through Python-level wrappers, a few times slower on
-    # short masks.  The mask of a scalar is a bool, which has no size.
-    import numpy as np
-
-    return np.count_nonzero(mask) == getattr(mask, "size", 1)
-
-
-def _one_minus_root(arg, missed):
-    """1 - sqrt(max(arg, 0)), and +inf where ``missed``, computed in ``arg``:
-    the quadrature's calls fill blocks of 256 x 36 nodes."""
+def _one_minus_root(arg):
+    """1 - sqrt(max(arg, 0)), computed in ``arg``: the quadrature's calls
+    fill blocks of 256 x 36 nodes.  Where arg < 0 the level set misses the
+    line, and 1 clips to the rectangle's far edge as +inf would."""
     import numpy as np
 
     np.maximum(arg, 0.0, out=arg)
     np.sqrt(arg, out=arg)
     np.subtract(1.0, arg, out=arg)
-    arg[missed] = np.inf
     return arg
 
 
@@ -416,7 +413,7 @@ class _Case1(ShareModel):
         arg = np.asarray(t - x, dtype=float)  # 0-d for scalars: in place below
         arg *= 2.0
         arg += x * x
-        return _one_minus_root(arg, arg < 0.0)
+        return _one_minus_root(arg)
 
     @staticmethod
     def d1_threshold(y, t):
@@ -426,7 +423,7 @@ class _Case1(ShareModel):
         # an array multiplies, which rounds differently on about one value
         # in a thousand.
         arg = np.asarray(np.float_power(1.0 - y, 2.0) + 1.0 - 2.0 * t)
-        return _one_minus_root(arg, arg <= 0.0)
+        return _one_minus_root(arg)
 
 
 class _Case2(ShareModel):
@@ -442,30 +439,18 @@ class _Case2(ShareModel):
 
     @staticmethod
     def d2_threshold(x, t):
-        import numpy as np
-
-        # theta <= t  <=>  y >= x (1 - t) / t for 0 < t < 1; theta <= 1
-        # always, and theta <= 0 only on the axis x = 0.
-        inner = (t > 0.0) & (t < 1.0)
-        if _every(inner):  # the quadrature's usual case: skip the edges
-            cut = x * (1.0 - t)
-            cut /= t
-            return cut
-        safe_t = np.where(inner, t, 1.0)
-        edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
-        return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
+        # theta <= t  <=>  y >= x (1 - t) / t.  Asked at t > 0 only: at
+        # t = lo = 0 both row crossings are 0 and the band is empty.
+        cut = x * (1.0 - t)
+        cut /= t
+        return cut
 
     @staticmethod
     def d1_threshold(y, t):
-        import numpy as np
-
-        below = t < 1.0
-        if _every(below):
-            cut = t * y
-            cut /= 1.0 - t
-            return cut
-        safe_gap = np.where(below, 1.0 - t, 1.0)
-        return np.where(below, t * y / safe_gap, np.inf)
+        # theta <= t  <=>  x <= t y / (1 - t); t < hi <= 1.
+        cut = t * y
+        cut /= 1.0 - t
+        return cut
 
     def support(self, bounds: PayoffBounds) -> tuple[float, float]:
         """As for every model, except at the origin.
@@ -519,10 +504,8 @@ class FixedAlphaModel(ShareModel, _Record):
         return x + self.alpha * (1.0 - x - y)
 
     def d2_threshold(self, x, t):
-        if self.alpha == 0.0:
-            import numpy as np
-
-            return np.where(x <= t, -np.inf, np.inf)
+        # Never asked at alpha = 0: theta = d1 there, so the level set is
+        # the column x = t and the band between the row crossings is empty.
         return 1.0 - (t - (1.0 - self.alpha) * x) / self.alpha
 
     def d1_threshold(self, y, t):

@@ -480,21 +480,26 @@ def _cmd_reference(args) -> int:
 # --- wiring -----------------------------------------------------------------
 
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_arguments(parser: argparse.ArgumentParser, *reads: str) -> None:
+    """``--config``, ``--model``, the bounds, and the flags of those of
+    ``risk``, ``financials`` and ``grid_points`` that the command reads."""
     parser.add_argument("--config", type=Path, help="JSON scenario config file")
     parser.add_argument("--model", choices=[m.value for m in ModelKind])
-    parser.add_argument("--risk", choices=[r.value for r in RiskProfile])
+    if "risk" in reads:
+        parser.add_argument("--risk", choices=[r.value for r in RiskProfile])
     parser.add_argument("--a", type=float, help="lower bound of party 1's payoff")
     parser.add_argument("--b", type=float, help="upper bound of party 1's payoff")
     parser.add_argument("--c", type=float, help="lower bound of party 2's payoff")
     parser.add_argument("--d", type=float, help="upper bound of party 2's payoff")
-    parser.add_argument(
-        "--or", dest="operating_revenue", type=float, help="operating revenue"
-    )
-    parser.add_argument(
-        "--oc", dest="operating_cost", type=float, help="operating cost"
-    )
-    parser.add_argument("--grid-points", dest="grid_points", type=int)
+    if "financials" in reads:
+        parser.add_argument(
+            "--or", dest="operating_revenue", type=float, help="operating revenue"
+        )
+        parser.add_argument(
+            "--oc", dest="operating_cost", type=float, help="operating cost"
+        )
+    if "grid_points" in reads:
+        parser.add_argument("--grid-points", dest="grid_points", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,17 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="one point estimate")
-    _add_scenario_arguments(p_est)
+    _add_scenario_arguments(p_est, "risk", "financials", "grid_points")
     p_est.add_argument("--json", action="store_true", help="machine-readable output")
     p_est.set_defaults(handler=_cmd_estimate)
 
     p_post = sub.add_parser("posterior", help="tabulate the share pdf/cdf")
-    _add_scenario_arguments(p_post)
+    _add_scenario_arguments(p_post, "grid_points")
     p_post.add_argument("--out", required=True, type=Path, help="output CSV path")
     p_post.set_defaults(handler=_cmd_posterior)
 
     p_sweep = sub.add_parser("sweep", help="estimate family over a bound grid")
-    _add_scenario_arguments(p_sweep)
+    _add_scenario_arguments(p_sweep, "risk")
     p_sweep.add_argument("--c-values", dest="c_values", help="comma-separated list")
     p_sweep.add_argument("--d-max", dest="d_max", type=float)
     p_sweep.add_argument("--d-step", dest="d_step", type=float)

@@ -95,8 +95,9 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     share is undefined (the proportional model at exactly (0, 0), possible
     only when a = c = 0) is redrawn within its shard; a rectangle on which
     the share is nowhere defined raises :class:`DegeneratePayoffsError`, as
-    do pairs still undefined after 64 rounds of redraws, and an ``n`` that
-    is not an integer of at least 1 :class:`OutOfRangeError`.
+    do pairs still undefined after 64 rounds of redraws.  An ``n`` that is
+    not an integer of at least 1, or a ``seed`` that is not an integer of
+    at least 0, raises :class:`OutOfRangeError`.
 
     Shards run on up to one thread per CPU, the calling thread among them.
     Each writes only its own slice of the result, so the values do not
@@ -104,6 +105,7 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     """
     share = as_share_model(model)
     n = _require_count("n", n, 1)
+    seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined
     out = np.empty(n, dtype=np.float64)
     shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
@@ -386,6 +388,7 @@ def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     it has mapped and freed, 16 MB here), so it reuses its heap instead of
     returning it and faulting it back in on every call.
     """
+    seed = _require_count("seed", seed, 0)
     return _summary(sample_thetas(model, bounds, n, seed), seed, own=True)
 
 

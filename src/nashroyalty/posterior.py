@@ -27,7 +27,6 @@ from .bargaining import (
     ShareModel,
     _Record,
     _clip01,
-    _every,
     _require_count,
     _require_unit,
     as_share_model,
@@ -86,6 +85,12 @@ _MEDIAN_OFFSETS = (
     *(4.0**-k for k in range(8, 0, -1)),
 )
 _MODE_TIE_TOL = 1e-9
+
+
+def _every(mask: np.ndarray) -> bool:
+    # np.all passes through Python-level wrappers, a few times slower on
+    # short masks.
+    return np.count_nonzero(mask) == mask.size
 
 
 def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarray:
@@ -235,10 +240,7 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
     inside = (ts >= lo) & (ts < hi)
     whole = _every(inside)
     t = ts if whole else ts[inside]
-    # Near t = 0 or on very thin rectangles a crossing can overflow; +-inf is
-    # the right limit there and every length is clipped to the rectangle.
-    with np.errstate(over="ignore"):
-        share = _cross_sections(ops, bounds, t)
+    share = _cross_sections(ops, bounds, t)
     np.maximum(share, 0.0, out=share)
     np.minimum(share, 1.0, out=share)
     if whole:

@@ -16,6 +16,7 @@ from .bargaining import (
     ModelKind,
     PayoffBounds,
     _Record,
+    _as_float,
     as_model_kind,
     as_share_model,
 )
@@ -115,8 +116,8 @@ def family_sweep(
         c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
         d_grid = _grid(0.01, min(0.8, 1.0 - b))
-    c_values = tuple(float(c) for c in c_values)
-    d_grid = tuple(float(d) for d in d_grid)
+    c_values = tuple(_as_float("each entry of c_values", c) for c in c_values)
+    d_grid = tuple(_as_float("each entry of d_grid", d) for d in d_grid)
     engine_estimate = estimate
     if engine == "numeric":  # the closed forms run without numpy
         from .posterior import numeric_estimate as engine_estimate

@@ -240,16 +240,32 @@ def test_one_call_mixes_settled_and_bisecting_points(monkeypatch, bounds):
     assert max(rounds) > 1
 
 
+def _clipped(values) -> np.ndarray:
+    # The kernel clips every crossing to the rectangle, inside [0, 1]: where
+    # a level set misses a line, the crossing need only clip as +-inf does.
+    return np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+
+
+def _domain(model, shares):
+    """The shares to pin a crossing at: for case2 only 0 < t < 1, since the
+    kernel asks its d2 only at t > 0 and its d1 only at t < hi <= 1."""
+    if model is ModelKind.CASE2:
+        return [t for t in shares if 0.0 < t < 1.0]
+    return list(shares)
+
+
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_array_crossings_match_scalar_reference(model):
     ops = as_share_model(model)
     payoffs = np.linspace(0.0, 1.0, 11)
-    for t in (0.0, 0.3, 0.5, 1.0):
-        d2 = ops.d2_threshold(payoffs, np.full(payoffs.shape, t))
-        d1 = ops.d1_threshold(payoffs, t)
+    for t in _domain(model, (0.0, 0.05, 0.3, 0.5, 0.77, 1.0)):
+        d2 = _clipped(ops.d2_threshold(payoffs, np.full(payoffs.shape, t)))
+        d1 = _clipped(ops.d1_threshold(payoffs, t))
         for i, p in enumerate(payoffs):
-            assert d2[i] == pytest.approx(_ref_d2_threshold(model, p, t), abs=1e-15)
-            assert d1[i] == pytest.approx(_ref_d1_threshold(model, p, t), abs=1e-15)
+            d2_ref = _clipped(_ref_d2_threshold(model, p, t))
+            d1_ref = _clipped(_ref_d1_threshold(model, p, t))
+            assert d2[i] == pytest.approx(d2_ref, abs=1e-15)
+            assert d1[i] == pytest.approx(d1_ref, abs=1e-15)
 
 
 def _numpy_d2_threshold(model, x, t):
@@ -258,12 +274,7 @@ def _numpy_d2_threshold(model, x, t):
         arg = 2.0 * (t - x) + x * x
         return np.where(arg < 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
     if model is ModelKind.CASE2:
-        inner = (t > 0.0) & (t < 1.0)
-        if np.all(inner):
-            return x * (1.0 - t) / t
-        safe_t = np.where(inner, t, 1.0)
-        edge = np.where((t >= 1.0) | (x == 0.0), -np.inf, np.inf)
-        return np.where(inner, x * (1.0 - safe_t) / safe_t, edge)
+        return x * (1.0 - t) / t
     return as_share_model(model).d2_threshold(x, t)
 
 
@@ -272,9 +283,7 @@ def _numpy_d1_threshold(model, y, t):
         arg = (1.0 - y) ** 2 + 1.0 - 2.0 * t
         return np.where(arg <= 0.0, np.inf, 1.0 - np.sqrt(np.maximum(arg, 0.0)))
     if model is ModelKind.CASE2:
-        below = t < 1.0
-        safe_gap = np.where(below, 1.0 - t, 1.0)
-        return np.where(below, t * y / safe_gap, np.inf)
+        return t * y / (1.0 - t)
     return as_share_model(model).d1_threshold(y, t)
 
 
@@ -292,34 +301,111 @@ CROSSING_SHARES = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 1.0])
     "model", [*SHARES, FixedAlphaModel(0.0), FixedAlphaModel(1.0)], ids=str
 )
 def test_crossings_keep_the_bits_of_their_numpy_expressions(model):
-    # The engine used to call d1_threshold with one float y per row, and now
-    # calls it on the column [[c], [d]]: each row must match its float's call.
+    # Each crossing keeps its old expression's bits up to the kernel's clip,
+    # at the shares the kernel asks it at.  At alpha = 0 the band is always
+    # empty, so d2_threshold is never asked there.
     ops = as_share_model(model)
-    crossings = (
-        (ops.d1_threshold, _numpy_d1_threshold),
-        (ops.d2_threshold, _numpy_d2_threshold),
-    )
+    crossings = [(ops.d1_threshold, _numpy_d1_threshold)]
+    if model != FixedAlphaModel(0.0):
+        crossings.append((ops.d2_threshold, _numpy_d2_threshold))
     payoffs = np.array(CROSSING_PAYOFFS)
-    scalar_shares = CROSSING_SHARES.tolist()
-    # The inner shares take case2's fast paths.
-    row_shares = (CROSSING_SHARES, CROSSING_SHARES[1:-1])
-    for t in (*scalar_shares, *row_shares):
+    scalar_shares = _domain(model, CROSSING_SHARES.tolist())
+    row_shares = np.array(scalar_shares)
+    for t in (*scalar_shares, row_shares):
         for p in CROSSING_PAYOFFS:
             for crossing, reference in crossings:
-                assert _bits(crossing(p, t)) == _bits(reference(model, p, t))
+                clipped = _clipped(crossing(p, t))
+                assert _bits(clipped) == _bits(_clipped(reference(model, p, t)))
     for t in scalar_shares:  # 1-D payoffs
         for crossing, reference in crossings:
             alone = [reference(model, p, t) for p in CROSSING_PAYOFFS]
-            assert _bits(crossing(payoffs, t)) == _bits(alone)
-        # d2's expression has no square to round apart on an array.
-        assert _bits(ops.d2_threshold(payoffs, t)) == _bits(
-            _numpy_d2_threshold(model, payoffs, t)
+            assert _bits(_clipped(crossing(payoffs, t))) == _bits(_clipped(alone))
+        if len(crossings) == 2:  # d2's expression has no square to round apart
+            assert _bits(_clipped(ops.d2_threshold(payoffs, t))) == _bits(
+                _clipped(_numpy_d2_threshold(model, payoffs, t))
+            )
+    # The engine used to call d1_threshold with one float y per row, and now
+    # calls it on the column [[c], [d]]: each row must match its float's call.
+    for column in (payoffs[:2, None], payoffs[:, None]):
+        for crossing, _ in crossings:
+            rows = [crossing(p, row_shares) for p in column[:, 0].tolist()]
+            assert _bits(crossing(column, row_shares)) == _bits(rows)
+
+
+class Spy(ShareModel):
+    """A share model that asks ``model`` and records every share its
+    crossings are asked at, by crossing name."""
+
+    def __init__(self, model):
+        self.model = as_share_model(model)
+        self.asked = {"d1_threshold": [], "d2_threshold": []}
+
+    def theta(self, x, y):
+        return self.model.theta(x, y)
+
+    def support(self, bounds):
+        return self.model.support(bounds)
+
+    def rescaled(self, bounds):
+        return self.model.rescaled(bounds)
+
+    def d1_threshold(self, y, t):
+        self.asked["d1_threshold"].append(np.array(t, dtype=np.float64).ravel())
+        return self.model.d1_threshold(y, t)
+
+    def d2_threshold(self, x, t):
+        self.asked["d2_threshold"].append(np.array(t, dtype=np.float64).ravel())
+        return self.model.d2_threshold(x, t)
+
+
+def _engine_values(model, bounds) -> list:
+    """Every engine value the kernel computes for ``model`` on ``bounds``."""
+    ops = as_share_model(model)
+    lo, hi = ops.support(bounds)
+    values = [
+        cdf_at(model, bounds, t) for t in (0.0, lo, 0.5 * (lo + hi), hi, 1.0)
+    ]
+    values += [posterior.numeric_median(model, bounds), numeric_mean(model, bounds)]
+    if lo < hi:  # a deterministic share has no density curve
+        mode = posterior.mode_from_curve(posterior.pdf_curve(model, bounds, 257))
+        values += [mode.value, float(mode.plateau)]
+    return values
+
+
+CONTRACT_BOXES = [
+    GOLDEN,
+    validate_bounds(0.1, 0.3, 0.2, 0.6),  # inner
+    THIN,
+    validate_bounds(0.25, 0.25, 0.1, 0.6),  # point-mass d1 side
+    validate_bounds(0.1, 0.4, 0.3, 0.3),  # point-mass d2 side
+    validate_bounds(0.1e-300, 0.3e-300, 0.2e-300, 0.6e-300),
+]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*ModelKind, FixedAlphaModel(0.0), FixedAlphaModel(0.3), FixedAlphaModel(1.0)],
+    ids=str,
+)
+def test_crossings_are_asked_only_inside_the_support(model):
+    # The contract of ShareModel: a crossing is asked only at lo <= t < hi
+    # (so case2's d1 never at t = 1), case2's d2 never at t = 0, and d2 at
+    # alpha = 0 never on a non-empty array.  The spy changes no engine value.
+    for bounds in CONTRACT_BOXES:
+        spy = Spy(model)
+        assert _bits(_engine_values(spy, bounds)) == _bits(
+            _engine_values(model, bounds)
         )
-    for t in row_shares:  # a column of payoffs against a row of shares
-        for column in (payoffs[:2, None], payoffs[:, None]):
-            for crossing, reference in crossings:
-                rows = [reference(model, p, t) for p in column[:, 0].tolist()]
-                assert _bits(crossing(column, t)) == _bits(rows)
+        lo, hi = spy.support(spy.rescaled(bounds))
+        for name, asked in spy.asked.items():
+            for t in asked:
+                if t.size:
+                    assert lo <= t.min() and t.max() < hi, (name, bounds)
+                    if model is ModelKind.CASE2 and name == "d2_threshold":
+                        assert t.min() > 0.0, bounds
+                if model == FixedAlphaModel(0.0) and name == "d2_threshold":
+                    assert t.size == 0, bounds
+        assert lo == hi or any(t.size for asked in spy.asked.values() for t in asked)
 
 
 # --- numerical health ---------------------------------------------------------------

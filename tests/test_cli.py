@@ -454,6 +454,43 @@ class TestPosteriorCommand:
         assert "deterministically" in err
 
 
+    def test_too_many_grid_points_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        argv = ["posterior", "--model", "nbs", *GOLDEN_ARGS, "--grid-points", "1000002"]
+        code, _, err = run(capsys, [*argv, "--out", str(out)])
+        assert code == 2
+        assert "grid_points" in err
+        assert not out.exists()
+
+
+class TestScenarioFlags:
+    """Each command parses only the scenario flags it reads."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("posterior", ["--risk", "abs"]),
+            ("posterior", ["--or", "500"]),
+            ("posterior", ["--oc", "360"]),
+            ("sweep", ["--or", "500"]),
+            ("sweep", ["--oc", "360"]),
+            ("sweep", ["--grid-points", "201"]),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(
+        self, capsys, tmp_path, command, flag
+    ):
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", "nbs", *GOLDEN_ARGS, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--risk", "abs"]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_csv_and_map_outputs(self, capsys, tmp_path):
         out_path = tmp_path / "family.csv"
@@ -595,7 +632,6 @@ class TestSweepCommand:
             (["--d-max", "nan"], "--d-max"),
             (["--d-max", "-1"], "--d-max"),
             (["--d-step", "1e-300"], "10001 points"),
-            (["--grid-points", "1000002"], "grid_points"),
         ],
     )
     def test_bad_grid_sizes_exit_2(self, capsys, tmp_path, flags, named):

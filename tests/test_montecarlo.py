@@ -562,6 +562,18 @@ class TestSampleValidity:
         with pytest.raises(OutOfRangeError):
             sample_thetas(ModelKind.NBS, GOLDEN, n, seed=0)
 
+    @pytest.mark.parametrize("sampler", [sample_thetas, mc_summary])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7"])
+    def test_seeds_that_are_not_counts_rejected(self, sampler, seed):
+        # None would draw fresh OS entropy, so two calls would differ.
+        with pytest.raises(OutOfRangeError, match="seed must be"):
+            sampler(ModelKind.NBS, GOLDEN, 10, seed)
+
+    def test_summary_records_the_checked_seed(self):
+        summary = mc_summary(ModelKind.NBS, GOLDEN, 10, np.int64(11))
+        assert type(summary.seed) is int
+        assert summary == mc_summary(ModelKind.NBS, GOLDEN, 10, 11.0)
+
     def test_fixed_alpha_model_sampling(self):
         samples = sample_thetas(FixedAlphaModel(0.0), GOLDEN, 10_000, seed=7)
         # alpha = 0 means theta = d1 ~ U[0, 0.2].

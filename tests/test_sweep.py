@@ -126,6 +126,12 @@ class TestGridConstruction:
                 ModelKind.NBS, RiskProfile.ABS, 0.0, 0.5, c_values=[0.0], d_grid=[0.6]
             )
 
+    @pytest.mark.parametrize("entry", ["x", None])
+    @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
+    def test_an_entry_that_is_not_a_number_is_named(self, grid, entry):
+        with pytest.raises(OutOfRangeError, match=f"entry of {grid} must be a number"):
+            family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, **{grid: [entry]})
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(OutOfRangeError):
             family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, engine="exact")
