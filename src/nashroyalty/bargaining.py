@@ -98,6 +98,14 @@ def _require_count(name: str, value, minimum: int, maximum: int | None = None) -
     return count
 
 
+def _require_bounds(bounds) -> PayoffBounds:
+    # Not coerced from a sequence: every caller builds the checked record.
+    if not isinstance(bounds, PayoffBounds):
+        kind = type(bounds).__name__
+        raise OutOfRangeError(f"bounds must be a PayoffBounds, got {kind}")
+    return bounds
+
+
 def _member(kind: type[enum.Enum], label: str, value):
     """The ``kind`` member that is ``value`` or has it as its value.
 
@@ -318,18 +326,22 @@ class ShareModel:
     * ``d1_threshold(y, t)``: for d2 = y the event is
       {d1 <= d1_threshold(y, t)}.
 
-    The crossings take numpy arrays of shares (a payoff may be a float)
-    and broadcast them.  Only the quadrature in :mod:`nashroyalty.posterior`
-    calls them, and only at shares lo <= t < hi inside the support, where
-    the level set meets the rectangle: ``d1_threshold`` on the rows y = c
-    and y = d, in one call on the column ``[[c], [d]]`` whose every row
-    must equal the call on its own float y; ``d2_threshold`` on the
-    columns between those two crossings, where the level set crosses
-    [c, d], or on the one column of a point-mass d1 side.  It clips both
-    to the rectangle, so where a level set misses a line any value that
-    clips to the same edge as the exact +-inf gives the same CDF; it does
-    not silence overflow.  The crossings import numpy where they need it,
-    so this module loads without it.
+    Both CDFs read the crossings: the quadrature in
+    :mod:`nashroyalty.posterior` on numpy arrays of shares (a payoff may
+    be a float), which they broadcast, and the closed form
+    :func:`nashroyalty.estimators.closed_cdf` of the built-in models on
+    floats, where those compute in ``math`` with the rounding of each row
+    of the array call, so the closed forms load no numpy.  Either asks
+    them only at shares lo <= t < hi inside the support, where the level
+    set meets the rectangle: ``d1_threshold`` on the rows y = c and y = d
+    (the quadrature in one call on the column ``[[c], [d]]``, whose every
+    row must equal the call on its own float y); ``d2_threshold`` on the
+    columns between those crossings, where the level set crosses [c, d],
+    or on the one column of a point-mass d1 side.  Both clip them to the
+    rectangle, so where a level set misses a line any value that clips to
+    the same edge as the exact +-inf gives the same CDF; neither silences
+    overflow.  The tests judge the shared crossings against a scipy and a
+    60-digit mpmath reference that solve each level set on their own.
     """
 
     __slots__ = ()
@@ -385,9 +397,12 @@ class _Nbs(ShareModel):
 
 
 def _one_minus_root(arg):
-    """1 - sqrt(max(arg, 0)), computed in ``arg``: the quadrature's calls
-    fill blocks of 256 x 36 nodes.  Where arg < 0 the level set misses the
-    line, and 1 clips to the rectangle's far edge as +inf would."""
+    """1 - sqrt(max(arg, 0)), for an array computed in ``arg``: the
+    quadrature's calls fill blocks of 256 x 36 nodes.  Where arg < 0 the
+    level set misses the line, and 1 clips to the rectangle's far edge as
+    +inf would."""
+    if isinstance(arg, float):
+        return 1.0 - math.sqrt(max(arg, 0.0))
     import numpy as np
 
     np.maximum(arg, 0.0, out=arg)
@@ -405,25 +420,26 @@ class _Case1(ShareModel):
 
     @staticmethod
     def d2_threshold(x, t):
-        import numpy as np
-
         # Level sets are hyperbolas centred at (1, 1): theta <= t  <=>
         # (1 - y)^2 <= (1 - x)^2 + 2 t - 1, written without the cancellation
         # of the 1s that would swamp small x and t.
-        arg = np.asarray(t - x, dtype=float)  # 0-d for scalars: in place below
+        arg = t - x
         arg *= 2.0
         arg += x * x
         return _one_minus_root(arg)
 
     @staticmethod
     def d1_threshold(y, t):
-        import numpy as np
+        # Squared through pow on a float y and through float_power, which
+        # rounds alike, on an array: ** 2 on an array multiplies, which
+        # rounds differently on about one value in a thousand.
+        if isinstance(y, float):
+            square = (1.0 - y) ** 2.0
+        else:
+            import numpy as np
 
-        # float_power squares through pow, as ** does on a float y; ** 2 on
-        # an array multiplies, which rounds differently on about one value
-        # in a thousand.
-        arg = np.asarray(np.float_power(1.0 - y, 2.0) + 1.0 - 2.0 * t)
-        return _one_minus_root(arg)
+            square = np.float_power(1.0 - y, 2.0)
+        return _one_minus_root(square + 1.0 - 2.0 * t)
 
 
 class _Case2(ShareModel):

@@ -19,7 +19,9 @@ that midpoint value for every box; :func:`paper_case1_median` gives it.
 Like the numeric :func:`nashroyalty.posterior.numeric_estimate`,
 :func:`estimate` returns an :class:`EstimateResult`.  :func:`closed_cdf`
 gives the overpayment probability P{theta <= t} of any estimate t in
-elementary form; none of these functions needs numpy.
+elementary form, integrating the level-set crossings of each
+:class:`~nashroyalty.bargaining.ShareModel` that the quadrature also
+integrates; none of these functions needs numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .bargaining import (
     _Record,
     _clip01,
     _member,
+    _require_bounds,
     _require_unit,
     as_model_kind,
     as_share_model,
@@ -211,6 +214,7 @@ def estimate(
     """
     risk = as_risk_profile(risk)
     model = as_model_kind(model)
+    bounds = _require_bounds(bounds)
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     if risk is RiskProfile.MAP:
         return _result(theta_model(model, b, d), NOTE_EXACT)
@@ -235,6 +239,7 @@ def paper_case1_median(bounds: PayoffBounds) -> EstimateResult:
     on the golden box, whose median is 0.2771); :func:`estimate` returns
     the exact median.  Flagged ``NOTE_APPROXIMATION``.
     """
+    bounds = _require_bounds(bounds)
     return _result(_midpoint_value(ModelKind.CASE1, bounds), NOTE_APPROXIMATION)
 
 
@@ -283,28 +288,6 @@ def _case1_median(bounds: PayoffBounds) -> float:
     return t
 
 
-def _row_cut(model: ModelKind, y: float, t: float) -> float:
-    """x1 with {theta <= t} = {d1 <= x1} on the row d2 = y (inf past it)."""
-    if model is ModelKind.NBS:
-        return y + 2.0 * t - 1.0
-    if model is ModelKind.CASE1:
-        # theta <= t  <=>  (1 - x)^2 >= (1 - y)^2 + 1 - 2t.
-        square = (1.0 - y) ** 2 + 1.0 - 2.0 * t
-        return 1.0 - math.sqrt(square) if square > 0.0 else math.inf
-    return t * y / (1.0 - t)  # t < 1 inside the support
-
-
-def _column_cut(model: ModelKind, x: float, t: float) -> float:
-    """y0 with {theta <= t} = {d2 >= y0} on the column d1 = x (inf past it)."""
-    if model is ModelKind.NBS:
-        return x + 1.0 - 2.0 * t
-    if model is ModelKind.CASE1:
-        # (1 - y0)^2 = (1 - x)^2 + 2t - 1, without the cancelling 1s.
-        square = x * x + 2.0 * (t - x)
-        return 1.0 - math.sqrt(square) if square >= 0.0 else math.inf
-    return x * (1.0 - t) / t  # t > 0 wherever a column is cut
-
-
 def _case1_band(
     x0: float, x1: float, r0: float, r1: float, t: float
 ) -> tuple[float, float]:
@@ -329,13 +312,16 @@ def _case1_band(
 def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
     """P{theta <= t}, the overpayment probability of the estimate t.
 
-    The elementary counterpart of :func:`nashroyalty.posterior.cdf_at`,
-    derived here from each model's level curve theta = t, not from the
-    crossings that the quadrature integrates.  The curve meets the rows
-    d2 = c and d2 = d at x_c and x_d, clipped to [a, b]; columns left of
-    x_c lie wholly in {theta <= t}, columns right of x_d miss it, and
-    between them the fraction (d - y0(x)) / (d - c) does, where the curve
-    passes through (x, y0(x)).  So
+    The elementary counterpart of :func:`nashroyalty.posterior.cdf_at`:
+    both integrate the level curve theta = t that the model's
+    :class:`~nashroyalty.bargaining.ShareModel` crossings give, asked here
+    at floats, so comparing the two checks the integrations, not the
+    curve (the tests hold both to references with crossings of their
+    own).  The curve meets the rows d2 = c and d2 = d at x_c and x_d,
+    clipped to [a, b]; columns left of x_c lie wholly in {theta <= t},
+    columns right of x_d miss it, and between them the fraction
+    (d - y0(x)) / (d - c) does, where the curve passes through (x, y0(x)).
+    So
 
         P = (x_c - a) / (b - a) + (x_d - x_c) / (b - a) * mean(d - y0) / (d - c),
 
@@ -353,6 +339,7 @@ def closed_cdf(model: ModelKind, bounds: PayoffBounds, t: float) -> float:
     unknown model, or a ``t`` outside [0, 1], raises :class:`OutOfRangeError`.
     """
     model = as_model_kind(model)
+    bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
     return _cdf_and_density(model, bounds, t)[0]
 
@@ -377,9 +364,10 @@ def _cdf_and_density(
     width, height = b - a, d - c
     density = 0.0
     if width == 0.0:
-        share = (d - _column_cut(model, a, t)) / height
+        share = (d - share_model.d2_threshold(a, t)) / height
     else:
-        cut_c, cut_d = _row_cut(model, c, t), _row_cut(model, d, t)
+        cut_c = share_model.d1_threshold(c, t)
+        cut_d = share_model.d1_threshold(d, t)
         x_c = min(max(cut_c, a), b)
         x_d = min(max(cut_d, x_c), b)  # x_c when c == d
         share = (x_c - a) / width
@@ -387,8 +375,8 @@ def _cdf_and_density(
             # The curve's height at the band ends: the row it crosses there,
             # or where it leaves the rectangle, held to [c, d] against
             # roundoff.
-            y_c = c if x_c == cut_c else max(_column_cut(model, x_c, t), c)
-            y_d = d if x_d == cut_d else min(_column_cut(model, x_d, t), d)
+            y_c = c if x_c == cut_c else max(share_model.d2_threshold(x_c, t), c)
+            y_d = d if x_d == cut_d else min(share_model.d2_threshold(x_d, t), d)
             if model is ModelKind.CASE1:
                 r_mean, inverse_r_integral = _case1_band(
                     x_c, x_d, 1.0 - y_c, 1.0 - y_d, t

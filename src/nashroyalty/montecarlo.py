@@ -38,6 +38,7 @@ import numpy as np
 from .bargaining import (
     PayoffBounds,
     _Record,
+    _require_bounds,
     _require_count,
     as_share_model,
 )
@@ -104,6 +105,7 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     depend on how many threads run; a worker's exception is raised here.
     """
     share = as_share_model(model)
+    bounds = _require_bounds(bounds)
     n = _require_count("n", n, 1)
     seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined

@@ -11,7 +11,11 @@ error target.  The density grid, median and mode derive from that CDF, and
 so does the mean, as hi - (integral of the CDF over the support [lo, hi]).
 
 This module is the verification channel for the closed forms in
-:mod:`nashroyalty.estimators`: it never reuses their formulas.
+:mod:`nashroyalty.estimators`: it never reuses their formulas.  Both it
+and :func:`~nashroyalty.estimators.closed_cdf` read the level-set
+crossings of the :class:`~nashroyalty.bargaining.ShareModel`, so a CDF
+comparison between them checks two integrations of one crossing; the
+tests judge the crossings against references of their own.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .bargaining import (
     ShareModel,
     _Record,
     _clip01,
+    _require_bounds,
     _require_count,
     _require_unit,
     as_share_model,
@@ -257,6 +262,7 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
     """
     ops = as_share_model(model)
+    bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
@@ -290,6 +296,7 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     :class:`OutOfRangeError` unless ``n_points`` is an integer of at least 3.
     """
     ops = as_share_model(model)
+    bounds = _require_bounds(bounds)
     n_points = _require_count("n_points", n_points, 3)
     lo, hi = ops.support(bounds)
     if lo == hi:
@@ -347,7 +354,7 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     a few ulps wide, as for a point mass.
     """
     ops = as_share_model(model)
-    bounds = ops.rescaled(bounds)  # its widths set the target
+    bounds = ops.rescaled(_require_bounds(bounds))  # its widths set the target
     lo, hi = ops.support(bounds)
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
@@ -389,7 +396,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     deterministic share returns its value.
     """
     ops = as_share_model(model)
-    bounds = ops.rescaled(bounds)  # its widths set the target
+    bounds = ops.rescaled(_require_bounds(bounds))  # its widths set the target
     lo, hi = ops.support(bounds)
     if lo == hi:
         return lo
@@ -459,7 +466,7 @@ def numeric_estimate(
     raises :class:`OutOfRangeError`.
     """
     risk = as_risk_profile(risk)
-    lo, hi = as_share_model(model).support(bounds)
+    lo, hi = as_share_model(model).support(_require_bounds(bounds))
     if lo == hi:  # a deterministic share: every estimate is its one value
         value = lo
     elif risk is RiskProfile.MAP:

@@ -88,6 +88,17 @@ def _grid(step: float, top: float) -> tuple[float, ...]:
     return tuple(point for point in points if point <= top)
 
 
+def _floats(name: str, values) -> tuple[float, ...]:
+    """The entries of ``values`` as floats; names ``values`` or the entry
+    that is not a number."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        message = f"{name} must be a sequence of numbers, got {values!r}"
+        raise OutOfRangeError(message) from None
+    return tuple(_as_float(f"each entry of {name}", entry) for entry in entries)
+
+
 def family_sweep(
     model: ModelKind,
     risk: RiskProfile,
@@ -116,8 +127,8 @@ def family_sweep(
         c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
         d_grid = _grid(0.01, min(0.8, 1.0 - b))
-    c_values = tuple(_as_float("each entry of c_values", c) for c in c_values)
-    d_grid = tuple(_as_float("each entry of d_grid", d) for d in d_grid)
+    c_values = _floats("c_values", c_values)
+    d_grid = _floats("d_grid", d_grid)
     engine_estimate = estimate
     if engine == "numeric":  # the closed forms run without numpy
         from .posterior import numeric_estimate as engine_estimate

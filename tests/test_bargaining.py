@@ -21,11 +21,16 @@ from nashroyalty import (
     estimate,
     family_sweep,
     mc_summary,
+    numeric_mean,
+    numeric_median,
+    pdf_curve,
     royalty_rate,
+    sample_thetas,
     theta_model,
     validate_bounds,
 )
 from nashroyalty.bargaining import as_share_model
+from nashroyalty.estimators import paper_case1_median
 from nashroyalty.posterior import numeric_estimate
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -272,6 +277,35 @@ class TestUnknownRiskName:
     def test_raises_out_of_range_naming_the_profiles(self, call):
         with pytest.raises(OutOfRangeError, match="map, abs, mse, got 'bogus'"):
             call(self.BOX)
+
+
+class TestBoundsMustBeARecord:
+    """Every entry point that takes ``bounds`` names a value that is not a
+    :class:`PayoffBounds`, without coercing a sequence."""
+
+    @pytest.mark.parametrize("bounds", [(0.1, 0.3, 0.2, 0.6), None], ids=str)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda box: estimate("case1", "abs", box),
+            lambda box: paper_case1_median(box),
+            lambda box: closed_cdf("nbs", box, 0.3),
+            lambda box: cdf_at("nbs", box, 0.3),
+            lambda box: pdf_curve("nbs", box),
+            lambda box: numeric_median("nbs", box),
+            lambda box: numeric_mean("nbs", box),
+            lambda box: numeric_estimate("nbs", "mse", box),
+            lambda box: sample_thetas("nbs", box, 10, seed=0),
+            lambda box: mc_summary("nbs", box, 10, seed=0),
+        ],
+        ids=["estimate", "paper_case1_median", "closed_cdf", "cdf_at", "pdf_curve",
+             "numeric_median", "numeric_mean", "numeric_estimate", "sample_thetas",
+             "mc_summary"],
+    )
+    def test_raises_out_of_range_naming_the_type(self, call, bounds):
+        kind = type(bounds).__name__
+        with pytest.raises(OutOfRangeError, match=f"a PayoffBounds, got {kind}$"):
+            call(bounds)
 
 
 class TestFinancials:

@@ -22,13 +22,14 @@ from nashroyalty import (
     NumericalAccuracyError,
     RiskProfile,
     cdf_at,
+    closed_cdf,
     estimate,
     numeric_mean,
     random_valid_bounds,
     theta_model,
     validate_bounds,
 )
-from nashroyalty import posterior
+from nashroyalty import bargaining, posterior
 from nashroyalty.bargaining import ShareModel, as_share_model
 from nashroyalty.posterior import _cdf, _integrate
 
@@ -137,10 +138,14 @@ def _probe_points(model: ModelKind, bounds) -> np.ndarray:
 @pytest.mark.parametrize("bounds", ALL_BOXES, ids=_box_id)
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_kernel_matches_scalar_quad_reference(model, bounds):
+    # The reference's crossings are its own, so it also judges the closed
+    # form, which reads the same ShareModel crossings as the kernel.
     ts = _probe_points(model, bounds)
     batched = _cdf(as_share_model(model), bounds, ts)
     reference = np.array([reference_cdf(model, bounds, float(t)) for t in ts])
     assert np.max(np.abs(batched - reference)) <= 1e-11
+    closed = np.array([closed_cdf(model, bounds, float(t)) for t in ts])
+    assert np.max(np.abs(closed - reference)) <= 1e-11
 
 
 @pytest.mark.parametrize("bounds", ALL_BOXES, ids=_box_id)
@@ -372,6 +377,17 @@ def _engine_values(model, bounds) -> list:
     return values
 
 
+def _closed_values(model: ModelKind, bounds) -> list:
+    """Every closed-form value for ``model`` on ``bounds`` that may read a
+    crossing: the CDF at the support's ends and middle, and each estimate."""
+    ops = as_share_model(model)
+    lo, hi = ops.support(ops.rescaled(bounds))
+    values = [
+        closed_cdf(model, bounds, t) for t in (0.0, lo, 0.5 * (lo + hi), hi, 1.0)
+    ]
+    return values + [estimate(model, risk, bounds).theta1 for risk in RiskProfile]
+
+
 CONTRACT_BOXES = [
     GOLDEN,
     validate_bounds(0.1, 0.3, 0.2, 0.6),  # inner
@@ -387,16 +403,25 @@ CONTRACT_BOXES = [
     [*ModelKind, FixedAlphaModel(0.0), FixedAlphaModel(0.3), FixedAlphaModel(1.0)],
     ids=str,
 )
-def test_crossings_are_asked_only_inside_the_support(model):
+def test_crossings_are_asked_only_inside_the_support(model, monkeypatch):
     # The contract of ShareModel: a crossing is asked only at lo <= t < hi
     # (so case2's d1 never at t = 1), case2's d2 never at t = 0, and d2 at
     # alpha = 0 never on a non-empty array.  The spy changes no engine value.
+    # The closed forms take a ModelKind, so for them the spy stands in the
+    # model table, where their CASE1 band test still sees the kind.
     for bounds in CONTRACT_BOXES:
         spy = Spy(model)
         assert _bits(_engine_values(spy, bounds)) == _bits(
             _engine_values(model, bounds)
         )
         lo, hi = spy.support(spy.rescaled(bounds))
+        if isinstance(model, ModelKind):
+            closed = _closed_values(model, bounds)
+            asked = sum(map(len, spy.asked.values()))
+            with monkeypatch.context() as patch:
+                patch.setitem(bargaining._SHARES, model, spy)
+                assert _bits(_closed_values(model, bounds)) == _bits(closed)
+            assert lo == hi or sum(map(len, spy.asked.values())) > asked, bounds
         for name, asked in spy.asked.items():
             for t in asked:
                 if t.size:

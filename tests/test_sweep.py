@@ -132,6 +132,11 @@ class TestGridConstruction:
         with pytest.raises(OutOfRangeError, match=f"entry of {grid} must be a number"):
             family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, **{grid: [entry]})
 
+    @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
+    def test_a_grid_that_is_not_iterable_is_named(self, grid):
+        with pytest.raises(OutOfRangeError, match=f"{grid} must be a sequence"):
+            family_sweep("nbs", "abs", 0.0, 0.2, **{grid: 5})
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(OutOfRangeError):
             family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, engine="exact")
