@@ -98,12 +98,16 @@ def _require_count(name: str, value, minimum: int, maximum: int | None = None) -
     return count
 
 
-def _require_bounds(bounds) -> PayoffBounds:
+def _require_record(name: str, value, kind: type):
     # Not coerced from a sequence: every caller builds the checked record.
-    if not isinstance(bounds, PayoffBounds):
-        kind = type(bounds).__name__
-        raise OutOfRangeError(f"bounds must be a PayoffBounds, got {kind}")
-    return bounds
+    if not isinstance(value, kind):
+        got = type(value).__name__
+        raise OutOfRangeError(f"{name} must be a {kind.__name__}, got {got}")
+    return value
+
+
+def _require_bounds(bounds) -> PayoffBounds:
+    return _require_record("bounds", bounds, PayoffBounds)
 
 
 def _member(kind: type[enum.Enum], label: str, value):
@@ -368,16 +372,19 @@ class ShareModel:
 
         By monotonicity these sit at the corners (a, d) and (b, c), so
         lo <= hi; a pair that rounding inverts is one deterministic share,
-        and both ends are its value at (a, d).
+        and both ends are its value at (a, d).  ``bounds`` must be a
+        :class:`PayoffBounds`, or :class:`OutOfRangeError` is raised.
         """
+        bounds = _require_bounds(bounds)
         lo, hi = self.at(bounds.a, bounds.d), self.at(bounds.b, bounds.c)
         return (lo, lo) if lo > hi else (lo, hi)
 
     def rescaled(self, bounds: PayoffBounds) -> PayoffBounds:
         """The rectangle that the CDF of either engine works on, with the
         same share distribution: ``bounds`` itself, except for a share
-        that is scale invariant (see :class:`_Case2`)."""
-        return bounds
+        that is scale invariant (see :class:`_Case2`).  ``bounds`` must be
+        a :class:`PayoffBounds`, as for :meth:`support`."""
+        return _require_bounds(bounds)
 
 
 class _Nbs(ShareModel):
@@ -476,6 +483,7 @@ class _Case2(ShareModel):
         the limit from inside the rectangle, which then lies on one axis:
         d2 = 0 while d1 > 0 almost surely, or the reverse.
         """
+        bounds = _require_bounds(bounds)
         a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
         if b == 0.0 and d == 0.0:
             raise DegeneratePayoffsError(
@@ -494,6 +502,7 @@ class _Case2(ShareModel):
         two is exact, so every corner value rounds as before; b + d stays
         below 1.  Other rectangles, and the origin, are returned as given.
         """
+        bounds = _require_bounds(bounds)
         top = max(bounds.b, bounds.d)
         if not 0.0 < top < _CASE2_TINY:
             return bounds
@@ -579,7 +588,10 @@ def royalty_rate(theta1: float, financials: FinancialStatement) -> float:
     """Royalty rate on revenue equivalent to share theta1 of income.
 
     r = theta1 * operating margin, so r * revenue = theta1 * income.
+    A ``financials`` that is not a :class:`FinancialStatement` raises
+    :class:`OutOfRangeError`.
     """
     theta1 = _require_unit("theta1", theta1)
+    financials = _require_record("financials", financials, FinancialStatement)
     return theta1 * financials.operating_margin
 

@@ -25,6 +25,13 @@ part of the contract:
 * Shards run on up to one thread per CPU.  Each has its own stream and
   writes only its own slice of the sample, so the sample's bits do not
   depend on how many threads run.
+* A sample of at most one block (n <= 2**15, one shard) keeps its d1 and
+  d2 payoffs, read-only, until the next one-block sample with other
+  bounds, n or seed replaces them.  A call with the same bounds, n and
+  seed maps the kept payoffs through its own share instead of drawing
+  them again, so the three models of one box draw their common random
+  numbers once.  The kept payoffs are those the draw would give, so the
+  bits do not change; at most 512 KiB stays held between calls.
 """
 
 from __future__ import annotations
@@ -67,13 +74,19 @@ _BIN_COUNT = 201
 _EDGES = np.linspace(0.0, 1.0, _BIN_COUNT + 1)  # np.histogram's bin edges
 
 # A summary reads its sample in blocks of this many values, whose scratch
-# arrays stay in cache, and over about this many fine buckets.
+# arrays stay in cache, and over about this many fine buckets.  A sampler
+# shard draws its payoffs a block at a time.
 _BLOCK = 1 << 15
 _BUCKETS = 4096
 # np.histogram's edge correction can change a bin only where 201 x lies
 # within about 6e-14 of an integer; a block with a value this close to one
 # is binned by np.histogram.
 _NEAR_EDGE = 1e-12
+
+
+# The last one-block sample's payoffs: ((a, b, c, d, n, seed, _shard_rng),
+# d1, d2), both arrays read-only, or None.  Replaced whole, never written.
+_last = None
 
 
 def _shard_rng(seed: int, index: int) -> np.random.Generator:
@@ -103,12 +116,18 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     Shards run on up to one thread per CPU, the calling thread among them.
     Each writes only its own slice of the result, so the values do not
     depend on how many threads run; a worker's exception is raised here.
+    A sample of at most one block (n <= 2**15) reuses the payoffs of the
+    last such sample when its bounds, n and seed are the same (see
+    :func:`_payoffs`), with the same bits.  The result is always a new
+    array of the caller's own.
     """
     share = as_share_model(model)
     bounds = _require_bounds(bounds)
     n = _require_count("n", n, 1)
     seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined
+    if n <= _BLOCK:
+        return _one_block(share, bounds, n, seed)
     out = np.empty(n, dtype=np.float64)
     shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     workers = min(_cpu_count(), shards)  # one shard: no thread
@@ -153,8 +172,7 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
     slice of ``theta``, which their shares then overwrite, and the d2 values
     into one block-sized scratch array that the shard keeps for all its
     blocks (see :func:`mc_summary`).  Undefined pairs are redrawn from the
-    stream after both halves, the next d1 and then the next d2, in at most
-    ``_REDRAW_ROUNDS`` rounds.
+    stream after both halves (see :func:`_redraw`).
     """
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     m = theta.size
@@ -173,20 +191,74 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
                 cursor.advance(_PERIOD - SHARD_SIZE)  # back to the next d1 draws
             np.clip(share.theta(x, y), 0.0, 1.0, out=x)
         cursor.advance(SHARD_SIZE - m)  # past the d2 half, to the redraws
-        rounds = 0
-        while math.isnan(theta.sum()):  # rare, so no mask unless needed
-            stuck = np.isnan(theta)
-            k = int(stuck.sum())
-            if rounds == _REDRAW_ROUNDS:
-                raise DegeneratePayoffsError(
-                    f"the share stayed undefined at {k} of shard {index}'s {m} "
-                    f"payoff pairs after {rounds} rounds of redraws"
-                )
-            rounds += 1
-            x, y = np.empty(k), np.empty(k)
-            _fill_uniform(rng, x, a, b)
-            _fill_uniform(rng, y, c, d)
-            theta[stuck] = np.clip(share.theta(x, y), 0.0, 1.0)
+        _redraw(share, bounds, rng, index, theta)
+
+
+def _one_block(share, bounds: PayoffBounds, n: int, seed: int):
+    """The sample of ``n <= _BLOCK`` pairs, shard 0's one block, computed
+    into a new array from :func:`_payoffs`, which it never writes.
+    Undefined pairs are redrawn as :func:`_draw_shard` redraws them, from
+    a new cursor on shard 0's stream after both halves."""
+    d1, d2 = _payoffs(bounds, n, seed)
+    theta = np.empty(n)
+    with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
+        np.clip(share.theta(d1, d2), 0.0, 1.0, out=theta)
+        if math.isnan(theta.sum()):
+            rng = _shard_rng(seed, 0)
+            rng.bit_generator.advance(2 * SHARD_SIZE)  # past both halves
+            _redraw(share, bounds, rng, 0, theta)
+    return theta
+
+
+def _payoffs(bounds: PayoffBounds, n: int, seed: int):
+    """Shard 0's first ``n <= _BLOCK`` d1 and d2 payoffs, read-only.
+
+    A call with the same bounds, n, seed and ``_shard_rng`` (which tests
+    replace) as the last miss returns its arrays from ``_last`` and
+    constructs no generator.  A miss drops the old pair before it draws,
+    so at most 512 KiB is held.  The entry is replaced whole and its
+    arrays are never written, so threads may share it; a race costs only
+    a second draw.
+    """
+    global _last
+    key = (bounds.a, bounds.b, bounds.c, bounds.d, n, seed, _shard_rng)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    _last = None
+    rng = _shard_rng(seed, 0)
+    d1, d2 = np.empty(n), np.empty(n)
+    _fill_uniform(rng, d1, bounds.a, bounds.b)
+    rng.bit_generator.advance(SHARD_SIZE - n)  # to the d2 half
+    _fill_uniform(rng, d2, bounds.c, bounds.d)
+    d1.flags.writeable = d2.flags.writeable = False
+    _last = (key, d1, d2)
+    return d1, d2
+
+
+def _redraw(share, bounds: PayoffBounds, rng, index: int, theta) -> None:
+    """Redraw the undefined (NaN) shares of shard ``index``'s ``theta``.
+
+    ``rng`` stands after both halves of the shard's stream.  Each round
+    draws the next d1 values, one per undefined pair, and then the next d2
+    values; after ``_REDRAW_ROUNDS`` rounds pairs still undefined raise
+    :class:`DegeneratePayoffsError`.  Runs under the caller's ``errstate``.
+    """
+    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    rounds = 0
+    while math.isnan(theta.sum()):  # rare, so no mask unless needed
+        stuck = np.isnan(theta)
+        k = int(stuck.sum())
+        if rounds == _REDRAW_ROUNDS:
+            raise DegeneratePayoffsError(
+                f"the share stayed undefined at {k} of shard {index}'s "
+                f"{theta.size} payoff pairs after {rounds} rounds of redraws"
+            )
+        rounds += 1
+        x, y = np.empty(k), np.empty(k)
+        _fill_uniform(rng, x, a, b)
+        _fill_uniform(rng, y, c, d)
+        theta[stuck] = np.clip(share.theta(x, y), 0.0, 1.0)
 
 
 def _fill_uniform(rng: np.random.Generator, out, low: float, high: float) -> None:
@@ -381,11 +453,14 @@ class _FineGrid:
 def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     """Sample and summarize in one step, recording the seed.
 
-    The sample is this function's own, so its variance is taken in place.
-    Each shard draws its payoffs on one cursor and computes its shares a
-    block at a time, its d1 values into the sample itself and its d2 values
-    into one block-sized scratch array, so a 10**6 sample adds about 1 MiB
-    of block scratch per sampling thread to the sample's 8 MB.  A loop of
+    The sample is this function's own, so its variance is taken in place;
+    a one-block sample (n <= 2**15) is computed from payoffs that
+    :func:`sample_thetas` keeps for its next call, and the in-place
+    variance never reaches them.  Each shard of a longer sample draws its
+    payoffs on one cursor and computes its shares a block at a time, its
+    d1 values into the sample itself and its d2 values into one
+    block-sized scratch array, so a 10**6 sample adds about 1 MiB of block
+    scratch per sampling thread to the sample's 8 MB.  A loop of
     calls stays below glibc's heap trim threshold (twice the largest block
     it has mapped and freed, 16 MB here), so it reuses its heap instead of
     returning it and faulting it back in on every call.

@@ -297,10 +297,16 @@ class TestBoundsMustBeARecord:
             lambda box: numeric_estimate("nbs", "mse", box),
             lambda box: sample_thetas("nbs", box, 10, seed=0),
             lambda box: mc_summary("nbs", box, 10, seed=0),
+            lambda box: as_share_model("nbs").support(box),
+            lambda box: as_share_model("nbs").rescaled(box),
+            lambda box: as_share_model("case2").support(box),
+            lambda box: as_share_model("case2").rescaled(box),
+            lambda box: FixedAlphaModel(0.3).support(box),
         ],
         ids=["estimate", "paper_case1_median", "closed_cdf", "cdf_at", "pdf_curve",
              "numeric_median", "numeric_mean", "numeric_estimate", "sample_thetas",
-             "mc_summary"],
+             "mc_summary", "nbs.support", "nbs.rescaled", "case2.support",
+             "case2.rescaled", "fixed_alpha.support"],
     )
     def test_raises_out_of_range_naming_the_type(self, call, bounds):
         kind = type(bounds).__name__
@@ -314,6 +320,13 @@ class TestFinancials:
         assert fs.operating_income == pytest.approx(20.0)
         assert fs.operating_margin == pytest.approx(0.2)
         assert royalty_rate(0.35, fs) == pytest.approx(0.07, abs=1e-15)
+
+    @pytest.mark.parametrize("financials", [(500.0, 360.0), None, 0.28], ids=str)
+    def test_royalty_rate_names_financials_that_are_not_a_statement(self, financials):
+        kind = type(financials).__name__
+        message = f"financials must be a FinancialStatement, got {kind}$"
+        with pytest.raises(OutOfRangeError, match=message):
+            royalty_rate(0.3, financials)
 
     def test_income_must_be_positive(self):
         with pytest.raises(OutOfRangeError, match="operating income"):

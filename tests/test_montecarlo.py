@@ -448,6 +448,143 @@ class TestRedrawLimit:
         assert threading.active_count() == before
 
 
+# The one-block sample reuses its payoffs across these models.
+ONE_BLOCK_MODELS = [*ModelKind, FixedAlphaModel(0.3)]
+
+
+def forget_payoffs(monkeypatch):
+    """Empty the payoffs the sampler keeps, for the rest of this test."""
+    monkeypatch.setattr(montecarlo, "_last", None)
+
+
+class TestKeptPayoffs:
+    """A one-block sample keeps its payoffs for the next call with the same
+    bounds, n and seed, which maps them through its own share: the same
+    bits as drawing them again, with no generator."""
+
+    @pytest.mark.parametrize("n", [1, 20_000, BLOCK])
+    @pytest.mark.parametrize("model", ONE_BLOCK_MODELS, ids=str)
+    def test_a_repeated_call_equals_a_cold_call(self, monkeypatch, model, n):
+        forget_payoffs(monkeypatch)
+        cold = sample_thetas(model, OFFSET_BOX, n, seed=21)
+        forget_payoffs(monkeypatch)
+        sample_thetas(ModelKind.NBS, OFFSET_BOX, n, seed=21)  # another model draws
+        kept = montecarlo._last
+        for _ in range(2):
+            hit = sample_thetas(model, OFFSET_BOX, n, seed=21)
+            assert montecarlo._last is kept
+            assert hit.tobytes() == cold.tobytes()
+        # Both equal the prefix of a sample drawn block by block.
+        long = sample_thetas(model, OFFSET_BOX, BLOCK + 1, seed=21)
+        assert cold.tobytes() == long[:n].tobytes()
+
+    @pytest.mark.parametrize("n, k", [(10, 5), (BLOCK, BLOCK - 1)])
+    def test_a_hit_redraws_an_undefined_pair_from_its_shard_stream(
+        self, monkeypatch, n, k
+    ):
+        # GOLDEN has a = c = 0: zeroing pair k's draws makes its share 0/0.
+        forget_payoffs(monkeypatch)
+        shard_rng = montecarlo._shard_rng
+        track_streams(monkeypatch, [], zeroed=(k, SHARD_SIZE + k))
+        cold = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=3)
+        _, d1, d2 = montecarlo._last
+        assert d1[k] == d2[k] == 0.0  # kept as drawn, so 0/0 again on a hit
+        hit = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=3)
+        assert montecarlo._last[1] is d1
+        assert hit.tobytes() == cold.tobytes()
+        # The plain generator does not read what the zeroing one kept.
+        monkeypatch.setattr(montecarlo, "_shard_rng", shard_rng)
+        plain = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=3)
+        assert np.flatnonzero(hit != plain).tolist() == [k]
+
+    def test_a_hit_constructs_no_generator(self, monkeypatch):
+        forget_payoffs(monkeypatch)
+        calls = []
+        shard_rng = montecarlo._shard_rng
+        monkeypatch.setattr(
+            montecarlo, "_shard_rng", lambda s, i: calls.append(i) or shard_rng(s, i)
+        )
+        for model in ONE_BLOCK_MODELS:
+            sample_thetas(model, OFFSET_BOX, 20_000, seed=1)
+        assert calls == [0]
+        # Other bounds, another n or another seed draw again.
+        for bounds, n, seed in [(GOLDEN, 20_000, 1), (GOLDEN, 19_999, 1),
+                                (GOLDEN, 19_999, 2)]:
+            sample_thetas(ModelKind.NBS, bounds, n, seed=seed)
+        assert calls == [0] * 4
+
+    def test_writing_a_sample_leaves_the_next_one_unchanged(self, monkeypatch):
+        forget_payoffs(monkeypatch)
+        expected = sample_thetas(ModelKind.CASE1, OFFSET_BOX, 20_000, seed=4)
+        sample = sample_thetas(ModelKind.CASE1, OFFSET_BOX, 20_000, seed=4)
+        sample[:] = 0.5
+        # mc_summary takes its variance in place, in its own sample.
+        summary = mc_summary(ModelKind.CASE1, OFFSET_BOX, 20_000, seed=4)
+        assert summary == summarize(expected, seed=4)
+        again = sample_thetas(ModelKind.CASE1, OFFSET_BOX, 20_000, seed=4)
+        assert again.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1])
+    def test_only_a_one_block_sample_reads_the_kept_payoffs(self, monkeypatch, n):
+        # A decoy entry under the call's own key: nbs maps its zeros to 1/2.
+        box = OFFSET_BOX
+        key = (box.a, box.b, box.c, box.d, n, 6, montecarlo._shard_rng)
+        decoy = (key, np.zeros(n), np.zeros(n))
+        monkeypatch.setattr(montecarlo, "_last", decoy)
+        x = sample_thetas(ModelKind.NBS, box, n, seed=6)
+        assert montecarlo._last is decoy  # neither dropped nor replaced
+        if n <= BLOCK:
+            assert np.all(x == 0.5)
+        else:
+            expected, _ = uniform_reference(as_share_model("nbs"), box, n, seed=6)
+            assert x.tobytes() == expected.tobytes()
+
+    def test_the_kept_payoffs_are_read_only_and_at_most_512_kib(self, monkeypatch):
+        forget_payoffs(monkeypatch)
+        sample_thetas(ModelKind.CASE2, OFFSET_BOX, BLOCK, seed=8)
+        _, d1, d2 = montecarlo._last
+        assert d1.nbytes + d2.nbytes == 512 * 1024
+        for kept in (d1, d2):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
+    def test_threads_switching_keys_get_the_cold_bits(self, monkeypatch):
+        keys = [(OFFSET_BOX, 20_000, 31), (GOLDEN, 20_000, 31), (OFFSET_BOX, 777, 32)]
+        cold = {}
+        for model in ONE_BLOCK_MODELS:
+            for key in keys:
+                forget_payoffs(monkeypatch)
+                bounds, n, seed = key
+                cold[str(model), key] = sample_thetas(model, bounds, n, seed).tobytes()
+        wrong, done = [], []
+
+        def work(offset):
+            # Runs of one key over the four models, so hits and misses mix.
+            for i in range(32 * len(ONE_BLOCK_MODELS) * len(keys)):
+                key = keys[(i // len(ONE_BLOCK_MODELS) + offset) % len(keys)]
+                model = ONE_BLOCK_MODELS[i % len(ONE_BLOCK_MODELS)]
+                bounds, n, seed = key
+                x = sample_thetas(model, bounds, n, seed)
+                if x.tobytes() != cold[str(model), key]:
+                    wrong.append((offset, i))
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1]
+        assert wrong == []
+
+
 def uniform_reference(share, bounds, n, seed):
     """sample_thetas by its documented stream layout, from Generator.uniform.
 
