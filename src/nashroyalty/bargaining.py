@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import (
     DegeneratePayoffsError,
@@ -82,6 +83,11 @@ def _require_unit(name: str, value) -> float:
     if not (math.isfinite(value) and 0.0 <= value <= 1.0):
         raise OutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+# The most float64 values one numpy array can hold: its size in bytes must
+# fit a signed machine word.  Counts of array elements stop here.
+_MAX_COUNT = sys.maxsize // 8
 
 
 def _require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:

@@ -63,6 +63,9 @@ EXIT_NUMERICAL = 5
 EXIT_INTERNAL = 6
 
 _EXACT_TOL = 1e-5
+# Limit on the worst |MC mean - quadrature mean| / standard error over every
+# (box, model) of a verify run: about 3.4e-4 false alarms per default run.
+_MC_Z_LIMIT = 5.0
 
 # Size caps that keep every run bounded in time and memory.
 _MAX_GRID_POINTS = 1_000_001
@@ -439,6 +442,10 @@ def _cmd_verify(args) -> int:
             )
     lines.append("  monte carlo mean vs quadrature mean:")
     lines.append(f"    worst |difference| / standard error = {worst_z:.2f}")
+    if worst_z > _MC_Z_LIMIT:
+        failures.append(
+            f"monte carlo mean exceeds {_MC_Z_LIMIT:g} standard errors ({worst_z:.2f})"
+        )
     lines.append("result: " + ("FAIL: " + "; ".join(failures) if failures else "PASS"))
     print("\n".join(lines))
     return EXIT_MISMATCH if failures else EXIT_OK

@@ -25,13 +25,16 @@ part of the contract:
 * Shards run on up to one thread per CPU.  Each has its own stream and
   writes only its own slice of the sample, so the sample's bits do not
   depend on how many threads run.
-* A sample of at most one block (n <= 2**15, one shard) keeps its d1 and
-  d2 payoffs, read-only, until the next one-block sample with other
-  bounds, n or seed replaces them.  A call with the same bounds, n and
-  seed maps the kept payoffs through its own share instead of drawing
-  them again, so the three models of one box draw their common random
-  numbers once.  The kept payoffs are those the draw would give, so the
-  bits do not change; at most 512 KiB stays held between calls.
+* Undefined pairs are redrawn from the shard's stream after both halves,
+  on a cursor of their own that exists only when a pair needs it.
+* Every sample takes this one path.  A sample that is one block
+  (n <= 2**15) draws its d1 and d2 payoffs into arrays it keeps,
+  read-only, until the next one-block sample with other bounds, n or seed
+  replaces them; a call with the same bounds, n and seed maps the kept
+  payoffs through its own share instead of drawing them again, so the
+  three models of one box draw their common random numbers once.  The
+  kept payoffs are those the draw would give, so the bits do not change;
+  at most 512 KiB stays held between calls.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import threading
 import numpy as np
 
 from .bargaining import (
+    _MAX_COUNT,
     PayoffBounds,
     _Record,
     _require_bounds,
@@ -110,24 +114,23 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     only when a = c = 0) is redrawn within its shard; a rectangle on which
     the share is nowhere defined raises :class:`DegeneratePayoffsError`, as
     do pairs still undefined after 64 rounds of redraws.  An ``n`` that is
-    not an integer of at least 1, or a ``seed`` that is not an integer of
-    at least 0, raises :class:`OutOfRangeError`.
+    not an integer from 1 to ``sys.maxsize // 8`` (the most doubles one
+    array can hold), or a ``seed`` that is not an integer of at least 0,
+    raises :class:`OutOfRangeError`.
 
     Shards run on up to one thread per CPU, the calling thread among them.
     Each writes only its own slice of the result, so the values do not
     depend on how many threads run; a worker's exception is raised here.
-    A sample of at most one block (n <= 2**15) reuses the payoffs of the
-    last such sample when its bounds, n and seed are the same (see
-    :func:`_payoffs`), with the same bits.  The result is always a new
-    array of the caller's own.
+    Every shard is drawn by :func:`_draw_shard`; a sample of one block
+    (n <= 2**15) reuses the payoffs of the last such sample when its
+    bounds, n and seed are the same (see :func:`_payoff_blocks`), with the
+    same bits.  The result is always a new array of the caller's own.
     """
     share = as_share_model(model)
     bounds = _require_bounds(bounds)
-    n = _require_count("n", n, 1)
+    n = _require_count("n", n, 1, _MAX_COUNT)
     seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined
-    if n <= _BLOCK:
-        return _one_block(share, bounds, n, seed)
     out = np.empty(n, dtype=np.float64)
     shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     workers = min(_cpu_count(), shards)  # one shard: no thread
@@ -160,7 +163,18 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
 
 
 def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> None:
-    """Write the clipped shares of shard ``index``'s first pairs to ``theta``.
+    """Write the clipped shares of shard ``index``'s first pairs to ``theta``,
+    a block at a time from :func:`_payoff_blocks`, then redraw the undefined
+    ones (see :func:`_redraw`)."""
+    with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
+        for x, d1, d2 in _payoff_blocks(bounds, seed, index, theta):
+            np.clip(share.theta(d1, d2), 0.0, 1.0, out=x)
+        _redraw(share, bounds, seed, index, theta)
+
+
+def _payoff_blocks(bounds: PayoffBounds, seed: int, index: int, theta):
+    """Each block of ``theta``, shard ``index``'s slice, with its d1 and d2
+    payoffs.
 
     The d1 draws take the first ``SHARD_SIZE`` steps of the shard's stream
     and the d2 draws the next ``SHARD_SIZE``, even when fewer are needed, so
@@ -168,85 +182,66 @@ def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> No
     a ``_BLOCK`` at a time: it fills the block's d1 values, jumps ahead to
     its d2 values, and, unless the block is the last, jumps back to the next
     d1 values by advancing ``2**128 - SHARD_SIZE`` steps, a full period of
-    PCG64 less ``SHARD_SIZE``.  The d1 values are drawn into the block's
-    slice of ``theta``, which their shares then overwrite, and the d2 values
-    into one block-sized scratch array that the shard keeps for all its
-    blocks (see :func:`mc_summary`).  Undefined pairs are redrawn from the
-    stream after both halves (see :func:`_redraw`).
+    PCG64 less ``SHARD_SIZE``.  The d1 values are drawn into the block
+    itself, which their shares then overwrite, and the d2 values into one
+    block-sized scratch array that the shard keeps for all its blocks (see
+    :func:`mc_summary`).
+
+    A whole sample of one block (shard 0 with at most ``_BLOCK`` pairs)
+    draws both halves into arrays of its own and keeps them, read-only, in
+    ``_last``, keyed by bounds, n, seed and ``_shard_rng`` (which tests
+    replace).  A later sample with the same key reads them from there and
+    constructs no generator; any other one-block sample drops them before
+    it draws, so at most 512 KiB is held.  The entry is replaced whole and
+    its arrays are never written, so threads may share it; a race costs
+    only a second draw.
     """
+    global _last
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     m = theta.size
+    key = None
+    if index == 0 and m <= _BLOCK:  # the whole sample is one block
+        key = (a, b, c, d, m, seed, _shard_rng)
+        last = _last
+        if last is not None and last[0] == key:
+            yield theta, last[1], last[2]
+            return
+        _last = None
     rng = _shard_rng(seed, index)
     cursor = rng.bit_generator
     d2 = np.empty(min(m, _BLOCK))
-    with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
-        for start in range(0, m, _BLOCK):
-            x = theta[start : start + _BLOCK]
-            k = x.size
-            y = d2[:k]
-            _fill_uniform(rng, x, a, b)
-            cursor.advance(SHARD_SIZE - k)  # to this block's d2 draws
-            _fill_uniform(rng, y, c, d)
-            if start + k < m:
-                cursor.advance(_PERIOD - SHARD_SIZE)  # back to the next d1 draws
-            np.clip(share.theta(x, y), 0.0, 1.0, out=x)
-        cursor.advance(SHARD_SIZE - m)  # past the d2 half, to the redraws
-        _redraw(share, bounds, rng, index, theta)
+    for start in range(0, m, _BLOCK):
+        x = theta[start : start + _BLOCK]
+        k = x.size
+        d1 = x if key is None else np.empty(k)
+        y = d2[:k]
+        _fill_uniform(rng, d1, a, b)
+        cursor.advance(SHARD_SIZE - k)  # to this block's d2 draws
+        _fill_uniform(rng, y, c, d)
+        if start + k < m:
+            cursor.advance(_PERIOD - SHARD_SIZE)  # back to the next d1 draws
+        if key is not None:
+            d1.flags.writeable = d2.flags.writeable = False
+            _last = (key, d1, d2)
+        yield x, d1, y
 
 
-def _one_block(share, bounds: PayoffBounds, n: int, seed: int):
-    """The sample of ``n <= _BLOCK`` pairs, shard 0's one block, computed
-    into a new array from :func:`_payoffs`, which it never writes.
-    Undefined pairs are redrawn as :func:`_draw_shard` redraws them, from
-    a new cursor on shard 0's stream after both halves."""
-    d1, d2 = _payoffs(bounds, n, seed)
-    theta = np.empty(n)
-    with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
-        np.clip(share.theta(d1, d2), 0.0, 1.0, out=theta)
-        if math.isnan(theta.sum()):
-            rng = _shard_rng(seed, 0)
-            rng.bit_generator.advance(2 * SHARD_SIZE)  # past both halves
-            _redraw(share, bounds, rng, 0, theta)
-    return theta
-
-
-def _payoffs(bounds: PayoffBounds, n: int, seed: int):
-    """Shard 0's first ``n <= _BLOCK`` d1 and d2 payoffs, read-only.
-
-    A call with the same bounds, n, seed and ``_shard_rng`` (which tests
-    replace) as the last miss returns its arrays from ``_last`` and
-    constructs no generator.  A miss drops the old pair before it draws,
-    so at most 512 KiB is held.  The entry is replaced whole and its
-    arrays are never written, so threads may share it; a race costs only
-    a second draw.
-    """
-    global _last
-    key = (bounds.a, bounds.b, bounds.c, bounds.d, n, seed, _shard_rng)
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1], last[2]
-    _last = None
-    rng = _shard_rng(seed, 0)
-    d1, d2 = np.empty(n), np.empty(n)
-    _fill_uniform(rng, d1, bounds.a, bounds.b)
-    rng.bit_generator.advance(SHARD_SIZE - n)  # to the d2 half
-    _fill_uniform(rng, d2, bounds.c, bounds.d)
-    d1.flags.writeable = d2.flags.writeable = False
-    _last = (key, d1, d2)
-    return d1, d2
-
-
-def _redraw(share, bounds: PayoffBounds, rng, index: int, theta) -> None:
+def _redraw(share, bounds: PayoffBounds, seed: int, index: int, theta) -> None:
     """Redraw the undefined (NaN) shares of shard ``index``'s ``theta``.
 
-    ``rng`` stands after both halves of the shard's stream.  Each round
-    draws the next d1 values, one per undefined pair, and then the next d2
-    values; after ``_REDRAW_ROUNDS`` rounds pairs still undefined raise
-    :class:`DegeneratePayoffsError`.  Runs under the caller's ``errstate``.
+    Only when one is present, a new cursor on the shard's stream skips both
+    halves; each round then draws the next d1 values, one per undefined
+    pair, and then the next d2 values.  After ``_REDRAW_ROUNDS`` rounds
+    pairs still undefined raise :class:`DegeneratePayoffsError`.  Runs under
+    the caller's ``errstate``.
     """
+    if not math.isnan(theta.sum()):  # rare, so no cursor or mask unless needed
+        return
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    rng = _shard_rng(seed, index)
+    rng.bit_generator.advance(2 * SHARD_SIZE)  # past both halves
     rounds = 0
-    while math.isnan(theta.sum()):  # rare, so no mask unless needed
+    while math.isnan(theta.sum()):
         stuck = np.isnan(theta)
         k = int(stuck.sum())
         if rounds == _REDRAW_ROUNDS:
@@ -453,14 +448,14 @@ class _FineGrid:
 def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     """Sample and summarize in one step, recording the seed.
 
-    The sample is this function's own, so its variance is taken in place;
-    a one-block sample (n <= 2**15) is computed from payoffs that
-    :func:`sample_thetas` keeps for its next call, and the in-place
-    variance never reaches them.  Each shard of a longer sample draws its
-    payoffs on one cursor and computes its shares a block at a time, its
-    d1 values into the sample itself and its d2 values into one
-    block-sized scratch array, so a 10**6 sample adds about 1 MiB of block
-    scratch per sampling thread to the sample's 8 MB.  A loop of
+    The sample is this function's own, so its variance is taken in place.
+    Each shard draws its payoffs on one cursor and computes its shares a
+    block at a time, its d1 values into the sample itself and its d2 values
+    into one block-sized scratch array, so a 10**6 sample adds about 1 MiB
+    of block scratch per sampling thread to the sample's 8 MB.  Only a
+    one-block sample (n <= 2**15) draws its payoffs into arrays of their
+    own, which :func:`sample_thetas` keeps for its next call, so the
+    in-place variance never reaches them.  A loop of
     calls stays below glibc's heap trim threshold (twice the largest block
     it has mapped and freed, 16 MB here), so it reuses its heap instead of
     returning it and faulting it back in on every call.

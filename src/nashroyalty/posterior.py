@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from .bargaining import (
+    _MAX_COUNT,
     FixedAlphaModel,
     PayoffBounds,
     ShareModel,
@@ -293,11 +294,12 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     quadrature accuracy.  Raises :class:`DegenerateDistributionError` when
     the share is deterministic (point-mass rectangle, or a proportional-
     model rectangle pinned to one axis) since no density curve exists, and
-    :class:`OutOfRangeError` unless ``n_points`` is an integer of at least 3.
+    :class:`OutOfRangeError` unless ``n_points`` is an integer from 3 to
+    ``sys.maxsize // 8``.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
-    n_points = _require_count("n_points", n_points, 3)
+    n_points = _require_count("n_points", n_points, 3, _MAX_COUNT)
     lo, hi = ops.support(bounds)
     if lo == hi:
         raise DegenerateDistributionError(
@@ -463,9 +465,11 @@ def numeric_estimate(
     ``ABS``, and the mean for ``MSE``; a deterministic share, which has no
     density, returns its one value for every risk, as the closed forms
     do.  ``risk`` may also be given by its string value; any other value
-    raises :class:`OutOfRangeError`.
+    raises :class:`OutOfRangeError`, as does an ``n_points`` that
+    :func:`pdf_curve` would refuse, under every risk.
     """
     risk = as_risk_profile(risk)
+    n_points = _require_count("n_points", n_points, 3, _MAX_COUNT)
     lo, hi = as_share_model(model).support(_require_bounds(bounds))
     if lo == hi:  # a deterministic share: every estimate is its one value
         value = lo

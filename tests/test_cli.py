@@ -11,12 +11,13 @@ import typing
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashroyalty
-from nashroyalty import NumericalAccuracyError, cli, posterior
+from nashroyalty import NumericalAccuracyError, cli, montecarlo, posterior
 from nashroyalty.bargaining import FinancialStatement, royalty_rate
 from nashroyalty.estimators import RiskProfile
 from nashroyalty import ModelKind, estimate, validate_bounds
@@ -784,6 +785,19 @@ class TestVerifyCommand:
         (result,) = [line for line in out.splitlines() if line.startswith("result:")]
         assert result.startswith("result: FAIL: ")
         assert "exceeds 0.0e+00 (" in result
+
+    def test_a_shifted_monte_carlo_mean_fails_with_exit_1(self, capsys, monkeypatch):
+        # Shares shifted by 0.02 put the worst mean 46 standard errors off.
+        sample_thetas = montecarlo.sample_thetas
+
+        def shifted(*args, **kwargs):
+            return np.clip(sample_thetas(*args, **kwargs) + 0.02, 0.0, 1.0)
+
+        monkeypatch.setattr(montecarlo, "sample_thetas", shifted)
+        code, out, err = run(capsys, self.ARGS)
+        assert (code, err) == (1, "")
+        (result,) = [line for line in out.splitlines() if line.startswith("result:")]
+        assert result.startswith("result: FAIL: monte carlo mean exceeds 5 standard")
 
 
 class TestReferenceCommand:

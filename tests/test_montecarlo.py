@@ -524,12 +524,15 @@ class TestKeptPayoffs:
         again = sample_thetas(ModelKind.CASE1, OFFSET_BOX, 20_000, seed=4)
         assert again.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, SHARD_SIZE + 17])
     def test_only_a_one_block_sample_reads_the_kept_payoffs(self, monkeypatch, n):
-        # A decoy entry under the call's own key: nbs maps its zeros to 1/2.
+        # A decoy entry keyed on the length of the sample's last shard, which
+        # is the call's own n for a one-shard sample and 17 for a two-shard
+        # one whose last shard is one block: nbs maps its zeros to 1/2.
         box = OFFSET_BOX
-        key = (box.a, box.b, box.c, box.d, n, 6, montecarlo._shard_rng)
-        decoy = (key, np.zeros(n), np.zeros(n))
+        m = (n - 1) % SHARD_SIZE + 1
+        key = (box.a, box.b, box.c, box.d, m, 6, montecarlo._shard_rng)
+        decoy = (key, np.zeros(m), np.zeros(m))
         monkeypatch.setattr(montecarlo, "_last", decoy)
         x = sample_thetas(ModelKind.NBS, box, n, seed=6)
         assert montecarlo._last is decoy  # neither dropped nor replaced
@@ -698,6 +701,15 @@ class TestSampleValidity:
     def test_nonpositive_sample_size_rejected(self, n):
         with pytest.raises(OutOfRangeError):
             sample_thetas(ModelKind.NBS, GOLDEN, n, seed=0)
+
+    # Counts of more doubles than one array can hold; none is allocated.
+    @pytest.mark.parametrize("sampler", [sample_thetas, mc_summary])
+    @pytest.mark.parametrize(
+        "n", [sys.maxsize // 8 + 1, 2**62, 10**400], ids=["max+1", "2**62", "10**400"]
+    )
+    def test_sizes_no_array_can_hold_rejected(self, sampler, n):
+        with pytest.raises(OutOfRangeError, match="n must be at most"):
+            sampler(ModelKind.NBS, GOLDEN, n, seed=0)
 
     @pytest.mark.parametrize("sampler", [sample_thetas, mc_summary])
     @pytest.mark.parametrize("seed", [None, -1, 1.5, "7"])

@@ -1,6 +1,7 @@
 """Numeric posterior engine against analytic CDFs and the closed forms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestPdfCurve:
     @pytest.mark.parametrize("n_points", [3.9, 801.5, math.inf, math.nan])
     def test_non_integral_point_counts_rejected(self, n_points):
         with pytest.raises(OutOfRangeError, match="n_points must be an integer"):
+            pdf_curve(ModelKind.NBS, GOLDEN, n_points=n_points)
+
+    # Counts of more doubles than one array can hold; none is allocated.
+    @pytest.mark.parametrize(
+        "n_points",
+        [sys.maxsize // 8 + 1, 2**62, 10**400],
+        ids=["max+1", "2**62", "10**400"],
+    )
+    def test_point_counts_no_array_can_hold_rejected(self, n_points):
+        with pytest.raises(OutOfRangeError, match="n_points must be at most"):
             pdf_curve(ModelKind.NBS, GOLDEN, n_points=n_points)
 
     def test_integral_float_point_count_accepted(self):
@@ -510,6 +521,21 @@ class TestNumericEstimate:
     def test_unknown_risk_rejected(self):
         with pytest.raises(OutOfRangeError, match="got 'bogus'"):
             posterior.numeric_estimate(ModelKind.NBS, "bogus", GOLDEN)
+
+    # The grid serves only the mode, but every risk checks its size, and a
+    # deterministic share too.
+    @pytest.mark.parametrize(
+        "n_points",
+        [-5, 2, "junk", 2.5, 2**62, 10**400],
+        ids=["-5", "2", "junk", "2.5", "2**62", "10**400"],
+    )
+    @pytest.mark.parametrize("risk", list(RiskProfile))
+    @pytest.mark.parametrize(
+        "bounds", [GOLDEN, validate_bounds(0.3, 0.3, 0.1, 0.1)], ids=["box", "point"]
+    )
+    def test_bad_point_counts_rejected_under_every_risk(self, bounds, risk, n_points):
+        with pytest.raises(OutOfRangeError, match="n_points must be"):
+            posterior.numeric_estimate(ModelKind.NBS, risk, bounds, n_points)
 
 
 class TestModelResolution:
