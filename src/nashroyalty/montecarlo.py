@@ -133,7 +133,10 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     share.support(bounds)  # raises where the share is nowhere defined
     out = np.empty(n, dtype=np.float64)
     shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
-    workers = min(_cpu_count(), shards)  # one shard: no thread
+    if shards == 1:  # no thread
+        _draw_shard(share, bounds, seed, 0, out)
+        return out
+    workers = min(_cpu_count(), shards)
     failures = []
 
     def draw(first: int) -> None:

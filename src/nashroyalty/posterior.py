@@ -21,6 +21,7 @@ tests judge the crossings against references of their own.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 import numpy as np
@@ -91,6 +92,20 @@ _MEDIAN_OFFSETS = (
     *(4.0**-k for k in range(8, 0, -1)),
 )
 _MODE_TIE_TOL = 1e-9
+# A median bracket [lo, hi] with 0 < lo and hi / lo above this spans many
+# decades, where halving it gains little: each round also tries its
+# geometric midpoint.
+_DECADES_RATIO = 2.0**32
+
+# The CDF values the engine located on its last rectangle, kept for cdf_at:
+# (model, bits of the rectangle, {bits of t: F(t)}).  Bits, since -0.0 ==
+# 0.0 yet the kernel may tell them apart.  Replaced whole and never written,
+# so threads may share it: a race only loses a value.
+_KEPT = 5
+_NOTHING = (None, b"", {})
+_located = _NOTHING
+_box_bits = struct.Struct("4d").pack
+_point_bits = struct.Struct("d").pack
 
 
 def _every(mask: np.ndarray) -> bool:
@@ -163,6 +178,14 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
 
 def _panel_sums(fn, mid: np.ndarray, half: np.ndarray, rows):
     """Each panel's 24-point sum and its distance to the 12-point sum."""
+    # numpy's own reductions give one row the same bits whatever other rows
+    # share the call, so a CDF value does not depend on its batch (see _cdf),
+    # and cdf_at's kept values rest on that.  A BLAS product does not keep
+    # it: with numpy 2.4.6 and OpenBLAS 0.3.31, on 277 panel rows of six
+    # medians, ``values @ W`` (the two weight vectors as columns) gave other
+    # bits than the row alone on 189 rows, and ``values[:, :24] @ w`` on
+    # 176.  np.einsum and np.vecdot differed on none, but vecdot calls BLAS
+    # ddot, so its bits may depend on the CPU.
     nodes = half[:, None] * _NODES
     nodes += mid[:, None]
     values = fn(nodes, rows)
@@ -256,15 +279,52 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _remember(ops, bounds: PayoffBounds, ts, values) -> None:
+    """Keep ``values``, the kernel's at the points ``ts`` of ``bounds``, with
+    those kept on the same rectangle and model while at most ``_KEPT`` in all."""
+    global _located
+    box = _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
+    # cdf_at never asks outside [0, 1].
+    found = {_point_bits(t): p for t, p in zip(ts, values) if 0.0 <= t <= 1.0}
+    kept_ops, kept_box, kept = _located
+    if kept_box == box and kept_ops == ops:
+        merged = {**kept, **found}
+        if len(merged) <= _KEPT:
+            found = merged
+    _located = (ops, box, found)
+
+
+def _recall(ops, bounds: PayoffBounds, ts) -> list | None:
+    """The kept values at every point of ``ts``, or None if one is not kept."""
+    kept_ops, kept_box, kept = _located
+    box = _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
+    if kept_box != box or kept_ops != ops:
+        return None
+    try:
+        return [kept[_point_bits(t)] for t in ts]
+    except KeyError:
+        return None
+
+
 def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     """P{theta <= t} under independent uniform payoffs on the rectangle.
 
     Accurate to 1e-12 absolute (see :func:`_cdf`); raises
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
+    The engine keeps the values it located on the last rectangle asked
+    about, at most five: the corner probe of :func:`pdf_curve` (and of
+    :func:`mode_from_curve`), which holds a mode at the corner image, and
+    the point :func:`numeric_median` returned.  At one of those points,
+    with the same model and a rectangle of the same bits, the kept value
+    is returned; it is the kernel's own, since a value does not depend on
+    the other points of its call.  Anywhere else the kernel is called.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
+    kept = _recall(ops, bounds, (t,))
+    if kept is not None:
+        return kept[0]
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
 
@@ -296,6 +356,11 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     model rectangle pinned to one axis) since no density curve exists, and
     :class:`OutOfRangeError` unless ``n_points`` is an integer from 3 to
     ``sys.maxsize // 8``.
+
+    The same kernel call also locates the CDF at the three points
+    :func:`mode_from_curve` probes, the image of the corner (b, d) and one
+    grid step to either side, and keeps those in [0, 1] for it and for
+    :func:`cdf_at` (replacing the values kept on another rectangle).
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -306,11 +371,19 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
             f"the share is deterministically {lo!r} on these bounds; "
             "the distribution has no density curve"
         )
-    # np.linspace(0, 1, n_points) without its Python wrapper: the same steps.
-    thetas = np.arange(n_points, dtype=float)
+    # np.linspace(0, 1, n_points) without its Python wrapper: the same steps,
+    # followed by the mode's corner probe.
+    ts = np.arange(n_points + 3, dtype=float)
+    thetas = ts[:n_points]
     thetas *= 1.0 / (n_points - 1)
     thetas[-1] = 1.0
-    cdf = _cdf(ops, bounds, thetas)
+    step = thetas[1] - thetas[0]
+    corner = ops.at(bounds.b, bounds.d)
+    probe = ts[n_points:]
+    probe[:] = (corner - step, corner, corner + step)
+    values = _cdf(ops, bounds, ts)
+    _remember(ops, bounds, probe.tolist(), values[n_points:].tolist())
+    cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
     return PosteriorCurve(thetas=thetas, pdf=pdf, cdf=cdf, model=ops, bounds=bounds)
@@ -353,10 +426,14 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     with a side, or a support, thinner than about 4e-6, see :func:`_cdf`);
     raises :class:`NumericalAccuracyError` when the bracket collapses first.
     Returns the support's midpoint outright when the support is at most
-    a few ulps wide, as for a point mass.
+    a few ulps wide, as for a point mass.  A bracket [lo, hi] with lo > 0
+    that spans many decades (hi > 2**32 lo) also tries its geometric
+    midpoint each round.  The CDF at the point returned is kept for
+    :func:`cdf_at`.
     """
     ops = as_share_model(model)
-    bounds = ops.rescaled(_require_bounds(bounds))  # its widths set the target
+    box = _require_bounds(bounds)
+    bounds = ops.rescaled(box)  # its widths set the target
     lo, hi = ops.support(bounds)
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
@@ -370,12 +447,16 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
         guess = lo + (0.5 - f_lo) / (f_hi - f_lo) * span
         ladder = {guess + span * offset for offset in _MEDIAN_OFFSETS}
         ladder.add(middle)
+        if lo > 0.0 and hi > lo * _DECADES_RATIO:
+            ladder.add(math.sqrt(lo) * math.sqrt(hi))  # lo * hi may underflow
         ts = sorted(t for t in ladder if lo < t < hi)
         values = _cdf(ops, bounds, np.array(ts)).tolist()
         gaps = [abs(p - 0.5) for p in values]
         gap = min(gaps)
         if gap <= target:
-            return ts[gaps.index(gap)]  # the first point as close
+            i = gaps.index(gap)  # the first point as close
+            _remember(ops, box, [ts[i]], [values[i]])
+            return ts[i]
         below = [i for i, p in enumerate(values) if p < 0.5]
         above = [i for i, p in enumerate(values) if p > 0.5]
         if below:
@@ -439,6 +520,13 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     its one-sided density (CDF slope into the support) ties the maximum,
     since the true peak of these models sits at that corner image;
     otherwise the largest tied grid point is returned.
+
+    The corner probe's CDF values are those :func:`pdf_curve` kept, unless
+    another rectangle has been asked about since, when one kernel call
+    locates and keeps them again; :func:`cdf_at` at a corner mode so reads
+    a kept value.  A grid-point mode's CDF value is not kept: the curve is
+    a record any caller can build or write, so its ``cdf`` need not be the
+    kernel's.
     """
     ops = as_share_model(curve.model)
     bounds = curve.bounds
@@ -449,7 +537,10 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     corner = ops.at(bounds.b, bounds.d)
     # corner lies in [0, 1], so only an end point of the three can drop out.
     ts = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
-    probs = _cdf(ops, bounds, np.array(ts)).tolist()
+    probs = _recall(ops, bounds, ts)
+    if probs is None:  # not kept, as when another rectangle was asked about since
+        probs = _cdf(ops, bounds, np.array(ts)).tolist()
+        _remember(ops, bounds, ts, probs)
     # Slopes into the corner and out of it.
     if any((q - p) / step >= peak - _MODE_TIE_TOL for p, q in zip(probs, probs[1:])):
         return ModeResult(value=corner, plateau=plateau)

@@ -201,7 +201,9 @@ def _bits(values) -> bytes:
 
 
 def _alone(model, bounds, ts) -> np.ndarray:
-    return np.array([cdf_at(model, bounds, float(t)) for t in ts])
+    # One kernel call per point: cdf_at may answer from the values it kept.
+    ops = as_share_model(model)
+    return np.array([_cdf(ops, bounds, np.array([float(t)]))[0] for t in ts])
 
 
 @pytest.mark.parametrize("bounds", [THIN, NARROW, GOLDEN, *RANDOM_BOXES[:12]], ids=_box_id)

@@ -5,15 +5,21 @@ overhead was cut, and those of the point-mass boxes while the kernel still
 had a 1-D formula of its own for each point-mass side; a change that should
 leave every value alone must keep them.  The kernel-call counts guard the
 engine's cost without timing it: a change that adds ``_cdf`` calls has to
-update them on purpose.
+update them on purpose.  The CDF values the engine keeps for ``cdf_at`` are
+held to the bits of a kernel call of their own.
 """
 
 import hashlib
+import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
-from nashroyalty import FixedAlphaModel, validate_bounds
+from nashroyalty import FixedAlphaModel, cdf_at, validate_bounds
 from nashroyalty import posterior
+from nashroyalty.bargaining import as_share_model
 from nashroyalty.posterior import mode_from_curve, numeric_mean, numeric_median, pdf_curve
 
 BOXES = {
@@ -177,7 +183,178 @@ def test_estimates_make_a_fixed_number_of_kernel_calls(kernel_calls, box, estima
 @pytest.mark.parametrize("box", sorted(BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
+    # The curve's call also locates the mode's corner probe.
     curve = pdf_curve(MODELS[model], BOXES[box])
     assert len(kernel_calls) == 1
     mode_from_curve(curve)
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == 1
+
+
+# --- the CDF values kept for cdf_at ---------------------------------------------
+
+KEPT_BOXES = {
+    **BOXES,
+    # case2 works on this box lifted into [1/4, 1/2) by a power of two.
+    "small": validate_bounds(0.01, 0.05, 0.02, 0.1),
+    "signed_zero": validate_bounds(-0.0, 0.2, -0.0, 0.8),
+}
+
+
+def _fresh(model, bounds, t) -> str:
+    """F(t) from a kernel call of its own with nothing kept, as hex."""
+    posterior._located = posterior._NOTHING
+    value = posterior._cdf(as_share_model(model), bounds, np.array([float(t)]))[0]
+    return float(value).hex()
+
+
+def _probe(model, bounds, curve) -> list:
+    """The points in [0, 1] at which mode_from_curve reads the CDF."""
+    corner = as_share_model(model).at(bounds.b, bounds.d)
+    step = curve.thetas[1] - curve.thetas[0]
+    return [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
+
+
+@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_kept_values_are_the_kernels_own(kernel_calls, box, model):
+    # The probe, which holds the corner mode, and the median.
+    share, bounds = MODELS[model], KEPT_BOXES[box]
+    curve = pdf_curve(share, bounds)
+    mode = mode_from_curve(curve).value
+    median = numeric_median(share, bounds)
+    points = [*_probe(share, bounds, curve), mode, median]
+    assert mode in points[:3]
+    kernel_calls.clear()
+    kept = [cdf_at(share, bounds, t).hex() for t in points]
+    assert kernel_calls == []
+    assert kept == [_fresh(share, bounds, t) for t in points]
+
+
+def test_a_grid_point_mode_is_asked_of_the_kernel(kernel_calls):
+    # On this coarse grid the steepest difference is at t = 0, away from
+    # the corner image 0.001.
+    bounds = BOXES["thin"]
+    assert mode_from_curve(pdf_curve("case1", bounds, 101)).value == 0.0
+    kernel_calls.clear()
+    value = cdf_at("case1", bounds, 0.0).hex()
+    assert len(kernel_calls) == 1
+    assert value == _fresh("case1", bounds, 0.0)
+
+
+def test_a_built_curve_keeps_nothing_of_its_own():
+    # A curve is a record any caller can build: its cdf here is not the
+    # CDF, and cdf_at at its grid mode must not return it.
+    model, bounds = FixedAlphaModel(0.5), BOXES["golden"]
+    curve = posterior.PosteriorCurve(
+        thetas=np.array([0.0, 0.5, 1.0]),
+        pdf=np.array([0.0, 2.0, 0.0]),
+        cdf=np.array([0.0, 0.5, 1.0]),
+        model=model,
+        bounds=bounds,
+    )
+    assert mode_from_curve(curve).value == 0.5
+    assert cdf_at(model, bounds, 0.5) == pytest.approx(0.875, abs=1e-12)
+
+
+def test_another_model_rectangle_or_point_misses(kernel_calls):
+    bounds = BOXES["golden"]
+    alpha = FixedAlphaModel(0.3)
+    mode = mode_from_curve(pdf_curve(alpha, bounds)).value
+    assert mode == 0.2
+    kernel_calls.clear()
+    # An equal model hits, even as an instance of its own.
+    assert cdf_at(FixedAlphaModel(0.3), bounds, mode) == cdf_at(alpha, bounds, mode)
+    assert kernel_calls == []
+    misses = [
+        (FixedAlphaModel(0.31), bounds, mode),
+        ("nbs", bounds, mode),
+        (alpha, BOXES["inner"], mode),
+        (alpha, KEPT_BOXES["signed_zero"], mode),  # equal, but not in its bits
+        (alpha, bounds, math.nextafter(mode, 1.0)),
+    ]
+    for model, box, t in misses:
+        cdf_at(model, box, t)
+    assert len(kernel_calls) == len(misses)
+    kernel_calls.clear()
+    cdf_at(alpha, bounds, mode)  # no miss replaced the record
+    assert kernel_calls == []
+
+
+def test_negative_zero_misses_where_zero_is_kept(kernel_calls):
+    ops, bounds = as_share_model("case1"), BOXES["thin"]
+    zero = posterior._cdf(ops, bounds, np.zeros(1)).tolist()
+    posterior._remember(ops, bounds, [0.0], zero)
+    kernel_calls.clear()
+    cdf_at(ops, bounds, 0.0)
+    assert kernel_calls == []
+    cdf_at(ops, bounds, -0.0)
+    assert len(kernel_calls) == 1
+
+
+def test_a_mode_on_a_replaced_record_makes_its_own_call(kernel_calls):
+    bounds = BOXES["inner"]
+    curve = pdf_curve("case2", bounds)
+    kept = mode_from_curve(curve)
+    kept_prob = cdf_at("case2", bounds, kept.value).hex()
+    pdf_curve("case2", BOXES["golden"])  # keeps the golden box's probe instead
+    kernel_calls.clear()
+    again = mode_from_curve(curve)
+    assert len(kernel_calls) == 1
+    assert repr(again) == repr(kept)
+    assert cdf_at("case2", bounds, again.value).hex() == kept_prob
+    assert len(kernel_calls) == 1
+
+
+def test_at_most_five_values_are_kept():
+    bounds = BOXES["golden"]
+    for n_points in (2001, 1001, 101):
+        mode_from_curve(pdf_curve("case1", bounds, n_points))
+        numeric_median("case1", bounds)
+        assert len(posterior._located[2]) <= posterior._KEPT == 5
+
+
+def test_the_record_is_replaced_whole_and_never_written():
+    # What lets threads share it: a reader that took the record once holds
+    # one model, rectangle and set of values that belong together.
+    bounds = BOXES["golden"]
+    pdf_curve("case1", bounds)
+    before = posterior._located
+    values = dict(before[2])
+    numeric_median("case1", bounds)
+    pdf_curve("nbs", bounds)
+    assert posterior._located is not before
+    assert before[2] == values
+
+
+def test_threads_sharing_the_record_read_only_their_own_values():
+    # On the golden box nbs and case1 share the corner image t = 0.2 (to
+    # roundoff) but not its CDF value.  Threads take the mode of each
+    # model's curve and ask cdf_at there, switching every few bytecodes, so
+    # that each keeps values over the other's: one kept for the wrong
+    # model would read as a wrong answer.
+    bounds = BOXES["golden"]
+    curves = {model: pdf_curve(model, bounds, 101) for model in ("nbs", "case1")}
+    modes = {model: mode_from_curve(curve).value for model, curve in curves.items()}
+    assert modes["nbs"] == modes["case1"]
+    expected = {model: _fresh(model, bounds, mode) for model, mode in modes.items()}
+    models = [*curves] * 4
+    answers = [[] for _ in models]
+
+    def work(i):
+        model = models[i]
+        for _ in range(100):
+            mode = mode_from_curve(curves[model]).value
+            answers[i].append(cdf_at(model, bounds, mode).hex())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(models))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[expected[model]] * 100 for model in models]

@@ -274,6 +274,15 @@ class TestNumericMedian:
         median = numeric_median(ModelKind.NBS, bounds)
         assert abs(cdf_at(ModelKind.NBS, bounds, median) - 0.5) <= target
 
+    def test_a_bracket_across_many_decades_closes(self):
+        # The support is about [1e-288, 1/2].  Bisected by its arithmetic
+        # midpoint alone, the bracket still held [1e-288, 3.1e-61] after 100
+        # rounds; its geometric midpoint crosses a decade range per round.
+        bounds = validate_bounds(1e-300, 1e-300, 1e-300, 1e-12)
+        median = numeric_median(ModelKind.CASE2, bounds)
+        assert median == pytest.approx(2e-288, rel=1e-9)
+        assert abs(cdf_at(ModelKind.CASE2, bounds, median) - 0.5) <= 1e-9
+
     def test_cdf_jumping_across_half_raises(self, monkeypatch):
         def jump(ops, bounds, ts):
             return np.where(ts < 0.3, 0.4, 0.6)
