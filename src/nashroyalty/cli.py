@@ -509,50 +509,68 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser, *reads: str) -> Non
         parser.add_argument("--grid-points", dest="grid_points", type=int)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _estimate_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_arguments(parser, "risk", "financials", "grid_points")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.set_defaults(handler=_cmd_estimate)
+
+
+def _posterior_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_arguments(parser, "grid_points")
+    parser.add_argument("--out", required=True, type=Path, help="output CSV path")
+    parser.set_defaults(handler=_cmd_posterior)
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_arguments(parser, "risk")
+    parser.add_argument("--c-values", dest="c_values", help="comma-separated list")
+    parser.add_argument("--d-max", dest="d_max", type=float)
+    parser.add_argument("--d-step", dest="d_step", type=float)
+    parser.add_argument(
+        "--engine", choices=["closed_form", "numeric"], default="closed_form"
+    )
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument(
+        "--json", action="store_true", help="write the JSON mirror instead of CSV"
+    )
+    parser.set_defaults(handler=_cmd_sweep)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--mc-n", dest="mc_n", type=int, default=20000)
+    parser.set_defaults(handler=_cmd_verify)
+
+
+def _reference_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(handler=_cmd_reference)
+
+
+# Each command: its name, its help line, and what adds its arguments.
+_COMMANDS = (
+    ("estimate", "one point estimate", _estimate_arguments),
+    ("posterior", "tabulate the share pdf/cdf", _posterior_arguments),
+    ("sweep", "estimate family over a bound grid", _sweep_arguments),
+    ("verify", "cross-check closed forms on random inputs", _verify_arguments),
+    ("reference", "check the built-in golden worked example", _reference_arguments),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every command is listed, but when ``command`` names
+    one of them only that command gets its arguments, which is all that a
+    command line starting with it can parse; otherwise every command does."""
     parser = argparse.ArgumentParser(
         prog="nashroyalty",
         description="Royalty-share point estimates under payoff uncertainty",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_est = sub.add_parser("estimate", help="one point estimate")
-    _add_scenario_arguments(p_est, "risk", "financials", "grid_points")
-    p_est.add_argument("--json", action="store_true", help="machine-readable output")
-    p_est.set_defaults(handler=_cmd_estimate)
-
-    p_post = sub.add_parser("posterior", help="tabulate the share pdf/cdf")
-    _add_scenario_arguments(p_post, "grid_points")
-    p_post.add_argument("--out", required=True, type=Path, help="output CSV path")
-    p_post.set_defaults(handler=_cmd_posterior)
-
-    p_sweep = sub.add_parser("sweep", help="estimate family over a bound grid")
-    _add_scenario_arguments(p_sweep, "risk")
-    p_sweep.add_argument("--c-values", dest="c_values", help="comma-separated list")
-    p_sweep.add_argument("--d-max", dest="d_max", type=float)
-    p_sweep.add_argument("--d-step", dest="d_step", type=float)
-    p_sweep.add_argument(
-        "--engine", choices=["closed_form", "numeric"], default="closed_form"
-    )
-    p_sweep.add_argument("--out", required=True, type=Path)
-    p_sweep.add_argument(
-        "--json", action="store_true", help="write the JSON mirror instead of CSV"
-    )
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_verify = sub.add_parser(
-        "verify", help="cross-check closed forms on random inputs"
-    )
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--mc-n", dest="mc_n", type=int, default=20000)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_ref = sub.add_parser(
-        "reference", help="check the built-in golden worked example"
-    )
-    p_ref.set_defaults(handler=_cmd_reference)
-
+    named = any(command == name for name, _, _ in _COMMANDS)
+    for name, help_line, add_arguments in _COMMANDS:
+        command_parser = sub.add_parser(name, help=help_line)
+        if not named or command == name:
+            add_arguments(command_parser)
     return parser
 
 
@@ -567,7 +585,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except Exception as exc:

@@ -97,15 +97,17 @@ _MODE_TIE_TOL = 1e-9
 # geometric midpoint.
 _DECADES_RATIO = 2.0**32
 
-# The CDF values the engine located on its last rectangle, kept for cdf_at:
-# (model, bits of the rectangle, {bits of t: F(t)}).  Bits, since -0.0 ==
-# 0.0 yet the kernel may tell them apart.  Replaced whole and never written,
-# so threads may share it: a race only loses a value.
-_KEPT = 5
-_NOTHING = (None, b"", {})
+# The CDF values the engine located on its last rectangle, kept for cdf_at
+# and for the solvers' first rounds: (model, bits of the rectangle, bits of
+# the points t in the order kept, bits of F at each).  Bits, since -0.0 ==
+# 0.0 yet the kernel may tell them apart.  Replaced whole and never written
+# (it holds only bytes), so threads may share it: a race only loses a value.
+# At most the mode's three probe points, the median's first ladder, the
+# mean's first-round nodes on at most three t-panels, and the median found.
+_KEPT = 3 + (len(_MEDIAN_OFFSETS) + 2) + 3 * _NODES.size + 1
+_NOTHING = (None, b"", b"", b"")
 _located = _NOTHING
 _box_bits = struct.Struct("4d").pack
-_point_bits = struct.Struct("d").pack
 
 
 def _every(mask: np.ndarray) -> bool:
@@ -131,11 +133,9 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
     are still open after ``_MAX_ROUNDS`` rounds, or when one integral needs
     more than ``_MAX_OPEN_PANELS`` panels at once.
     """
-    width = right - left
+    width, half, mid, nodes = _panels(left, right)
     allowance = tol * width
-    half = 0.5 * width
-    mid = left + half
-    fine, error = _panel_sums(fn, mid, half, slice(None))
+    fine, error = _panel_sums(fn, nodes, half, slice(None))
     # With one panel per interval both acceptance rules read the same.
     done = error <= allowance
     if _every(done):
@@ -160,10 +160,8 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
                 f"quadrature needs more than {_MAX_OPEN_PANELS} panels on one "
                 f"interval to reach its error target ({tol:.1e} per unit length)"
             )
-        width = right - left
-        half = 0.5 * width
-        mid = left + half
-        fine, error = _panel_sums(fn, mid, half, rows)
+        width, half, mid, nodes = _panels(left, right)
+        fine, error = _panel_sums(fn, nodes, half, rows)
         pending = spent + np.bincount(rows, weights=error, minlength=count)
         done = (pending <= allowance)[rows] | (error <= tol * width)
         total += np.bincount(rows[done], weights=fine[done], minlength=count)
@@ -176,7 +174,18 @@ def _integrate(fn, left: np.ndarray, right: np.ndarray, tol: float) -> np.ndarra
     )
 
 
-def _panel_sums(fn, mid: np.ndarray, half: np.ndarray, rows):
+def _panels(left: np.ndarray, right: np.ndarray) -> tuple:
+    """Each panel's width, half-width and midpoint, and its quadrature
+    nodes: one line of ``_NODES.size`` per panel, 24 then 12."""
+    width = right - left
+    half = 0.5 * width
+    mid = left + half
+    nodes = half[:, None] * _NODES
+    nodes += mid[:, None]
+    return width, half, mid, nodes
+
+
+def _panel_sums(fn, nodes: np.ndarray, half: np.ndarray, rows):
     """Each panel's 24-point sum and its distance to the 12-point sum."""
     # numpy's own reductions give one row the same bits whatever other rows
     # share the call, so a CDF value does not depend on its batch (see _cdf),
@@ -186,8 +195,6 @@ def _panel_sums(fn, mid: np.ndarray, half: np.ndarray, rows):
     # bits than the row alone on 189 rows, and ``values[:, :24] @ w`` on
     # 176.  np.einsum and np.vecdot differed on none, but vecdot calls BLAS
     # ddot, so its bits may depend on the CPU.
-    nodes = half[:, None] * _NODES
-    nodes += mid[:, None]
     values = fn(nodes, rows)
     values *= _WEIGHTS
     fine = np.add.reduce(values[:, :24], axis=1)
@@ -280,30 +287,40 @@ def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
 
 
 def _remember(ops, bounds: PayoffBounds, ts, values) -> None:
-    """Keep ``values``, the kernel's at the points ``ts`` of ``bounds``, with
+    """Keep ``values``, the kernel's at the points ``ts`` of ``bounds``, after
     those kept on the same rectangle and model while at most ``_KEPT`` in all."""
     global _located
     box = _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
-    # cdf_at never asks outside [0, 1].
-    found = {_point_bits(t): p for t, p in zip(ts, values) if 0.0 <= t <= 1.0}
-    kept_ops, kept_box, kept = _located
-    if kept_box == box and kept_ops == ops:
-        merged = {**kept, **found}
-        if len(merged) <= _KEPT:
-            found = merged
-    _located = (ops, box, found)
+    keys = np.asarray(ts, dtype=float).tobytes()
+    found = np.asarray(values, dtype=float).tobytes()
+    kept_ops, kept_box, kept_keys, kept_values = _located
+    if kept_box == box and kept_ops == ops and len(kept_keys) + len(keys) <= 8 * _KEPT:
+        keys, found = kept_keys + keys, kept_values + found
+    _located = (ops, box, keys, found)
 
 
-def _recall(ops, bounds: PayoffBounds, ts) -> list | None:
-    """The kept values at every point of ``ts``, or None if one is not kept."""
-    kept_ops, kept_box, kept = _located
-    box = _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
-    if kept_box != box or kept_ops != ops:
+def _recall(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray | None:
+    """The kept values at the points ``ts``, as a new flat array, or None
+    unless they were kept in one run, in this order.
+
+    A run, since one search of the kept bits finds it in a few calls
+    however many points it holds; every caller asks for one point, or for
+    a run that :func:`pdf_curve` or :func:`mode_from_curve` kept whole.
+    """
+    kept_ops, kept_box, keys, values = _located
+    if (
+        len(keys) < 8 * ts.size
+        or kept_box != _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
+        or kept_ops != ops
+    ):
         return None
-    try:
-        return [kept[_point_bits(t)] for t in ts]
-    except KeyError:
+    wanted = ts.tobytes()
+    start = keys.find(wanted)
+    while start % 8 and start > 0:  # a run starts on a point's first byte
+        start = keys.find(wanted, start + 1)
+    if start < 0:
         return None
+    return np.frombuffer(values, count=ts.size, offset=start).copy()
 
 
 def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
@@ -312,19 +329,20 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     Accurate to 1e-12 absolute (see :func:`_cdf`); raises
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
     The engine keeps the values it located on the last rectangle asked
-    about, at most five: the corner probe of :func:`pdf_curve` (and of
-    :func:`mode_from_curve`), which holds a mode at the corner image, and
-    the point :func:`numeric_median` returned.  At one of those points,
-    with the same model and a rectangle of the same bits, the kept value
-    is returned; it is the kernel's own, since a value does not depend on
-    the other points of its call.  Anywhere else the kernel is called.
+    about, at most 131 (see :func:`pdf_curve`): among them the corner
+    probe of :func:`pdf_curve` (and of :func:`mode_from_curve`), which
+    holds a mode at the corner image, and the point :func:`numeric_median`
+    returned.  At one of those points, with the same model and a rectangle
+    of the same bits, the kept value is returned; it is the kernel's own,
+    since a value does not depend on the other points of its call.
+    Anywhere else the kernel is called.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
-    kept = _recall(ops, bounds, (t,))
+    kept = _recall(ops, bounds, np.array([t]))
     if kept is not None:
-        return kept[0]
+        return float(kept[0])
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
 
@@ -357,10 +375,15 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     :class:`OutOfRangeError` unless ``n_points`` is an integer from 3 to
     ``sys.maxsize // 8``.
 
-    The same kernel call also locates the CDF at the three points
-    :func:`mode_from_curve` probes, the image of the corner (b, d) and one
-    grid step to either side, and keeps those in [0, 1] for it and for
-    :func:`cdf_at` (replacing the values kept on another rectangle).
+    The same kernel call also locates the CDF at the points that the
+    estimates read first, and keeps those in [0, 1] for them and for
+    :func:`cdf_at` (replacing the values kept on another rectangle):
+    the three points :func:`mode_from_curve` probes, the image of the
+    corner (b, d) and one grid step to either side; the first round of
+    :func:`numeric_median`, at most 19 points; and the first round of
+    :func:`numeric_mean`, 36 nodes on each of at most three t-panels.  A
+    caller that wants only the curve or the mode so pays for at most 127
+    points more than the grid, in the same call.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -372,21 +395,35 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
             "the distribution has no density curve"
         )
     # np.linspace(0, 1, n_points) without its Python wrapper: the same steps,
-    # followed by the mode's corner probe.
-    ts = np.arange(n_points + 3, dtype=float)
+    # followed by the mode's corner probe and the solvers' first rounds.
+    step = 1.0 / (n_points - 1)
+    probe = _corner_probe(ops, bounds, step)
+    scaled = ops.rescaled(bounds)  # the solvers' rectangle and support
+    support = ops.support(scaled)
+    ladder = _median_ladder(*support, 0.0, 1.0)
+    nodes = _panels(*_mean_panels(ops, scaled, *support))[3].ravel()
+    ts = np.arange(n_points + len(probe) + len(ladder) + nodes.size, dtype=float)
     thetas = ts[:n_points]
-    thetas *= 1.0 / (n_points - 1)
+    thetas *= step
     thetas[-1] = 1.0
-    step = thetas[1] - thetas[0]
-    corner = ops.at(bounds.b, bounds.d)
-    probe = ts[n_points:]
-    probe[:] = (corner - step, corner, corner + step)
+    located = ts[n_points:]
+    located[: len(probe) + len(ladder)] = probe + ladder
+    located[len(probe) + len(ladder) :] = nodes
     values = _cdf(ops, bounds, ts)
-    _remember(ops, bounds, probe.tolist(), values[n_points:].tolist())
+    _remember(ops, bounds, located, values[n_points:])
     cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
     return PosteriorCurve(thetas=thetas, pdf=pdf, cdf=cdf, model=ops, bounds=bounds)
+
+
+def _corner_probe(ops, bounds: PayoffBounds, step: float) -> list:
+    """The points at which :func:`mode_from_curve` reads the CDF: the image
+    of the corner (b, d) and one grid step to either side, those in [0, 1]
+    (which is all that cdf_at asks about).  The corner lies in [0, 1], so
+    only an end point of the three can drop out."""
+    corner = ops.at(bounds.b, bounds.d)
+    return [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
 
 
 def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -416,6 +453,20 @@ def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _median_ladder(lo: float, hi: float, f_lo: float, f_hi: float) -> list:
+    """One bracketing round's points in (lo, hi), in order: a ladder around
+    the crossing of 1/2 interpolated from the CDF values ``f_lo`` and
+    ``f_hi`` at the ends, the midpoint and, when the bracket spans many
+    decades, its geometric midpoint."""
+    span = hi - lo
+    guess = lo + (0.5 - f_lo) / (f_hi - f_lo) * span
+    ladder = {guess + span * offset for offset in _MEDIAN_OFFSETS}
+    ladder.add(0.5 * (lo + hi))
+    if lo > 0.0 and hi > lo * _DECADES_RATIO:
+        ladder.add(math.sqrt(lo) * math.sqrt(hi))  # lo * hi may underflow
+    return sorted(t for t in ladder if lo < t < hi)
+
+
 def numeric_median(model, bounds: PayoffBounds) -> float:
     """Share value where the CDF crosses 1/2, located by batched bracketing.
 
@@ -428,8 +479,10 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     Returns the support's midpoint outright when the support is at most
     a few ulps wide, as for a point mass.  A bracket [lo, hi] with lo > 0
     that spans many decades (hi > 2**32 lo) also tries its geometric
-    midpoint each round.  The CDF at the point returned is kept for
-    :func:`cdf_at`.
+    midpoint each round.  The first round, on the whole support, reads the
+    values :func:`pdf_curve` kept for this model and rectangle, and calls
+    the kernel only when they are not kept.  The CDF at the point returned
+    is kept for :func:`cdf_at`.
     """
     ops = as_share_model(model)
     box = _require_bounds(bounds)
@@ -439,18 +492,12 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
         return 0.5 * (lo + hi)
     target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2, hi - lo))
     f_lo, f_hi = 0.0, 1.0
+    ts = np.array(_median_ladder(lo, hi, f_lo, f_hi))
+    values = _recall(ops, box, ts)
     for _ in range(100):  # each round at least halves the bracket
-        middle = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * math.ulp(middle):
-            break
-        span = hi - lo
-        guess = lo + (0.5 - f_lo) / (f_hi - f_lo) * span
-        ladder = {guess + span * offset for offset in _MEDIAN_OFFSETS}
-        ladder.add(middle)
-        if lo > 0.0 and hi > lo * _DECADES_RATIO:
-            ladder.add(math.sqrt(lo) * math.sqrt(hi))  # lo * hi may underflow
-        ts = sorted(t for t in ladder if lo < t < hi)
-        values = _cdf(ops, bounds, np.array(ts)).tolist()
+        if values is None:
+            values = _cdf(ops, bounds, ts)
+        values, ts = values.tolist(), ts.tolist()
         gaps = [abs(p - 0.5) for p in values]
         gap = min(gaps)
         if gap <= target:
@@ -463,10 +510,26 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
             lo, f_lo = ts[below[-1]], values[below[-1]]
         if above:
             hi, f_hi = ts[above[0]], values[above[0]]
+        if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
+            break
+        ts, values = np.array(_median_ladder(lo, hi, f_lo, f_hi)), None
     raise NumericalAccuracyError(
         f"the median bracket closed at [{lo!r}, {hi!r}] with CDF values "
         f"{f_lo!r} and {f_hi!r}, none within {target:.1e} of 1/2"
     )
+
+
+def _mean_panels(ops, bounds: PayoffBounds, lo: float, hi: float) -> tuple:
+    """The left and right ends of the mean's first t-panels: the support
+    [lo, hi] split at the images of the rectangle's corners."""
+    cuts = [lo, hi]
+    for x, y in ((bounds.a, bounds.c), (bounds.b, bounds.d)):
+        try:
+            cuts.append(ops.at(x, y))
+        except DegeneratePayoffsError:
+            pass  # the proportional model's corner at the origin
+    edges = np.array(sorted({min(max(cut, lo), hi) for cut in cuts}))
+    return edges[:-1], edges[1:]
 
 
 def numeric_mean(model, bounds: PayoffBounds) -> float:
@@ -475,28 +538,29 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     The CDF is smooth between the images of the rectangle's corners, so
     the integral runs on t-panels split there, under the CDF's error rule
     with ten times its target (1e-11 per unit t, or the roundoff floor
-    over the support's width when that is narrower still).  A
+    over the support's width when that is narrower still).  The first
+    round's nodes read the values :func:`pdf_curve` kept for this model
+    and rectangle, and call the kernel only when they are not kept.  A
     deterministic share returns its value.
     """
     ops = as_share_model(model)
-    bounds = ops.rescaled(_require_bounds(bounds))  # its widths set the target
+    box = _require_bounds(bounds)
+    bounds = ops.rescaled(box)  # its widths set the target
     lo, hi = ops.support(bounds)
     if lo == hi:
         return lo
-    cuts = [lo, hi]
-    for x, y in ((bounds.a, bounds.c), (bounds.b, bounds.d)):
-        try:
-            cuts.append(ops.at(x, y))
-        except DegeneratePayoffsError:
-            pass  # the proportional model's corner at the origin
-    edges = np.array(sorted({min(max(cut, lo), hi) for cut in cuts}))
 
-    def cdf(ts, _rows):
-        return _cdf(ops, bounds, ts.ravel()).reshape(ts.shape)
+    def cdf(ts, rows):
+        flat = ts.ravel()
+        # rows is a full slice only in the first round.
+        values = _recall(ops, box, flat) if isinstance(rows, slice) else None
+        if values is None:
+            values = _cdf(ops, bounds, flat)
+        return values.reshape(ts.shape)
 
     # A support only a few thousand ulps wide also rounds the t nodes.
     tol = _MEAN_TOL_FACTOR * _tolerance(bounds.width1, bounds.width2, hi - lo)
-    area = _integrate(cdf, edges[:-1], edges[1:], tol)
+    area = _integrate(cdf, *_mean_panels(ops, bounds, lo, hi), tol)
     return _clip01(hi - float(area.sum()))
 
 
@@ -533,14 +597,14 @@ def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
     peak = float(curve.pdf.max())
     tied = np.flatnonzero(curve.pdf >= peak - _MODE_TIE_TOL)
     plateau = tied.size > 1
-    step = curve.thetas[1] - curve.thetas[0]
+    step = float(curve.thetas[1] - curve.thetas[0])
     corner = ops.at(bounds.b, bounds.d)
-    # corner lies in [0, 1], so only an end point of the three can drop out.
-    ts = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
+    ts = np.array(_corner_probe(ops, bounds, step))
     probs = _recall(ops, bounds, ts)
     if probs is None:  # not kept, as when another rectangle was asked about since
-        probs = _cdf(ops, bounds, np.array(ts)).tolist()
+        probs = _cdf(ops, bounds, ts)
         _remember(ops, bounds, ts, probs)
+    probs = probs.tolist()
     # Slopes into the corner and out of it.
     if any((q - p) / step >= peak - _MODE_TIE_TOL for p, q in zip(probs, probs[1:])):
         return ModeResult(value=corner, plateau=plateau)

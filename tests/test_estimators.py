@@ -24,7 +24,7 @@ from nashroyalty import (
 from nashroyalty import estimators
 from nashroyalty.bargaining import as_share_model
 from nashroyalty.estimators import NOTE_APPROXIMATION, NOTE_EXACT, paper_case1_median
-from nashroyalty.posterior import _cdf, numeric_median
+from nashroyalty.posterior import _cdf, numeric_mean, numeric_median
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -395,6 +395,49 @@ class TestMseEstimate:
         origin = validate_bounds(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegeneratePayoffsError, match="a = b = 0 and c = d = 0"):
             estimate(ModelKind.CASE2, RiskProfile.MSE, origin)
+
+
+def mpmath_polynomial_mean(model: ModelKind, bounds) -> mpmath.mpf:
+    """E[theta] at 60 digits for the models whose share is a polynomial in
+    (d1, d2): nbs, (1 + d1 - d2) / 2, and case1, (d2^2 - d1^2 + 2 (d1 - d2)
+    + 1) / 2, from the uniform moments E[x] = (a + b) / 2 and E[x^2] = (a^2
+    + ab + b^2) / 3."""
+    with mpmath.workdps(60):
+        a, b, c, d = map(mpmath.mpf, (bounds.a, bounds.b, bounds.c, bounds.d))
+        x1, y1 = (a + b) / 2, (c + d) / 2
+        if model is ModelKind.NBS:
+            return (1 + x1 - y1) / 2
+        x2, y2 = (a * a + a * b + b * b) / 3, (c * c + c * d + d * d) / 3
+        return (y2 - x2 + 2 * (x1 - y1) + 1) / 2
+
+
+# The golden box, the inner box, and the case1 sweep slice a = 0, b = 0.2.
+ORACLE_BOXES = [
+    (0.0, 0.2, 0.0, 0.8),
+    (0.1, 0.3, 0.2, 0.6),
+    *((0.0, 0.2, c, d) for c in (0.0, 0.1, 0.2, 0.3) for d in (0.74, 0.75, 0.76, 0.77, 0.78)),
+]
+
+
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda model: model.value)
+@pytest.mark.parametrize("box", ORACLE_BOXES, ids=str)
+class TestSolversAgainst60Digits:
+    """The quadrature engine's solvers held to 60-digit values that share no
+    code with it."""
+
+    def test_median_halves_the_cdf(self, box, model):
+        bounds = validate_bounds(*box)
+        median = numeric_median(model, bounds)
+        assert abs(mpmath_cdf(model, bounds, median) - mpmath.mpf(0.5)) <= 1e-9 + 1e-12
+
+    def test_mean_is_the_expected_share(self, box, model):
+        bounds = validate_bounds(*box)
+        if model is ModelKind.CASE2:
+            exact = mpmath_case2_mean(bounds)
+        else:
+            exact = mpmath_polynomial_mean(model, bounds)
+        lo, hi = as_share_model(model).support(bounds)
+        assert abs(numeric_mean(model, bounds) - exact) <= 1e-11 * (hi - lo)
 
 
 class TestEstimatorProperties:

@@ -13,7 +13,14 @@ again, when the case1 median became exact; a change that moves any of
 them changes what a user sees and must say so.  The runs cover ``reference``, ``estimate --json`` for all
 nine model/risk combinations on the golden box with financials, the
 README's perception config, a 201-point ``posterior``, a closed-form
-``sweep`` and a small ``verify``.
+``sweep`` and a small ``verify``, and two 2001-point case1 ``posterior``
+runs (the golden box and a box of the case1 sweep slice), captured before
+the curve's kernel call located the median's and the mean's first rounds.
+
+``golden_help.json`` holds the ``--help`` text of the top level and of
+every command, and the usage errors of a missing, unknown or misused
+command, captured at 80 columns before the parser built only the named
+command's arguments.
 """
 
 import hashlib
@@ -44,3 +51,17 @@ def test_cli_output_is_pinned(case, capsys, tmp_path, monkeypatch):
         for path in sorted(set(Path().iterdir()) - before)
     }
     assert written == case["files"]
+
+
+HELP = json.loads((Path(__file__).with_name("golden_help.json")).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", HELP, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_help_and_usage_errors_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])

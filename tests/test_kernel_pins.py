@@ -180,6 +180,60 @@ def test_estimates_make_a_fixed_number_of_kernel_calls(kernel_calls, box, estima
     assert tuple(counts) == CALLS[box, estimator]
 
 
+# Kernel calls of the posterior command's whole computation: the curve, its
+# mode, the median, the mean and cdf_at at each of the three; columns nbs,
+# case1, case2, alpha0.3.  The curve's call also locates the median's and
+# the mean's first rounds, two calls that the solvers made of their own.
+OP_CALLS = {
+    "golden": (1, 6, 4, 1),
+    "inner": (1, 5, 5, 2),
+    "point1": (2, 5, 5, 1),
+    "point2": (2, 4, 5, 1),
+    "thin": (2, 13, 4, 1),
+}
+
+
+def _posterior_op(share, bounds) -> tuple:
+    curve = pdf_curve(share, bounds)
+    values = (
+        mode_from_curve(curve).value,
+        numeric_median(share, bounds),
+        numeric_mean(share, bounds),
+    )
+    return curve, values, tuple(cdf_at(share, bounds, v) for v in values)
+
+
+@pytest.mark.parametrize("box", sorted(OP_CALLS))
+def test_the_posterior_computation_makes_a_fixed_number_of_kernel_calls(
+    kernel_calls, box
+):
+    counts = []
+    for share in MODELS.values():
+        posterior._located = posterior._NOTHING
+        kernel_calls.clear()
+        _posterior_op(share, BOXES[box])
+        counts.append(len(kernel_calls))
+    assert tuple(counts) == OP_CALLS[box]
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_after_the_curve_each_solver_makes_one_call_fewer(kernel_calls, box, model):
+    # Their first rounds read what the curve's call kept, in the bits of
+    # the cold solves that CALLS counts.
+    share, bounds = MODELS[model], BOXES[box]
+    column = list(MODELS).index(model)
+    cold = []
+    for estimator in (numeric_median, numeric_mean):
+        posterior._located = posterior._NOTHING
+        cold.append(estimator(share, bounds))
+    pdf_curve(share, bounds)
+    for estimator, value in zip((numeric_median, numeric_mean), cold):
+        kernel_calls.clear()
+        assert estimator(share, bounds).hex() == value.hex()
+        assert len(kernel_calls) == CALLS[box, estimator][column] - 1
+
+
 @pytest.mark.parametrize("box", sorted(BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
@@ -228,6 +282,19 @@ def test_kept_values_are_the_kernels_own(kernel_calls, box, model):
     kept = [cdf_at(share, bounds, t).hex() for t in points]
     assert kernel_calls == []
     assert kept == [_fresh(share, bounds, t) for t in points]
+
+
+@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_kept_value_is_the_kernels_own(box, model):
+    # All that a posterior computation keeps: the probe, both solvers'
+    # first rounds and the median.
+    share, bounds = MODELS[model], KEPT_BOXES[box]
+    _posterior_op(share, bounds)
+    _, _, keys, values = posterior._located
+    points, kept = np.frombuffer(keys), np.frombuffer(values)
+    assert points.size == kept.size
+    assert [float(p).hex() for p in kept] == [_fresh(share, bounds, t) for t in points]
 
 
 def test_a_grid_point_mode_is_asked_of_the_kernel(kernel_calls):
@@ -305,12 +372,14 @@ def test_a_mode_on_a_replaced_record_makes_its_own_call(kernel_calls):
     assert len(kernel_calls) == 1
 
 
-def test_at_most_five_values_are_kept():
+def test_at_most_131_values_are_kept():
+    # The three probe points, at most 19 of the median's first ladder, 36
+    # nodes on each of at most three t-panels of the mean, and the median.
     bounds = BOXES["golden"]
     for n_points in (2001, 1001, 101):
         mode_from_curve(pdf_curve("case1", bounds, n_points))
         numeric_median("case1", bounds)
-        assert len(posterior._located[2]) <= posterior._KEPT == 5
+        assert np.frombuffer(posterior._located[3]).size <= posterior._KEPT == 131
 
 
 def test_the_record_is_replaced_whole_and_never_written():
@@ -319,11 +388,12 @@ def test_the_record_is_replaced_whole_and_never_written():
     bounds = BOXES["golden"]
     pdf_curve("case1", bounds)
     before = posterior._located
-    values = dict(before[2])
+    keys, values = before[2], before[3]
+    assert (type(keys), type(values)) == (bytes, bytes)  # immutable
     numeric_median("case1", bounds)
     pdf_curve("nbs", bounds)
     assert posterior._located is not before
-    assert before[2] == values
+    assert before[2:] == (keys, values)
 
 
 def test_threads_sharing_the_record_read_only_their_own_values():
