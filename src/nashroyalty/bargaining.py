@@ -398,7 +398,7 @@ class _Nbs(ShareModel):
 
     @staticmethod
     def theta(x, y):
-        return 0.5 + (x - y) / 2.0
+        return 0.5 + (x - y) * 0.5
 
     @staticmethod
     def d2_threshold(x, t):
@@ -429,7 +429,7 @@ class _Case1(ShareModel):
 
     @staticmethod
     def theta(x, y):
-        return (y * y - x * x + 2.0 * (x - y) + 1.0) / 2.0
+        return (y * y - x * x + 2.0 * (x - y) + 1.0) * 0.5
 
     @staticmethod
     def d2_threshold(x, t):

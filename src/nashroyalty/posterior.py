@@ -59,8 +59,49 @@ __all__ = [
 
 # Gauss-Legendre rules on [-1, 1].  A panel's value is its 24-point sum;
 # the distance to the 12-point sum on the same panel is its error estimate.
-_X24, _W24 = np.polynomial.legendre.leggauss(24)
-_X12, _W12 = np.polynomial.legendre.leggauss(12)
+# The rules are stored, not computed, so that no process loads
+# numpy.polynomial or starts LAPACK for them: each positive node and its
+# weight, mirrored below.  The literals are the bits that numpy 2.4.6's
+# np.polynomial.legendre.leggauss returns, which is exactly antisymmetric in
+# the nodes and symmetric in the weights, so every kernel value keeps its
+# bits.  The nodes are within an ulp of the exact rule; the 24-point
+# weights are up to about 1.2e-13 relative from it, below the CDF target,
+# and rounding them correctly would move every value.
+_POSITIVE24 = (
+    (0.06405689286260563, 0.12793819534675202),
+    (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033),
+    (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556),
+    (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532),
+    (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636),
+    (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356),
+    (0.9951872199970213, 0.01234122979998869),
+)
+_POSITIVE12 = (
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
+
+
+def _mirrored(positive: tuple) -> tuple:
+    """Nodes ascending on [-1, 1] and their weights, from the positive half."""
+    nodes, weights = np.array(positive).T
+    return (
+        np.concatenate((-nodes[::-1], nodes)),
+        np.concatenate((weights[::-1], weights)),
+    )
+
+
+_X24, _W24 = _mirrored(_POSITIVE24)
+_X12, _W12 = _mirrored(_POSITIVE12)
 _NODES = np.concatenate((_X24, _X12))
 _WEIGHTS = np.concatenate((_W24, _W12))
 # Absolute error target on CDF values.  The mode search compares density

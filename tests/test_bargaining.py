@@ -1,7 +1,10 @@
 """Core bargaining-model behavior: validation, weights, shares, financials."""
 
+import itertools
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -224,6 +227,27 @@ class TestThetaModel:
         if model is ModelKind.CASE2 and d1 + d2 == 0.0:
             return
         assert 0.0 <= theta_model(model, d1, d2) <= 1.0
+
+    # Halving by * 0.5 in place of / 2.0: the same real number, so IEEE
+    # rounds both alike, on signed zeros, subnormals, infinities and NaN too.
+    SPECIAL = (
+        *(0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308),
+        *(1.7976931348623157e308, math.inf, -math.inf, math.nan),
+    )
+    DIVIDING = {
+        "nbs": lambda x, y: 0.5 + (x - y) / 2.0,
+        "case1": lambda x, y: (y * y - x * x + 2.0 * (x - y) + 1.0) / 2.0,
+    }
+
+    @given(st.floats(), st.floats())
+    def test_halving_by_multiplying_keeps_every_bit(self, x, y):
+        pairs = [(x, y), *itertools.product(self.SPECIAL, repeat=2)]
+        xs, ys = np.array(pairs).T
+        for name, dividing in self.DIVIDING.items():
+            theta = as_share_model(name).theta
+            assert struct.pack("d", theta(x, y)) == struct.pack("d", dividing(x, y))
+            with np.errstate(all="ignore"):
+                assert theta(xs, ys).tobytes() == dividing(xs, ys).tobytes()
 
     def test_nbs_recovered_from_general_solution(self):
         for d1, d2 in ((0.0, 0.0), (0.2, 0.8), (0.3, 0.3), (0.15, 0.4)):

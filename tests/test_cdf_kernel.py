@@ -10,6 +10,7 @@ the closed form.)  scipy is a test-only dependency.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,6 +437,43 @@ def test_crossings_are_asked_only_inside_the_support(model, monkeypatch):
 
 
 # --- numerical health ---------------------------------------------------------------
+
+
+def _legendre_rule(n: int) -> list:
+    """The n-point Gauss-Legendre nodes and weights to 60 digits: Newton's
+    method on P_n, evaluated by the three-term recurrence."""
+    with mpmath.workdps(60):
+        rule = []
+        for k in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(0.25)) / (n + mpmath.mpf(0.5)))
+            for _ in range(100):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                slope = n * (x * p - p_prev) / (x * x - 1)
+                step = p / slope
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -58:
+                    break
+            rule.append((x, 2 / ((1 - x * x) * slope * slope)))
+        return sorted(rule)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [(posterior._X24, posterior._W24), (posterior._X12, posterior._W12)],
+    ids=["24", "12"],
+)
+def test_the_stored_rules_are_gauss_legendre(nodes, weights):
+    # The stored bits are numpy's leggauss (see posterior): nodes within an
+    # ulp of the exact rule, weights within 2e-13 relative of it.
+    assert nodes.dtype == weights.dtype == np.float64
+    assert (-nodes[::-1]).tobytes() == nodes.tobytes()
+    assert weights[::-1].tobytes() == weights.tobytes()
+    exact = _legendre_rule(nodes.size)
+    for x, w, (x_exact, w_exact) in zip(nodes.tolist(), weights.tolist(), exact):
+        assert abs(x - x_exact) <= math.ulp(x), (x, x_exact)
+        assert abs(w - w_exact) <= 2e-13 * w_exact, (w, w_exact)
 
 
 def test_quadrature_closes_a_square_root_endpoint():

@@ -5,19 +5,22 @@ overhead was cut, and those of the point-mass boxes while the kernel still
 had a 1-D formula of its own for each point-mass side; a change that should
 leave every value alone must keep them.  The kernel-call counts guard the
 engine's cost without timing it: a change that adds ``_cdf`` calls has to
-update them on purpose.  The CDF values the engine keeps for ``cdf_at`` are
-held to the bits of a kernel call of their own.
+update them on purpose, and ``work_counts.json`` holds each CLI command's
+calls and points the same way.  The CDF values the engine keeps for
+``cdf_at`` are held to the bits of a kernel call of their own.
 """
 
 import hashlib
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nashroyalty import FixedAlphaModel, cdf_at, validate_bounds
+from nashroyalty import FixedAlphaModel, cdf_at, cli, validate_bounds
 from nashroyalty import posterior
 from nashroyalty.bargaining import as_share_model
 from nashroyalty.posterior import mode_from_curve, numeric_mean, numeric_median, pdf_curve
@@ -242,6 +245,21 @@ def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
     assert len(kernel_calls) == 1
     mode_from_curve(curve)
     assert len(kernel_calls) == 1
+
+
+# Kernel calls and points of whole CLI commands: verify at its defaults, the
+# posterior command on the golden box, numeric sweeps on its a, b and
+# reference.  "{out}" stands for the output file.
+WORK_COUNTS = json.loads(Path(__file__).with_name("work_counts.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(WORK_COUNTS))
+def test_each_command_does_a_fixed_amount_of_kernel_work(kernel_calls, tmp_path, command):
+    entry = WORK_COUNTS[command]
+    out = str(tmp_path / "out.csv")
+    assert cli.main([out if arg == "{out}" else arg for arg in entry["argv"]]) == 0
+    work = (len(kernel_calls), sum(args[2].size for args in kernel_calls))
+    assert work == (entry["kernel_calls"], entry["kernel_points"])
 
 
 # --- the CDF values kept for cdf_at ---------------------------------------------

@@ -5,8 +5,9 @@ need only the closed forms, so numpy, which takes longer to import than
 they take to run, must stay out of ``sys.modules``; in text mode they also
 leave out dataclasses, inspect, json and traceback, and json loads only
 where a command reads or writes JSON.  The engine commands load numpy on
-demand and still work, and they leave out numpy.ma.  Each probe runs in a
-fresh interpreter, since this test process has numpy loaded already.
+demand and still work, and they leave out numpy.ma and numpy.polynomial.
+Each probe runs in a fresh interpreter, since this test process has numpy
+loaded already.
 """
 
 import json
@@ -37,7 +38,8 @@ print(json.dumps(report))
 # Runs each argv, its words joined by a unit separator, through cli.main and
 # prints the exit codes, then which of WATCHED are loaded.  It imports no
 # module of its own that would load one of them, as CLI_PROBE's json does.
-WATCHED = ("dataclasses", "inspect", "json", "traceback", "numpy.ma")
+WATCHED = ("dataclasses", "inspect", "json", "traceback", "numpy.ma",
+           "numpy.polynomial")
 LEAN_PROBE = f"""
 import contextlib, io, sys
 from nashroyalty import cli
@@ -150,9 +152,11 @@ def test_json_loads_where_it_is_used(tmp_path):
     assert lean_probe(["estimate", "--config", str(config)]) == (["0"], ["json"])
 
 
-def test_engine_commands_leave_out_numpy_ma(tmp_path):
-    # np.unique, which once split the numeric mean's t-panels, imports it
-    # (more than 1 MiB of memory) on its first call.
+def test_engine_commands_leave_out_numpy_ma_and_numpy_polynomial(tmp_path):
+    # np.unique, which once split the numeric mean's t-panels, imports
+    # numpy.ma (more than 1 MiB of memory) on its first call, and
+    # np.polynomial.legendre.leggauss, which once computed the quadrature
+    # rules, needs numpy.polynomial and a LAPACK eigen-solve.
     config = tmp_path / "perception.json"
     config.write_text(
         json.dumps(
@@ -166,6 +170,11 @@ def test_engine_commands_leave_out_numpy_ma(tmp_path):
     )
     posterior = ["posterior", "--model", "case1", *GOLDEN_ARGS,
                  "--out", str(tmp_path / "curve.csv")]
-    for run in (["estimate", "--config", str(config)], posterior):
-        codes, loaded = lean_probe(run)
-        assert codes == ["0"] and "numpy.ma" not in loaded, loaded
+    verify = ["verify", "--samples", "2", "--mc-n", "100"]
+    sweep = ["sweep", "--model", "case1", "--risk", "abs", "--a", "0", "--b", "0.2",
+             "--c", "0", "--d", "0", "--c-values", "0", "--d-max", "0.1",
+             "--engine", "numeric", "--out", str(tmp_path / "numeric.csv")]
+    estimate = ["estimate", "--config", str(config)]
+    codes, loaded = lean_probe(estimate, posterior, verify, sweep)
+    assert codes == ["0"] * 4
+    assert "numpy.ma" not in loaded and "numpy.polynomial" not in loaded, loaded
