@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -558,19 +559,21 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every command is listed, but when ``command`` names
-    one of them only that command gets its arguments, which is all that a
-    command line starting with it can parse; otherwise every command does."""
+    """The CLI's parser.  When ``command`` names a command, only its
+    subparser is built, which is all that a command line starting with it
+    can parse; otherwise every command's is."""
     parser = argparse.ArgumentParser(
         prog="nashroyalty",
         description="Royalty-share point estimates under payoff uncertainty",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = any(command == name for name, _, _ in _COMMANDS)
-    for name, help_line, add_arguments in _COMMANDS:
-        command_parser = sub.add_parser(name, help=help_line)
-        if not named or command == name:
-            add_arguments(command_parser)
+    named = [entry for entry in _COMMANDS if entry[0] == command]
+    # A named command's usage line still lists every command.  The full
+    # parser keeps argparse's own metavar, since its errors for a missing or
+    # unknown command would otherwise name the argument by it, not "command".
+    metavar = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_line, add_arguments in named or _COMMANDS:
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -601,6 +604,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # No engine makes a BLAS call, but numpy starts one OpenBLAS worker per
+    # CPU when it loads, about 65 ms of an engine command's start on 2 CPUs.
+    # A value the user sets is kept; main() and library callers leave the
+    # environment alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

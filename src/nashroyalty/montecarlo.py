@@ -20,11 +20,10 @@ part of the contract:
   advancing a full period of 2**128 steps less ``SHARD_SIZE``.  Each fill
   is ``Generator.random`` into the sample itself (d1) or into the shard's
   own block-sized scratch (d2), scaled in place by ``uniform``'s own
-  arithmetic, so the values are ``uniform``'s bit for bit and a thread
-  holds one block of scratch.
-* Shards run on up to one thread per CPU.  Each has its own stream and
-  writes only its own slice of the sample, so the sample's bits do not
-  depend on how many threads run.
+  arithmetic, so the values are ``uniform``'s bit for bit and a sample
+  holds one block of scratch at a time.
+* Shards are drawn in index order on the calling thread.  Each has its
+  own stream and writes only its own slice of the sample.
 * Undefined pairs are redrawn from the shard's stream after both halves,
   on a cursor of their own that exists only when a pair needs it.
 * Every sample takes this one path.  A sample that is one block
@@ -40,8 +39,6 @@ part of the contract:
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -98,14 +95,6 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     """Draw n share values under independent uniform payoffs.
 
@@ -118,10 +107,8 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     array can hold), or a ``seed`` that is not an integer of at least 0,
     raises :class:`OutOfRangeError`.
 
-    Shards run on up to one thread per CPU, the calling thread among them.
-    Each writes only its own slice of the result, so the values do not
-    depend on how many threads run; a worker's exception is raised here.
-    Every shard is drawn by :func:`_draw_shard`; a sample of one block
+    Shards are drawn in index order on the calling thread, each into its
+    own slice of the result by :func:`_draw_shard`; a sample of one block
     (n <= 2**15) reuses the payoffs of the last such sample when its
     bounds, n and seed are the same (see :func:`_payoff_blocks`), with the
     same bits.  The result is always a new array of the caller's own.
@@ -132,36 +119,8 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined
     out = np.empty(n, dtype=np.float64)
-    shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
-    if shards == 1:  # no thread
-        _draw_shard(share, bounds, seed, 0, out)
-        return out
-    workers = min(_cpu_count(), shards)
-    failures = []
-
-    def draw(first: int) -> None:
-        for index in range(first, shards, workers):
-            start = index * SHARD_SIZE
-            _draw_shard(share, bounds, seed, index, out[start : start + SHARD_SIZE])
-
-    def work(first: int) -> None:
-        try:
-            draw(first)
-        except BaseException as error:  # raised again by the caller
-            failures.append(error)
-
-    started = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=work, args=(first,))
-            thread.start()
-            started.append(thread)
-        draw(0)
-    finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise failures[0]
+    for index, start in enumerate(range(0, n, SHARD_SIZE)):
+        _draw_shard(share, bounds, seed, index, out[start : start + SHARD_SIZE])
     return out
 
 
@@ -455,7 +414,7 @@ def mc_summary(model, bounds: PayoffBounds, n: int, seed: int) -> SampleSummary:
     Each shard draws its payoffs on one cursor and computes its shares a
     block at a time, its d1 values into the sample itself and its d2 values
     into one block-sized scratch array, so a 10**6 sample adds about 1 MiB
-    of block scratch per sampling thread to the sample's 8 MB.  Only a
+    of block scratch to the sample's 8 MB.  Only a
     one-block sample (n <= 2**15) draws its payoffs into arrays of their
     own, which :func:`sample_thetas` keeps for its next call, so the
     in-place variance never reaches them.  A loop of

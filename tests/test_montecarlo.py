@@ -304,89 +304,67 @@ class TestPinnedStreams:
         assert np.array_equal(forced, expected)
 
 
-# Worker counts to run the shards on: no test starts more than four threads.
-WORKER_COUNTS = (1, 2, 3, 5)
 # Two shards, four with a short last one, and the benchmark's sample size.
 PARALLEL_SIZES = (SHARD_SIZE + 17, 3 * SHARD_SIZE + 5, 10**6)
 
 
-def on_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-
-
-class TestParallelShards:
-    """Shards run on up to one thread per CPU, with the same bits."""
+class TestShardOrder:
+    """Shards are drawn in index order on the calling thread, one cursor
+    each, along the pinned streams."""
 
     @pytest.mark.parametrize("n", PARALLEL_SIZES)
-    @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
-    def test_same_bits_on_any_worker_count(self, monkeypatch, model, n):
-        samples = []
-        for cpus in WORKER_COUNTS:
-            on_cpus(monkeypatch, cpus)
-            samples.append(sample_thetas(model, OFFSET_BOX, n, seed=11).tobytes())
-        assert samples == samples[:1] * len(WORKER_COUNTS)
-
-    def test_same_bits_with_more_workers_than_cores_and_fast_switching(
-        self, monkeypatch
+    @pytest.mark.parametrize("model, digest", OFFSET_STREAM_SHA256, ids=str)
+    def test_shards_are_drawn_in_order_on_the_calling_thread(
+        self, monkeypatch, model, digest, n
     ):
-        expected = sample_thetas(ModelKind.CASE2, OFFSET_BOX, 10**6, seed=13)
-        on_cpus(monkeypatch, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                x = sample_thetas(ModelKind.CASE2, OFFSET_BOX, 10**6, seed=13)
-                assert np.array_equal(x, expected)
-        finally:
-            sys.setswitchinterval(interval)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler constructed a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        shard_rng = montecarlo._shard_rng
+        calls = []
+
+        def recorded(seed, index):
+            calls.append((threading.current_thread(), index))
+            return shard_rng(seed, index)
+
+        monkeypatch.setattr(montecarlo, "_shard_rng", recorded)
+        head = sample_thetas(model, OFFSET_BOX, n, seed=42)[: SHARD_SIZE + 17]
+        assert hashlib.sha256(head.tobytes()).hexdigest() == digest
+        caller = threading.current_thread()
+        assert calls == [(caller, index) for index in range(-(-n // SHARD_SIZE))]
 
     @pytest.mark.parametrize("n", PARALLEL_SIZES)
-    def test_redrawn_pairs_have_the_same_bits_on_any_worker_count(self, monkeypatch, n):
+    def test_redrawn_pairs_are_redrawn_in_every_shard(self, monkeypatch, n):
         # Pairs 5 and BLOCK + 7 of every shard are 0/0 and redrawn.
         pairs = (5, BLOCK + 7)
         zeroed = [*pairs, *(SHARD_SIZE + k for k in pairs)]  # d1, then d2
         track_streams(monkeypatch, [], zeroed)
-        samples = []
-        for cpus in WORKER_COUNTS:
-            on_cpus(monkeypatch, cpus)
-            samples.append(sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=12))
+        forced = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=12)
         monkeypatch.undo()
         plain = sample_thetas(ModelKind.CASE2, GOLDEN, n, seed=12)
         redrawn = [s + k for s in range(0, n, SHARD_SIZE) for k in pairs if s + k < n]
-        assert np.flatnonzero(samples[0] != plain).tolist() == redrawn
-        assert all(np.array_equal(x, samples[0]) for x in samples[1:])
+        assert np.flatnonzero(forced != plain).tolist() == redrawn
+        assert np.isfinite(forced).all()
 
-    def test_shards_run_on_one_thread_per_cpu(self, monkeypatch):
-        shard_rng = montecarlo._shard_rng
-        threads = {}
-
-        def recorded(seed, index):
-            threads.setdefault(threading.current_thread(), set()).add(index)
-            return shard_rng(seed, index)
-
-        monkeypatch.setattr(montecarlo, "_shard_rng", recorded)
-        on_cpus(monkeypatch, 3)
-        sample_thetas(ModelKind.CASE1, GOLDEN, 3 * SHARD_SIZE + 5, seed=1)
-        assert len(threads) == 3
-        assert 0 in threads[threading.current_thread()]  # the caller takes a share
-        assert sorted(i for shards in threads.values() for i in shards) == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
-    def test_a_shard_error_reaches_the_caller_after_every_join(
+    @pytest.mark.parametrize("failing", [0, 1, 3], ids=["first", "second", "last"])
+    def test_a_shard_error_reaches_the_caller_and_stops_the_sample(
         self, monkeypatch, failing
     ):
         shard_rng = montecarlo._shard_rng
+        calls = []
 
         def broken(seed, index):
+            calls.append(index)
             if index == failing:
                 raise RuntimeError(f"shard {index} failed")
             return shard_rng(seed, index)
 
         monkeypatch.setattr(montecarlo, "_shard_rng", broken)
-        on_cpus(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
             sample_thetas(ModelKind.CASE1, GOLDEN, 3 * SHARD_SIZE + 5, seed=1)
+        assert calls == list(range(failing + 1))
         assert threading.active_count() == before
 
     def test_one_shard_starts_no_thread_and_one_generator(self, monkeypatch):
@@ -395,7 +373,6 @@ class TestParallelShards:
             raise AssertionError("a one-shard sample constructed a thread")
 
         monkeypatch.setattr(threading, "Thread", refuse)
-        on_cpus(monkeypatch, 4)
         calls = []
         shard_rng = montecarlo._shard_rng
         monkeypatch.setattr(
@@ -437,15 +414,11 @@ class Undefined(ShareModel):
 class TestRedrawLimit:
     """Redraws stop after a fixed number of rounds with a named error."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("sampler", [sample_thetas, mc_summary])
-    def test_a_share_undefined_everywhere_raises(self, monkeypatch, sampler, cpus):
-        on_cpus(monkeypatch, cpus)
-        before = threading.active_count()
+    def test_a_share_undefined_everywhere_raises(self, sampler):
         message = f"undefined at {SHARD_SIZE} of shard 0's {SHARD_SIZE} payoff pairs"
         with pytest.raises(DegeneratePayoffsError, match=message):
             sampler(Undefined(), OFFSET_BOX, SHARD_SIZE + 17, seed=1)
-        assert threading.active_count() == before
 
 
 # The one-block sample reuses its payoffs across these models.
@@ -622,14 +595,12 @@ class TestUniformReference:
         "n", [1, 17, 20_000, BLOCK, BLOCK + 1, SHARD_SIZE + 1, 10**6]
     )
     @pytest.mark.parametrize("model", [*ModelKind, FixedAlphaModel(0.3)], ids=str)
-    def test_sample_equals_the_uniform_reference(self, monkeypatch, model, n):
+    def test_sample_equals_the_uniform_reference(self, model, n):
         share = Holed(model, OFFSET_BOX)
         expected, rounds = uniform_reference(share, OFFSET_BOX, n, seed=17)
         assert rounds > 0 or n == 1
-        for cpus in WORKER_COUNTS:
-            on_cpus(monkeypatch, cpus)
-            x = sample_thetas(share, OFFSET_BOX, n, seed=17)
-            assert x.tobytes() == expected.tobytes(), f"{cpus} workers"
+        x = sample_thetas(share, OFFSET_BOX, n, seed=17)
+        assert x.tobytes() == expected.tobytes()
 
 
 # Pairs (lo, hi) for the uniform-fill guard: random ones, equal ends, and
@@ -987,22 +958,19 @@ class TestMcSummaryInPlace:
         expected = summarize(sample_thetas(model, GOLDEN, n, seed=5), seed=5)
         assert mc_summary(model, GOLDEN, n, seed=5) == expected
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", PARALLEL_SIZES)
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_peak_is_the_sample_plus_block_scratch_per_worker(
-        self, monkeypatch, model, cpus
-    ):
-        n = 1_000_000
-        on_cpus(monkeypatch, cpus)
+    def test_peak_is_the_sample_plus_block_scratch(self, model, n):
+        # The scratch is one block's, however many shards the sample has.
         tracemalloc.start()
         try:
             mc_summary(model, OFFSET_BOX, n, seed=79)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The sample; per worker a d2 block and the share's temporaries; and
-        # the summary's block-sized scratch.
-        assert peak <= 8 * n + cpus * 5 * 8 * BLOCK + 2**20
+        # The sample; a d2 block and the share's temporaries; and the
+        # summary's block-sized scratch.
+        assert peak <= 8 * n + 5 * 8 * BLOCK + 2**20
 
 
 class TestConvergence:

@@ -6,8 +6,10 @@ they take to run, must stay out of ``sys.modules``; in text mode they also
 leave out dataclasses, inspect, json and traceback, and json loads only
 where a command reads or writes JSON.  The engine commands load numpy on
 demand and still work, and they leave out numpy.ma and numpy.polynomial.
-Each probe runs in a fresh interpreter, since this test process has numpy
-loaded already.
+Run through the entry point, as the console script and ``python -m
+nashroyalty.cli`` run them, they start no OpenBLAS worker thread unless the
+user asks for one.  Each probe runs in a fresh interpreter, since this test
+process has numpy loaded already.
 """
 
 import json
@@ -16,10 +18,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nashroyalty
+from nashroyalty import cli
 
 SRC = Path(nashroyalty.__file__).resolve().parents[1]
 GOLDEN_ARGS = ["--a", "0", "--b", "0.2", "--c", "0", "--d", "0.8"]
+PERCEPTION_CONFIG = {
+    "bounds": {"a": 0.1, "b": 0.4, "c": 0.2, "d": 0.5},
+    "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
+    "risk": "abs",
+}
 
 # Runs each argv through cli.main and reports its exit code, and whether
 # numpy is loaded afterwards.
@@ -62,9 +72,28 @@ missing = [name for name in nashroyalty.__all__ if not hasattr(nashroyalty, name
 print(json.dumps([before, listed, missing, "numpy" in sys.modules]))
 """
 
+# Runs the argv as `python -m nashroyalty.cli` does, through cli.entrypoint,
+# and prints its exit code, how many threads the process has at the end and
+# its OPENBLAS_NUM_THREADS.
+ENTRYPOINT_PROBE = """
+import contextlib, io, json, os, runpy, sys
+sys.argv = ["nashroyalty", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("nashroyalty.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps([code, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
 
-def run_fresh(script: str, *args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+# What sets the thread count of numpy's BLAS, removed from a probe's
+# environment so that only the entry point's default is left.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script: str, *args: str, env=os.environ) -> str:
+    env = {**env, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True,
@@ -76,8 +105,8 @@ def run_fresh(script: str, *args: str) -> str:
     return proc.stdout
 
 
-def probe(script: str, *args: str):
-    return json.loads(run_fresh(script, *args))
+def probe(script: str, *args: str, env=os.environ):
+    return json.loads(run_fresh(script, *args, env=env))
 
 
 def lean_probe(*runs: list[str]) -> tuple[list[str], list[str]]:
@@ -103,16 +132,7 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
 
 def test_engine_commands_load_numpy_and_work(tmp_path):
     config = tmp_path / "perception.json"
-    config.write_text(
-        json.dumps(
-            {
-                "bounds": {"a": 0.1, "b": 0.4, "c": 0.2, "d": 0.5},
-                "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
-                "risk": "abs",
-            }
-        ),
-        encoding="utf-8",
-    )
+    config.write_text(json.dumps(PERCEPTION_CONFIG), encoding="utf-8")
     runs = [
         ["estimate", "--config", str(config)],
         ["posterior", "--model", "case2", "--grid-points", "11", *GOLDEN_ARGS,
@@ -158,16 +178,7 @@ def test_engine_commands_leave_out_numpy_ma_and_numpy_polynomial(tmp_path):
     # np.polynomial.legendre.leggauss, which once computed the quadrature
     # rules, needs numpy.polynomial and a LAPACK eigen-solve.
     config = tmp_path / "perception.json"
-    config.write_text(
-        json.dumps(
-            {
-                "bounds": {"a": 0.1, "b": 0.4, "c": 0.2, "d": 0.5},
-                "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
-                "risk": "mse",
-            }
-        ),
-        encoding="utf-8",
-    )
+    config.write_text(json.dumps({**PERCEPTION_CONFIG, "risk": "mse"}), encoding="utf-8")
     posterior = ["posterior", "--model", "case1", *GOLDEN_ARGS,
                  "--out", str(tmp_path / "curve.csv")]
     verify = ["verify", "--samples", "2", "--mc-n", "100"]
@@ -178,3 +189,68 @@ def test_engine_commands_leave_out_numpy_ma_and_numpy_polynomial(tmp_path):
     codes, loaded = lean_probe(estimate, posterior, verify, sweep)
     assert codes == ["0"] * 4
     assert "numpy.ma" not in loaded and "numpy.polynomial" not in loaded, loaded
+
+
+def entrypoint_probe(tmp_path, **blas_env: str):
+    """The perception estimate run through the entry point in a fresh process
+    whose environment sets no BLAS thread count but ``blas_env``."""
+    if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs /proc/self/task and at least 2 CPUs to see BLAS threads")
+    config = tmp_path / "perception.json"
+    config.write_text(json.dumps(PERCEPTION_CONFIG), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    argv = ["estimate", "--config", str(config), "--json"]
+    return probe(ENTRYPOINT_PROBE, json.dumps(argv), env={**env, **blas_env})
+
+
+def test_the_entry_point_starts_no_blas_thread(tmp_path):
+    # numpy is loaded, but its BLAS pool is not started.
+    assert entrypoint_probe(tmp_path) == [0, 1, "1"]
+
+
+def test_the_entry_point_keeps_a_thread_count_the_user_sets(tmp_path):
+    code, threads, setting = entrypoint_probe(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert (code, setting) == (0, "2")
+    assert threads >= 2
+
+
+def test_main_in_process_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    config = tmp_path / "perception.json"
+    config.write_text(json.dumps(PERCEPTION_CONFIG), encoding="utf-8")
+    before = dict(os.environ)
+    assert cli.main(["reference"]) == 0
+    assert cli.main(["estimate", "--config", str(config), "--json"]) == 0
+    assert dict(os.environ) == before
+
+
+USAGE = "usage: nashroyalty [-h] {estimate,posterior,sweep,verify,reference} ...\n"
+
+
+# Usage errors through the entry point, captured before the parser built only
+# the named command's subparser: an unknown command, and an unknown flag after
+# a known one, which the top-level parser reports with its own usage line.
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["bogus"],
+            USAGE + "nashroyalty: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'estimate', 'posterior', 'sweep', 'verify', 'reference')\n",
+        ),
+        (
+            ["estimate", "--model", "case1", "--risk", "abs", *GOLDEN_ARGS, "--bogus"],
+            USAGE + "nashroyalty: error: unrecognized arguments: --bogus\n",
+        ),
+    ],
+    ids=["unknown command", "unknown flag"],
+)
+def test_usage_errors_through_the_entry_point(argv, stderr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nashroyalty.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
