@@ -17,6 +17,7 @@ from .bargaining import (
     PayoffBounds,
     _Record,
     _as_float,
+    _require_unit,
     as_model_kind,
     as_share_model,
 )
@@ -88,15 +89,15 @@ def _grid(step: float, top: float) -> tuple[float, ...]:
     return tuple(point for point in points if point <= top)
 
 
-def _floats(name: str, values) -> tuple[float, ...]:
-    """The entries of ``values`` as floats; names ``values`` or the entry
-    that is not a number."""
+def _floats(name: str, values, check=_as_float) -> tuple[float, ...]:
+    """The entries of ``values`` as floats, each passed through ``check``;
+    names ``values`` or the entry that is not a number."""
     try:
         entries = iter(values)
     except TypeError:
         message = f"{name} must be a sequence of numbers, got {values!r}"
         raise OutOfRangeError(message) from None
-    return tuple(_as_float(f"each entry of {name}", entry) for entry in entries)
+    return tuple(check(f"each entry of {name}", entry) for entry in entries)
 
 
 def family_sweep(
@@ -112,7 +113,8 @@ def family_sweep(
 
     By default c runs over 0, 0.1, ... and d over 0, 0.01, ..., each up to
     1 - b inclusive, and at most to 0.7 and 0.8.  Cells with d < c are
-    skipped (no such interval exists).  A cell on which the model itself
+    skipped (no such interval exists), but every c must lie in [0, 1],
+    also one that no d reaches.  A cell on which the model itself
     is undefined is omitted from its series and recorded in ``omitted``
     with the reason.  Bound-validation failures are propagated with the
     offending cell identified.
@@ -127,7 +129,7 @@ def family_sweep(
         c_values = _grid(0.1, min(0.7, 1.0 - b))
     if d_grid is None:
         d_grid = _grid(0.01, min(0.8, 1.0 - b))
-    c_values = _floats("c_values", c_values)
+    c_values = _floats("c_values", c_values, _require_unit)
     d_grid = _floats("d_grid", d_grid)
     engine_estimate = estimate
     if engine == "numeric":  # the closed forms run without numpy

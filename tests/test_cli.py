@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import nashroyalty
 from nashroyalty import NumericalAccuracyError, cli, montecarlo, posterior
-from nashroyalty.bargaining import FinancialStatement, royalty_rate
+from nashroyalty import _cli_reference, _cli_verify
+from nashroyalty.bargaining import FinancialStatement, PayoffBounds, royalty_rate
 from nashroyalty.estimators import RiskProfile
 from nashroyalty import ModelKind, estimate, validate_bounds
 
@@ -643,6 +644,30 @@ class TestSweepCommand:
         assert named in err
         assert not out.exists()
 
+    # A c that no d of the grid reaches (d runs from 0 here) was once never
+    # checked: the sweep wrote no rows and exited 0, and its JSON mirror held
+    # "c": Infinity.  No number at all was an empty sweep.
+    @pytest.mark.parametrize(
+        "c_values, stderr",
+        [
+            ("2", "error: each entry of c_values must lie in [0, 1], got 2.0\n"),
+            ("inf", "error: each entry of c_values must lie in [0, 1], got inf\n"),
+            ("-1", "error: each entry of c_values must lie in [0, 1], got -1.0\n"),
+            ("", "error: --c-values expects a comma-separated list of numbers, "
+             "got ''\n"),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_c_values_outside_the_unit_interval_exit_2(
+        self, capsys, tmp_path, c_values, stderr, json_flag
+    ):
+        out = tmp_path / "family.csv"
+        argv = ["sweep", "--model", "case1", "--risk", "abs", "--a", "0", "--b", "0.2",
+                "--c", "0", "--d", "0", f"--c-values={c_values}", *json_flag]
+        code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+        assert (code, stdout, err) == (2, "", stderr)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNumericalHealth:
     def test_missed_error_target_exits_5(self, capsys, monkeypatch, tmp_path):
@@ -671,7 +696,7 @@ class TestNumericalHealth:
         def crash(args):
             raise RuntimeError("unexpected state")
 
-        monkeypatch.setattr(cli, "_cmd_reference", crash)
+        monkeypatch.setattr(_cli_reference, "run", crash)
         code, out, err = run(capsys, ["reference"])
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
@@ -741,7 +766,7 @@ class TestFuzzedEstimates:
 
 class TestImports:
     def test_scenario_config_annotations_resolve(self):
-        assert typing.get_type_hints(cli.ScenarioConfig)["bounds"] is cli.PayoffBounds
+        assert typing.get_type_hints(cli.ScenarioConfig)["bounds"] is PayoffBounds
 
     def test_cli_import_does_not_load_scipy(self):
         probe = "import sys, nashroyalty.cli; print('scipy' in sys.modules)"
@@ -779,7 +804,7 @@ class TestVerifyCommand:
         assert named in err
 
     def test_a_gap_over_the_tolerance_fails_with_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_EXACT_TOL", 0.0)
+        monkeypatch.setattr(_cli_verify, "_EXACT_TOL", 0.0)
         code, out, err = run(capsys, self.ARGS)
         assert (code, err) == (1, "")
         (result,) = [line for line in out.splitlines() if line.startswith("result:")]
@@ -808,9 +833,9 @@ class TestReferenceCommand:
         assert out.count(" PASS") >= 9
 
     def test_a_wrong_golden_value_fails_with_exit_1(self, capsys, monkeypatch):
-        golden = dict(cli._GOLDEN)
+        golden = dict(_cli_reference._GOLDEN)
         golden[("nbs", "map")] = (0.201, 0.125)
-        monkeypatch.setattr(cli, "_GOLDEN", golden)
+        monkeypatch.setattr(_cli_reference, "_GOLDEN", golden)
         code, out, err = run(capsys, ["reference"])
         assert (code, err) == (1, "")
         assert "nbs    map      0.200     0.201          0.125     0.125  FAIL" in out

@@ -8,8 +8,11 @@ where a command reads or writes JSON.  The engine commands load numpy on
 demand and still work, and they leave out numpy.ma and numpy.polynomial.
 Run through the entry point, as the console script and ``python -m
 nashroyalty.cli`` run them, they start no OpenBLAS worker thread unless the
-user asks for one.  Each probe runs in a fresh interpreter, since this test
-process has numpy loaded already.
+user asks for one.  A named-model ``estimate`` compiles only the package
+modules it runs, since each other command's module is imported when that
+command runs; a moved command keeps its exit codes and its error bytes
+under ``python -m``.  Each probe runs in a fresh interpreter, since this
+test process has numpy loaded already.
 """
 
 import json
@@ -85,6 +88,37 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = exc.code
 threads = len(os.listdir("/proc/self/task"))
 print(json.dumps([code, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+# Runs the argv in the directory given as `python -m nashroyalty.cli` does,
+# and prints its exit code, its stderr and whether a second copy of the CLI
+# module, with a second ConfigError, was imported as nashroyalty.cli.
+MAIN_PROBE = """
+import contextlib, io, json, os, runpy, sys
+os.chdir(sys.argv[1])
+sys.argv = ["nashroyalty", *json.loads(sys.argv[2])]
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("nashroyalty.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, err.getvalue(), "nashroyalty.cli" in sys.modules]))
+"""
+
+# Runs the argv through cli.main and prints the number of source lines of
+# every nashroyalty module loaded afterwards, as `wc -l` counts them.
+LINES_PROBE = """
+import contextlib, io, json, sys
+from nashroyalty import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+lines = {
+    name: open(module.__file__, "rb").read().count(b"\\n")
+    for name, module in sys.modules.items()
+    if name.split(".")[0] == "nashroyalty"
+}
+print(json.dumps([code, lines]))
 """
 
 # What sets the thread count of numpy's BLAS, removed from a probe's
@@ -254,3 +288,63 @@ def test_usage_errors_through_the_entry_point(argv, stderr):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (
+            ["sweep", "--model", "nbs", "--risk", "abs", *GOLDEN_ARGS,
+             "--c-values", "x", "--out", "sweep.csv"],
+            2,
+            "error: --c-values expects a comma-separated list of numbers, got 'x'\n",
+        ),
+        (
+            ["posterior", "--model", "nbs", "--a", "0.1", "--b", "0.1", "--c", "0.2",
+             "--d", "0.2", "--out", "curve.csv"],
+            3,
+            "error: the share is deterministically 0.45 on these bounds; the "
+            "distribution has no density curve\n",
+        ),
+        (["verify", "--samples", "0"], 2, "error: --samples must be at least 1, got 0\n"),
+        (
+            ["estimate", "--model", "nbs", "--risk", "abs", "--config", "missing.json"],
+            2,
+            "error: missing.json: cannot read config file: [Errno 2] No such file or "
+            "directory: 'missing.json'\n",
+        ),
+    ],
+    ids=["sweep", "posterior", "verify", "config"],
+)
+def test_moved_commands_keep_their_exit_codes_under_python_m(tmp_path, argv, code, stderr):
+    # The stderr bytes were captured while every command lived in cli.py.
+    assert probe(MAIN_PROBE, str(tmp_path), json.dumps(argv)) == [code, stderr, False]
+    assert list(tmp_path.iterdir()) == []
+
+
+# What a named-model estimate loads of the package; 1781 lines when every
+# command lived in cli.py.
+ESTIMATE_MODULES = {"nashroyalty", "nashroyalty.errors", "nashroyalty.bargaining",
+                    "nashroyalty.estimators", "nashroyalty.cli", "nashroyalty._cli_common"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["estimate", "--model", "case1", "--risk", "abs", *GOLDEN_ARGS], set()),
+        (["estimate", "--model", "nbs", "--risk", "mse", *GOLDEN_ARGS, "--json"], set()),
+        (["reference"], {"nashroyalty._cli_reference"}),
+        (
+            ["sweep", "--model", "case2", "--risk", "mse", "--a", "0", "--b", "0.2",
+             "--c", "0", "--d", "0", "--out", "SWEEP"],
+            {"nashroyalty._cli_sweep", "nashroyalty.sweep"},
+        ),
+    ],
+    ids=["estimate", "estimate --json", "reference", "sweep"],
+)
+def test_closed_form_commands_compile_only_their_own_code(tmp_path, argv, extra):
+    argv = [str(tmp_path / "sweep.csv") if arg == "SWEEP" else arg for arg in argv]
+    code, lines = probe(LINES_PROBE, *argv)
+    assert code == 0
+    assert set(lines) == ESTIMATE_MODULES | extra
+    assert sum(lines[name] for name in ESTIMATE_MODULES) <= 1550

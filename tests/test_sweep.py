@@ -132,6 +132,11 @@ class TestGridConstruction:
         with pytest.raises(OutOfRangeError, match=f"entry of {grid} must be a number"):
             family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, **{grid: [entry]})
 
+    @pytest.mark.parametrize("c", [2.0, float("inf"), -1.0, float("nan")])
+    def test_a_c_that_no_d_reaches_is_still_checked(self, c):
+        with pytest.raises(OutOfRangeError, match="entry of c_values must lie in"):
+            family_sweep("case1", "abs", 0.0, 0.2, c_values=[0.0, c], d_grid=[0.0])
+
     @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
     def test_a_grid_that_is_not_iterable_is_named(self, grid):
         with pytest.raises(OutOfRangeError, match=f"{grid} must be a sequence"):
