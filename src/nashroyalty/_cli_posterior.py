@@ -10,13 +10,7 @@ from ._cli_common import EXIT_OK, _add_scenario_arguments, _describe, _scenario_
 
 
 def run(args) -> int:
-    from .posterior import (
-        cdf_at,
-        mode_from_curve,
-        numeric_mean,
-        numeric_median,
-        pdf_curve,
-    )
+    from .posterior import cdf_at, numeric_mean, numeric_median, pdf_curve
     from .sweep import write_rows
 
     config = _scenario_from(args, need_risk=False)
@@ -26,7 +20,7 @@ def run(args) -> int:
 
     write_rows(args.out, "theta,pdf,cdf", zip(curve.thetas, curve.pdf, curve.cdf))
 
-    mode = mode_from_curve(curve)
+    mode = curve.mode
     median = numeric_median(model, bounds)
     mean = numeric_mean(model, bounds)
     print(

@@ -108,10 +108,12 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     raises :class:`OutOfRangeError`.
 
     Shards are drawn in index order on the calling thread, each into its
-    own slice of the result by :func:`_draw_shard`; a sample of one block
-    (n <= 2**15) reuses the payoffs of the last such sample when its
-    bounds, n and seed are the same (see :func:`_payoff_blocks`), with the
-    same bits.  The result is always a new array of the caller's own.
+    own slice of the result: the clipped shares of its first pairs, a
+    block at a time from :func:`_payoff_blocks`, then the undefined ones
+    redrawn (see :func:`_redraw`).  A sample of one block (n <= 2**15)
+    reuses the payoffs of the last such sample when its bounds, n and seed
+    are the same (see :func:`_payoff_blocks`), with the same bits.  The
+    result is always a new array of the caller's own.
     """
     share = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -119,19 +121,13 @@ def sample_thetas(model, bounds: PayoffBounds, n: int, seed: int) -> np.ndarray:
     seed = _require_count("seed", seed, 0)  # None would draw OS entropy
     share.support(bounds)  # raises where the share is nowhere defined
     out = np.empty(n, dtype=np.float64)
-    for index, start in enumerate(range(0, n, SHARD_SIZE)):
-        _draw_shard(share, bounds, seed, index, out[start : start + SHARD_SIZE])
-    return out
-
-
-def _draw_shard(share, bounds: PayoffBounds, seed: int, index: int, theta) -> None:
-    """Write the clipped shares of shard ``index``'s first pairs to ``theta``,
-    a block at a time from :func:`_payoff_blocks`, then redraw the undefined
-    ones (see :func:`_redraw`)."""
     with np.errstate(invalid="ignore"):  # 0/0 marks an undefined pair
-        for x, d1, d2 in _payoff_blocks(bounds, seed, index, theta):
-            np.clip(share.theta(d1, d2), 0.0, 1.0, out=x)
-        _redraw(share, bounds, seed, index, theta)
+        for index, start in enumerate(range(0, n, SHARD_SIZE)):
+            theta = out[start : start + SHARD_SIZE]
+            for x, d1, d2 in _payoff_blocks(bounds, seed, index, theta):
+                np.clip(share.theta(d1, d2), 0.0, 1.0, out=x)
+            _redraw(share, bounds, seed, index, theta)
+    return out
 
 
 def _payoff_blocks(bounds: PayoffBounds, seed: int, index: int, theta):

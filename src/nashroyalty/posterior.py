@@ -30,7 +30,6 @@ from .bargaining import (
     _MAX_COUNT,
     FixedAlphaModel,
     PayoffBounds,
-    ShareModel,
     _Record,
     _clip01,
     _require_bounds,
@@ -346,7 +345,7 @@ def _recall(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray | None:
 
     A run, since one search of the kept bits finds it in a few calls
     however many points it holds; every caller asks for one point, or for
-    a run that :func:`pdf_curve` or :func:`mode_from_curve` kept whole.
+    a run that :func:`pdf_curve` kept whole.
     """
     kept_ops, kept_box, keys, values = _located
     if (
@@ -371,12 +370,12 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
     The engine keeps the values it located on the last rectangle asked
     about, at most 131 (see :func:`pdf_curve`): among them the corner
-    probe of :func:`pdf_curve` (and of :func:`mode_from_curve`), which
-    holds a mode at the corner image, and the point :func:`numeric_median`
-    returned.  At one of those points, with the same model and a rectangle
-    of the same bits, the kept value is returned; it is the kernel's own,
-    since a value does not depend on the other points of its call.
-    Anywhere else the kernel is called.
+    probe of :func:`pdf_curve`, which holds a mode at the corner image,
+    and the point :func:`numeric_median` returned.  At one of those
+    points, with the same model and a rectangle of the same bits, the kept
+    value is returned; it is the kernel's own, since a value does not
+    depend on the other points of its call.  Anywhere else the kernel is
+    called.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -387,8 +386,21 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     return float(_cdf(ops, bounds, np.array([t]))[0])
 
 
+class ModeResult(_Record):
+    """Grid argmax of the share density.
+
+    ``plateau`` records whether the maximum was attained on more than one
+    grid point (a flat top rather than a single peak).
+    """
+
+    value: float
+    plateau: bool
+    __slots__ = tuple(__annotations__)
+
+
 class PosteriorCurve(_Record):
-    """Share density and CDF tabulated on an even grid spanning [0, 1].
+    """Share density and CDF tabulated on an even grid spanning [0, 1], and
+    the density's mode on that grid.
 
     Holds arrays, so two curves are equal only if they are the same object.
     """
@@ -396,8 +408,7 @@ class PosteriorCurve(_Record):
     thetas: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
-    model: ShareModel
-    bounds: PayoffBounds
+    mode: ModeResult
     __slots__ = tuple(__annotations__)
 
     __eq__ = object.__eq__
@@ -416,15 +427,22 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     :class:`OutOfRangeError` unless ``n_points`` is an integer from 3 to
     ``sys.maxsize // 8``.
 
-    The same kernel call also locates the CDF at the points that the
-    estimates read first, and keeps those in [0, 1] for them and for
-    :func:`cdf_at` (replacing the values kept on another rectangle):
-    the three points :func:`mode_from_curve` probes, the image of the
-    corner (b, d) and one grid step to either side; the first round of
-    :func:`numeric_median`, at most 19 points; and the first round of
-    :func:`numeric_mean`, 36 nodes on each of at most three t-panels.  A
-    caller that wants only the curve or the mode so pays for at most 127
-    points more than the grid, in the same call.
+    The curve's ``mode`` is the density's maximum on the grid.  Ties
+    within 1e-9 of the grid maximum form the argmax set.  The share value
+    at the upper payoff corner (b, d) is the mode, exactly, whenever its
+    one-sided density (CDF slope into the support) ties the maximum, since
+    the true peak of these models sits at that corner image; otherwise the
+    largest tied grid point is.  The slopes come from the corner probe:
+    the CDF at the corner image and one grid step to either side, those in
+    [0, 1], located in the grid's own kernel call.
+
+    That call also locates the CDF at the points that the other estimates
+    read first, and keeps those and the probe for them and for
+    :func:`cdf_at` (replacing the values kept on another rectangle): the
+    first round of :func:`numeric_median`, at most 19 points, and the
+    first round of :func:`numeric_mean`, 36 nodes on each of at most
+    three t-panels.  A caller that wants only the curve or the mode so
+    pays for at most 127 points more than the grid, in the same call.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -438,7 +456,8 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     # np.linspace(0, 1, n_points) without its Python wrapper: the same steps,
     # followed by the mode's corner probe and the solvers' first rounds.
     step = 1.0 / (n_points - 1)
-    probe = _corner_probe(ops, bounds, step)
+    corner = ops.at(bounds.b, bounds.d)  # in [0, 1]: only an end can drop out
+    probe = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
     scaled = ops.rescaled(bounds)  # the solvers' rectangle and support
     support = ops.support(scaled)
     ladder = _median_ladder(*support, 0.0, 1.0)
@@ -455,16 +474,14 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
-    return PosteriorCurve(thetas=thetas, pdf=pdf, cdf=cdf, model=ops, bounds=bounds)
-
-
-def _corner_probe(ops, bounds: PayoffBounds, step: float) -> list:
-    """The points at which :func:`mode_from_curve` reads the CDF: the image
-    of the corner (b, d) and one grid step to either side, those in [0, 1]
-    (which is all that cdf_at asks about).  The corner lies in [0, 1], so
-    only an end point of the three can drop out."""
-    corner = ops.at(bounds.b, bounds.d)
-    return [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
+    peak = float(pdf.max())
+    tied = np.flatnonzero(pdf >= peak - _MODE_TIE_TOL)
+    probs = values[n_points : n_points + len(probe)].tolist()
+    # Slopes into the corner and out of it.
+    slopes = ((q - p) / step for p, q in zip(probs, probs[1:]))
+    at_corner = any(slope >= peak - _MODE_TIE_TOL for slope in slopes)
+    mode = ModeResult(corner if at_corner else float(thetas[tied[-1]]), tied.size > 1)
+    return PosteriorCurve(thetas=thetas, pdf=pdf, cdf=cdf, mode=mode)
 
 
 def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -605,51 +622,10 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     return _clip01(hi - float(area.sum()))
 
 
-class ModeResult(_Record):
-    """Grid argmax of the share density.
-
-    ``plateau`` records whether the maximum was attained on more than one
-    grid point (a flat top rather than a single peak).
-    """
-
-    value: float
-    plateau: bool
-    __slots__ = tuple(__annotations__)
-
-
 def mode_from_curve(curve: PosteriorCurve) -> ModeResult:
-    """The share density's maximum on the grid of a tabulated curve.
-
-    Ties within 1e-9 of the grid maximum form the argmax set.  The share
-    value at the upper payoff corner (b, d) is returned exactly whenever
-    its one-sided density (CDF slope into the support) ties the maximum,
-    since the true peak of these models sits at that corner image;
-    otherwise the largest tied grid point is returned.
-
-    The corner probe's CDF values are those :func:`pdf_curve` kept, unless
-    another rectangle has been asked about since, when one kernel call
-    locates and keeps them again; :func:`cdf_at` at a corner mode so reads
-    a kept value.  A grid-point mode's CDF value is not kept: the curve is
-    a record any caller can build or write, so its ``cdf`` need not be the
-    kernel's.
-    """
-    ops = as_share_model(curve.model)
-    bounds = curve.bounds
-    peak = float(curve.pdf.max())
-    tied = np.flatnonzero(curve.pdf >= peak - _MODE_TIE_TOL)
-    plateau = tied.size > 1
-    step = float(curve.thetas[1] - curve.thetas[0])
-    corner = ops.at(bounds.b, bounds.d)
-    ts = np.array(_corner_probe(ops, bounds, step))
-    probs = _recall(ops, bounds, ts)
-    if probs is None:  # not kept, as when another rectangle was asked about since
-        probs = _cdf(ops, bounds, ts)
-        _remember(ops, bounds, ts, probs)
-    probs = probs.tolist()
-    # Slopes into the corner and out of it.
-    if any((q - p) / step >= peak - _MODE_TIE_TOL for p, q in zip(probs, probs[1:])):
-        return ModeResult(value=corner, plateau=plateau)
-    return ModeResult(value=float(curve.thetas[tied[-1]]), plateau=plateau)
+    """The share density's maximum on the grid of a tabulated curve: the
+    ``mode`` the curve carries (see :func:`pdf_curve`).  Calls no kernel."""
+    return curve.mode
 
 
 def numeric_estimate(
@@ -657,10 +633,10 @@ def numeric_estimate(
 ) -> EstimateResult:
     """The engine's estimate for one risk profile, noted ``NOTE_NUMERIC``.
 
-    The density mode on a grid of ``n_points`` for ``MAP``, the median for
-    ``ABS``, and the mean for ``MSE``; a deterministic share, which has no
-    density, returns its one value for every risk, as the closed forms
-    do.  ``risk`` may also be given by its string value; any other value
+    The ``mode`` of the :func:`pdf_curve` on ``n_points`` for ``MAP``, the
+    median for ``ABS``, and the mean for ``MSE``; a deterministic share,
+    which has no density, returns its one value for every risk, as the
+    closed forms do.  ``risk`` may also be given by its string value; any other value
     raises :class:`OutOfRangeError`, as does an ``n_points`` that
     :func:`pdf_curve` would refuse, under every risk.
     """
@@ -670,7 +646,7 @@ def numeric_estimate(
     if lo == hi:  # a deterministic share: every estimate is its one value
         value = lo
     elif risk is RiskProfile.MAP:
-        value = mode_from_curve(pdf_curve(model, bounds, n_points)).value
+        value = pdf_curve(model, bounds, n_points).mode.value
     elif risk is RiskProfile.ABS:
         value = numeric_median(model, bounds)
     else:

@@ -91,13 +91,17 @@ def _grid(step: float, top: float) -> tuple[float, ...]:
 
 def _floats(name: str, values, check=_as_float) -> tuple[float, ...]:
     """The entries of ``values`` as floats, each passed through ``check``;
-    names ``values`` or the entry that is not a number."""
+    names ``values`` when it is empty or not a sequence, or the entry that
+    is not a number."""
     try:
         entries = iter(values)
     except TypeError:
         message = f"{name} must be a sequence of numbers, got {values!r}"
         raise OutOfRangeError(message) from None
-    return tuple(check(f"each entry of {name}", entry) for entry in entries)
+    floats = tuple(check(f"each entry of {name}", entry) for entry in entries)
+    if not floats:
+        raise OutOfRangeError(f"{name} must hold at least one number")
+    return floats
 
 
 def family_sweep(
@@ -114,9 +118,10 @@ def family_sweep(
     By default c runs over 0, 0.1, ... and d over 0, 0.01, ..., each up to
     1 - b inclusive, and at most to 0.7 and 0.8.  Cells with d < c are
     skipped (no such interval exists), but every c must lie in [0, 1],
-    also one that no d reaches.  A cell on which the model itself
-    is undefined is omitted from its series and recorded in ``omitted``
-    with the reason.  Bound-validation failures are propagated with the
+    also one that no d reaches, and neither list may be empty
+    (:class:`OutOfRangeError`).  A cell on which the model itself is
+    undefined is omitted from its series and recorded in ``omitted`` with
+    the reason.  Bound-validation failures are propagated with the
     offending cell identified.
     """
     model = as_model_kind(model)

@@ -23,7 +23,14 @@ import pytest
 from nashroyalty import FixedAlphaModel, cdf_at, cli, validate_bounds
 from nashroyalty import posterior
 from nashroyalty.bargaining import as_share_model
-from nashroyalty.posterior import mode_from_curve, numeric_mean, numeric_median, pdf_curve
+from nashroyalty.posterior import (
+    ModeResult,
+    mode_from_curve,
+    numeric_estimate,
+    numeric_mean,
+    numeric_median,
+    pdf_curve,
+)
 
 BOXES = {
     "golden": validate_bounds(0.0, 0.2, 0.0, 0.8),
@@ -280,7 +287,7 @@ def _fresh(model, bounds, t) -> str:
 
 
 def _probe(model, bounds, curve) -> list:
-    """The points in [0, 1] at which mode_from_curve reads the CDF."""
+    """The points in [0, 1] of the mode's corner probe in pdf_curve."""
     corner = as_share_model(model).at(bounds.b, bounds.d)
     step = curve.thetas[1] - curve.thetas[0]
     return [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
@@ -326,19 +333,29 @@ def test_a_grid_point_mode_is_asked_of_the_kernel(kernel_calls):
     assert value == _fresh("case1", bounds, 0.0)
 
 
-def test_a_built_curve_keeps_nothing_of_its_own():
-    # A curve is a record any caller can build: its cdf here is not the
-    # CDF, and cdf_at at its grid mode must not return it.
+def test_a_built_curve_keeps_nothing_of_its_own(kernel_calls):
+    # A curve is a record any caller can build: its mode is the one it
+    # states, and its cdf, here not the CDF, is never a kept value.
     model, bounds = FixedAlphaModel(0.5), BOXES["golden"]
+    mode = ModeResult(value=0.5, plateau=False)
     curve = posterior.PosteriorCurve(
         thetas=np.array([0.0, 0.5, 1.0]),
         pdf=np.array([0.0, 2.0, 0.0]),
         cdf=np.array([0.0, 0.5, 1.0]),
-        model=model,
-        bounds=bounds,
+        mode=mode,
     )
-    assert mode_from_curve(curve).value == 0.5
+    assert mode_from_curve(curve) is mode
+    assert kernel_calls == []
     assert cdf_at(model, bounds, 0.5) == pytest.approx(0.875, abs=1e-12)
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_the_map_estimate_is_the_curves_mode(box, model):
+    share, bounds = MODELS[model], KEPT_BOXES[box]
+    value = numeric_estimate(share, "map", bounds).theta1
+    assert value.hex() == pdf_curve(share, bounds).mode.value.hex()
 
 
 def test_another_model_rectangle_or_point_misses(kernel_calls):
@@ -376,18 +393,16 @@ def test_negative_zero_misses_where_zero_is_kept(kernel_calls):
     assert len(kernel_calls) == 1
 
 
-def test_a_mode_on_a_replaced_record_makes_its_own_call(kernel_calls):
+def test_a_mode_makes_no_kernel_call_whatever_was_asked_before(kernel_calls):
+    # The curve carries its mode, so another rectangle's curve since, which
+    # replaces the kept values, leaves it alone.
     bounds = BOXES["inner"]
     curve = pdf_curve("case2", bounds)
-    kept = mode_from_curve(curve)
-    kept_prob = cdf_at("case2", bounds, kept.value).hex()
-    pdf_curve("case2", BOXES["golden"])  # keeps the golden box's probe instead
+    kept = repr(mode_from_curve(curve))
+    pdf_curve("case2", BOXES["golden"])  # keeps the golden box's values instead
     kernel_calls.clear()
-    again = mode_from_curve(curve)
-    assert len(kernel_calls) == 1
-    assert repr(again) == repr(kept)
-    assert cdf_at("case2", bounds, again.value).hex() == kept_prob
-    assert len(kernel_calls) == 1
+    assert repr(mode_from_curve(curve)) == kept
+    assert kernel_calls == []
 
 
 def test_at_most_131_values_are_kept():
@@ -416,8 +431,8 @@ def test_the_record_is_replaced_whole_and_never_written():
 
 def test_threads_sharing_the_record_read_only_their_own_values():
     # On the golden box nbs and case1 share the corner image t = 0.2 (to
-    # roundoff) but not its CDF value.  Threads take the mode of each
-    # model's curve and ask cdf_at there, switching every few bytecodes, so
+    # roundoff) but not its CDF value.  Threads build each model's curve,
+    # take its mode and ask cdf_at there, switching every few bytecodes, so
     # that each keeps values over the other's: one kept for the wrong
     # model would read as a wrong answer.
     bounds = BOXES["golden"]
@@ -431,7 +446,7 @@ def test_threads_sharing_the_record_read_only_their_own_values():
     def work(i):
         model = models[i]
         for _ in range(100):
-            mode = mode_from_curve(curves[model]).value
+            mode = mode_from_curve(pdf_curve(model, bounds, 101)).value
             answers[i].append(cdf_at(model, bounds, mode).hex())
 
     interval = sys.getswitchinterval()

@@ -625,7 +625,7 @@ class TestUniformFill:
             montecarlo._fill_uniform(rng, out, lo, hi)
             message = (
                 f"Generator.uniform({lo!r}, {hi!r}) no longer equals random(out=...) "
-                "scaled in place; montecarlo._draw_shard's streams rely on it"
+                "scaled in place; montecarlo.sample_thetas's streams rely on it"
             )
             assert out.tobytes() == expected.tobytes(), message
             assert rng.bit_generator.state == reference.bit_generator.state, message

@@ -57,8 +57,7 @@ def curve() -> PosteriorCurve:
         thetas=np.array([0.0, 0.5, 1.0]),
         pdf=np.array([0.0, 2.0, 0.0]),
         cdf=np.array([0.0, 0.5, 1.0]),
-        model=FixedAlphaModel(0.5),
-        bounds=golden(),
+        mode=ModeResult(value=0.5, plateau=False),
     )
 
 
@@ -132,8 +131,7 @@ RECORDS = {
         curve,
         curve,
         "PosteriorCurve(thetas=array([0. , 0.5, 1. ]), pdf=array([0., 2., 0.]), "
-        "cdf=array([0. , 0.5, 1. ]), model=FixedAlphaModel(alpha=0.5), "
-        "bounds=PayoffBounds(a=0.0, b=0.2, c=0.0, d=0.8))",
+        "cdf=array([0. , 0.5, 1. ]), mode=ModeResult(value=0.5, plateau=False))",
     ),
     "ModeResult": (
         lambda: ModeResult(value=0.2, plateau=False),

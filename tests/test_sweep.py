@@ -142,6 +142,11 @@ class TestGridConstruction:
         with pytest.raises(OutOfRangeError, match=f"{grid} must be a sequence"):
             family_sweep("nbs", "abs", 0.0, 0.2, **{grid: 5})
 
+    @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
+    def test_an_empty_grid_is_named(self, grid):
+        with pytest.raises(OutOfRangeError, match=f"{grid} must hold at least one"):
+            family_sweep("case1", "abs", 0.0, 0.2, **{grid: []})
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(OutOfRangeError):
             family_sweep(ModelKind.NBS, RiskProfile.ABS, 0.0, 0.2, engine="exact")
