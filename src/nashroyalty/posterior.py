@@ -26,6 +26,11 @@ import sys
 
 import numpy as np
 
+try:  # the clip ufunc itself: np.clip reaches it through Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .bargaining import (
     _MAX_COUNT,
     FixedAlphaModel,
@@ -253,7 +258,28 @@ def _tolerance(*lengths: float) -> float:
     return max(_CDF_TOL, _ROUNDOFF_FLOOR / max(shortest, _ROUNDOFF_FLOOR))
 
 
-def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
+class _Rectangle:
+    """A payoff rectangle prepared for the kernel, once per solve: all that
+    a kernel call reads of the box.
+
+    The model's ``rescaled`` box, its support [lo, hi], the height d - c,
+    the rows ``[[c], [d]]`` where the level sets are crossed and, unless
+    the share is deterministic, the band's error target ``tol``.
+    """
+
+    __slots__ = ("ops", "bounds", "lo", "hi", "height", "rows", "tol")
+
+    def __init__(self, ops, bounds: PayoffBounds) -> None:
+        self.ops = ops
+        self.bounds = bounds = ops.rescaled(bounds)
+        self.lo, self.hi = ops.support(bounds)
+        self.height = bounds.d - bounds.c
+        self.rows = np.array([[bounds.c], [bounds.d]])
+        if self.lo < self.hi:  # then a side is wider than a point
+            self.tol = _tolerance(bounds.b - bounds.a, self.height)
+
+
+def _cross_sections(rect: _Rectangle, t: np.ndarray) -> np.ndarray:
     """The CDF at support points ``t`` where the share is not deterministic.
 
     Column x holds the fraction (d - y0(x, t)) / (d - c) of [c, d] in
@@ -262,25 +288,24 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
     wholly in the event, those right of x_d wholly out, and only the band in
     between needs quadrature.  A point-mass d2 side (c = d) has an empty band.
     """
-    a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
-    height = d - c
+    ops, height, tol = rect.ops, rect.height, rect.tol
+    a, b, d = rect.bounds.a, rect.bounds.b, rect.bounds.d
 
     def column(x, t_x):
-        # In place: a round's nodes can fill _CHUNK x 36 floats.
+        # In place: a round's nodes can fill _CHUNK x 36 floats.  Where the
+        # clip ufunc keeps a -0.0 that np.maximum makes 0.0, _cdf's last
+        # clip makes it 0.0.
         share = d - ops.d2_threshold(x, t_x)
-        np.maximum(share, 0.0, out=share)
-        np.minimum(share, height, out=share)
+        _clip(share, 0.0, height, out=share)
         share /= height
         return share
 
     if a == b:
         return column(a, t)
-    cross = ops.d1_threshold(np.array([[c], [d]]), t)  # rows y = c and y = d
-    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
-    x_c = np.minimum(np.maximum(cross[0], a), b)
-    x_d = np.minimum(np.maximum(cross[1], x_c), b)
+    cross = ops.d1_threshold(rect.rows, t)  # rows y = c and y = d
+    x_c = _clip(cross[0], a, b)
+    x_d = _clip(cross[1], x_c, b)
     covered = x_c - a
-    tol = _tolerance(b - a, height)
 
     def band(part, left, right):
         return _integrate(lambda x, rows: column(x, part[rows, None]), left, right, tol)
@@ -297,32 +322,36 @@ def _cross_sections(ops, bounds: PayoffBounds, t: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _cdf(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray:
-    """P{theta <= t} for every t of ``ts`` (each in [0, 1]).
+def _cdf(rect: _Rectangle, ts: np.ndarray, inside: bool = False) -> np.ndarray:
+    """P{theta <= t} for every t of ``ts`` (each in [0, 1]) on a prepared
+    rectangle; ``inside=True`` promises that every t lies in [lo, hi).
 
     The one CDF kernel behind this module.  Values are accurate to 1e-12
     absolute (to the roundoff floor ``16 eps / side`` on rectangles with a
     side thinner than about 0.004).  A deterministic share yields the step
     value 0 or 1; in :func:`_cross_sections` a point-mass d1 side is one
     column and a point-mass d2 side has an empty band.  A value is the same
-    whatever other points share the call.  The rectangle is the model's
-    ``rescaled`` one: a case2 rectangle whose largest bound is below 1/4 is
-    first lifted into [1/4, 1/2) by an exact power of two.
+    whatever other points share the call, and whether or not ``inside`` is
+    given.  The rectangle is the model's ``rescaled`` one: a case2
+    rectangle whose largest bound is below 1/4 is first lifted into
+    [1/4, 1/2) by an exact power of two.  A solver prepares its
+    :class:`_Rectangle` once and passes it to every call.
     """
-    bounds = ops.rescaled(bounds)
-    lo, hi = ops.support(bounds)
+    lo, hi = rect.lo, rect.hi
     if lo == hi:  # deterministic share: CDF is a step
         return np.where(ts >= lo, 1.0, 0.0)
-    inside = (ts >= lo) & (ts < hi)
-    whole = _every(inside)
-    t = ts if whole else ts[inside]
-    share = _cross_sections(ops, bounds, t)
+    if not inside:
+        mask = (ts >= lo) & (ts < hi)
+        inside = _every(mask)
+    share = _cross_sections(rect, ts if inside else ts[mask])
+    # Two calls, not one clip: the clip ufunc returns x on a tie, so it
+    # would keep a -0.0 that np.maximum(-0.0, 0.0) makes 0.0.
     np.maximum(share, 0.0, out=share)
     np.minimum(share, 1.0, out=share)
-    if whole:
+    if inside:
         return share
     out = np.where(ts >= hi, 1.0, 0.0)
-    out[inside] = share
+    out[mask] = share
     return out
 
 
@@ -383,7 +412,7 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     kept = _recall(ops, bounds, np.array([t]))
     if kept is not None:
         return float(kept[0])
-    return float(_cdf(ops, bounds, np.array([t]))[0])
+    return float(_cdf(_Rectangle(ops, bounds), np.array([t]))[0])
 
 
 class ModeResult(_Record):
@@ -458,10 +487,9 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     step = 1.0 / (n_points - 1)
     corner = ops.at(bounds.b, bounds.d)  # in [0, 1]: only an end can drop out
     probe = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
-    scaled = ops.rescaled(bounds)  # the solvers' rectangle and support
-    support = ops.support(scaled)
-    ladder = _median_ladder(*support, 0.0, 1.0)
-    nodes = _panels(*_mean_panels(ops, scaled, *support))[3].ravel()
+    rect = _Rectangle(ops, bounds)  # the solvers' rectangle and support
+    ladder = _median_ladder(rect.lo, rect.hi, 0.0, 1.0)
+    nodes = _panels(*_mean_panels(ops, rect.bounds, rect.lo, rect.hi))[3].ravel()
     ts = np.arange(n_points + len(probe) + len(ladder) + nodes.size, dtype=float)
     thetas = ts[:n_points]
     thetas *= step
@@ -469,7 +497,7 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     located = ts[n_points:]
     located[: len(probe) + len(ladder)] = probe + ladder
     located[len(probe) + len(ladder) :] = nodes
-    values = _cdf(ops, bounds, ts)
+    values = _cdf(rect, ts)
     _remember(ops, bounds, located, values[n_points:])
     cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
@@ -540,34 +568,41 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     midpoint each round.  The first round, on the whole support, reads the
     values :func:`pdf_curve` kept for this model and rectangle, and calls
     the kernel only when they are not kept.  The CDF at the point returned
-    is kept for :func:`cdf_at`.
+    is kept for :func:`cdf_at`.  The rectangle is prepared for the kernel
+    once (see :func:`_cdf`), and each round's points, which lie inside the
+    support, skip the kernel's support mask; a round returns the first
+    point closest to 1/2 and keeps the last point below and the first above.
     """
     ops = as_share_model(model)
     box = _require_bounds(bounds)
-    bounds = ops.rescaled(box)  # its widths set the target
-    lo, hi = ops.support(bounds)
+    rect = _Rectangle(ops, box)
+    lo, hi = rect.lo, rect.hi
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
+    bounds = rect.bounds  # its widths set the target
     target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2, hi - lo))
     f_lo, f_hi = 0.0, 1.0
     ts = np.array(_median_ladder(lo, hi, f_lo, f_hi))
     values = _recall(ops, box, ts)
     for _ in range(100):  # each round at least halves the bracket
         if values is None:
-            values = _cdf(ops, bounds, ts)
-        values, ts = values.tolist(), ts.tolist()
-        gaps = [abs(p - 0.5) for p in values]
-        gap = min(gaps)
+            values = _cdf(rect, ts, inside=True)  # a ladder lies in (lo, hi)
+        # The first point closest to 1/2, the last below it, the first above.
+        gap, below, above = math.inf, None, None
+        for t, p in zip(ts.tolist(), values.tolist()):
+            if abs(p - 0.5) < gap:
+                gap, closest = abs(p - 0.5), (t, p)
+            if p < 0.5:
+                below = t, p
+            elif p > 0.5 and above is None:
+                above = t, p
         if gap <= target:
-            i = gaps.index(gap)  # the first point as close
-            _remember(ops, box, [ts[i]], [values[i]])
-            return ts[i]
-        below = [i for i, p in enumerate(values) if p < 0.5]
-        above = [i for i, p in enumerate(values) if p > 0.5]
-        if below:
-            lo, f_lo = ts[below[-1]], values[below[-1]]
-        if above:
-            hi, f_hi = ts[above[0]], values[above[0]]
+            _remember(ops, box, [closest[0]], [closest[1]])
+            return closest[0]
+        if below is not None:
+            lo, f_lo = below
+        if above is not None:
+            hi, f_hi = above
         if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
             break
         ts, values = np.array(_median_ladder(lo, hi, f_lo, f_hi)), None
@@ -598,13 +633,14 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     with ten times its target (1e-11 per unit t, or the roundoff floor
     over the support's width when that is narrower still).  The first
     round's nodes read the values :func:`pdf_curve` kept for this model
-    and rectangle, and call the kernel only when they are not kept.  A
-    deterministic share returns its value.
+    and rectangle, and call the kernel only when they are not kept; every
+    call reads the rectangle prepared once for the solve (see
+    :func:`_cdf`).  A deterministic share returns its value.
     """
     ops = as_share_model(model)
     box = _require_bounds(bounds)
-    bounds = ops.rescaled(box)  # its widths set the target
-    lo, hi = ops.support(bounds)
+    rect = _Rectangle(ops, box)
+    bounds, lo, hi = rect.bounds, rect.lo, rect.hi  # its widths set the target
     if lo == hi:
         return lo
 
@@ -613,7 +649,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
         # rows is a full slice only in the first round.
         values = _recall(ops, box, flat) if isinstance(rows, slice) else None
         if values is None:
-            values = _cdf(ops, bounds, flat)
+            values = _cdf(rect, flat)
         return values.reshape(ts.shape)
 
     # A support only a few thousand ulps wide also rounds the t nodes.

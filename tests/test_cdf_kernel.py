@@ -32,7 +32,7 @@ from nashroyalty import (
 )
 from nashroyalty import bargaining, posterior
 from nashroyalty.bargaining import ShareModel, as_share_model
-from nashroyalty.posterior import _cdf, _integrate
+from nashroyalty.posterior import _cdf, _integrate, _Rectangle
 
 # --- scalar scipy reference ---------------------------------------------------
 
@@ -142,7 +142,7 @@ def test_kernel_matches_scalar_quad_reference(model, bounds):
     # The reference's crossings are its own, so it also judges the closed
     # form, which reads the same ShareModel crossings as the kernel.
     ts = _probe_points(model, bounds)
-    batched = _cdf(as_share_model(model), bounds, ts)
+    batched = _cdf(_Rectangle(as_share_model(model), bounds), ts)
     reference = np.array([reference_cdf(model, bounds, float(t)) for t in ts])
     assert np.max(np.abs(batched - reference)) <= 1e-11
     closed = np.array([closed_cdf(model, bounds, float(t)) for t in ts])
@@ -185,7 +185,7 @@ def test_mean_on_singular_and_thin_edge_boxes(model, bounds):
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_a_value_does_not_depend_on_its_batch(model):
     ts = np.linspace(0.0, 1.0, 257)
-    batched = _cdf(as_share_model(model), GOLDEN, ts)
+    batched = _cdf(_Rectangle(as_share_model(model), GOLDEN), ts)
     alone = np.array([cdf_at(model, GOLDEN, float(t)) for t in ts[::16]])
     assert np.array_equal(batched[::16], alone)
 
@@ -203,8 +203,8 @@ def _bits(values) -> bytes:
 
 def _alone(model, bounds, ts) -> np.ndarray:
     # One kernel call per point: cdf_at may answer from the values it kept.
-    ops = as_share_model(model)
-    return np.array([_cdf(ops, bounds, np.array([float(t)]))[0] for t in ts])
+    rect = _Rectangle(as_share_model(model), bounds)
+    return np.array([_cdf(rect, np.array([float(t)]))[0] for t in ts])
 
 
 @pytest.mark.parametrize("bounds", [THIN, NARROW, GOLDEN, *RANDOM_BOXES[:12]], ids=_box_id)
@@ -212,11 +212,14 @@ def _alone(model, bounds, ts) -> np.ndarray:
 def test_a_call_over_the_support_matches_each_point_alone(model, bounds):
     # Points inside the support, in one chunk and shuffled.  Where some of
     # them bisect, the call runs the bisection loop for all of them, while
-    # the points that settle alone return from the first round.
-    ops = as_share_model(model)
-    lo, hi = ops.support(bounds)
-    ts = np.random.default_rng(7).permutation(np.linspace(lo, hi, 35)[1:-1])
-    assert _bits(_cdf(ops, bounds, ts)) == _bits(_alone(model, bounds, ts))
+    # the points that settle alone return from the first round.  They all
+    # lie inside the support, so the call may also skip the support mask,
+    # as the median's rounds do.
+    rect = _Rectangle(as_share_model(model), bounds)
+    ts = np.random.default_rng(7).permutation(np.linspace(rect.lo, rect.hi, 35)[1:-1])
+    alone = _bits(_alone(model, bounds, ts))
+    assert _bits(_cdf(rect, ts)) == alone
+    assert _bits(_cdf(rect, ts, inside=True)) == alone
 
 
 @pytest.mark.parametrize("bounds", [THIN, NARROW, *RANDOM_BOXES[:2]], ids=_box_id)
@@ -224,7 +227,7 @@ def test_a_call_over_the_support_matches_each_point_alone(model, bounds):
 def test_a_chunked_call_matches_each_point_alone(model, bounds):
     # More points than one chunk holds, some of them outside the support.
     ts = np.linspace(0.0, 1.0, 2 * posterior._CHUNK + 3)
-    batched = _cdf(as_share_model(model), bounds, ts)
+    batched = _cdf(_Rectangle(as_share_model(model), bounds), ts)
     assert _bits(batched) == _bits(_alone(model, bounds, ts))
 
 
@@ -571,7 +574,7 @@ MODELS = st.sampled_from(list(ModelKind))
 @given(grid_boxes(), MODELS, PROBS)
 def test_cdf_is_a_monotone_probability(bounds, model, ts):
     ts = np.sort(np.array(ts))
-    values = _cdf(as_share_model(model), bounds, ts)
+    values = _cdf(_Rectangle(as_share_model(model), bounds), ts)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values) >= -2e-12)
 
@@ -581,8 +584,8 @@ def test_cdf_is_a_monotone_probability(bounds, model, ts):
 def test_exchanging_the_parties_reflects_the_cdf(bounds, model, ts):
     ops = as_share_model(model)
     ts = np.array(ts)
-    direct = _cdf(ops, bounds, ts)
-    swapped = _cdf(ops, bounds.swapped(), 1.0 - ts)
+    direct = _cdf(_Rectangle(ops, bounds), ts)
+    swapped = _cdf(_Rectangle(ops, bounds.swapped()), 1.0 - ts)
     assert np.max(np.abs(swapped - (1.0 - direct))) <= 1e-11
 
 
@@ -591,5 +594,5 @@ def test_exchanging_the_parties_reflects_the_cdf(bounds, model, ts):
 def test_cdf_stays_in_unit_interval_on_any_valid_box(bounds, model, ts):
     if model is ModelKind.CASE2 and bounds.b == 0.0 and bounds.d == 0.0:
         return  # the share is undefined on the origin rectangle
-    values = _cdf(as_share_model(model), bounds, np.array(ts))
+    values = _cdf(_Rectangle(as_share_model(model), bounds), np.array(ts))
     assert np.all((values >= 0.0) & (values <= 1.0))

@@ -811,6 +811,22 @@ class TestVerifyCommand:
         assert result.startswith("result: FAIL: ")
         assert "exceeds 0.0e+00 (" in result
 
+    @pytest.mark.parametrize(
+        "constant, value", [("_MEDIAN_TOL", 1e-6), ("_CDF_TOL", 1e-8)]
+    )
+    def test_a_looser_engine_fails_its_documented_accuracy(
+        self, capsys, monkeypatch, constant, value
+    ):
+        # Either loosened constant stays far inside the 1e-5 lines, but moves
+        # the medians past the stop README documents; the gate reads
+        # README's numbers, not the engine's constants.
+        monkeypatch.setattr(posterior, constant, value)
+        code, out, err = run(capsys, self.ARGS)
+        assert (code, err) == (1, "")
+        (result,) = [line for line in out.splitlines() if line.startswith("result:")]
+        assert result.startswith("result: FAIL: case1 median gap is ")
+        assert "exceeds 1.0e-05" not in result
+
     def test_a_shifted_monte_carlo_mean_fails_with_exit_1(self, capsys, monkeypatch):
         # Shares shifted by 0.02 put the worst mean 46 standard errors off.
         sample_thetas = montecarlo.sample_thetas

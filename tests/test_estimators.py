@@ -24,7 +24,7 @@ from nashroyalty import (
 from nashroyalty import estimators
 from nashroyalty.bargaining import as_share_model
 from nashroyalty.estimators import NOTE_APPROXIMATION, NOTE_EXACT, paper_case1_median
-from nashroyalty.posterior import _cdf, numeric_mean, numeric_median
+from nashroyalty.posterior import _cdf, _Rectangle, numeric_mean, numeric_median
 
 GOLDEN = validate_bounds(0.0, 0.2, 0.0, 0.8)
 
@@ -511,7 +511,7 @@ class TestClosedCdf:
                 ts = np.array([0.0, lo, *inner, hi, 1.0])
                 # cdf_at's kernel, batched: a value does not depend on its
                 # batch (test_cdf_kernel).
-                numeric = _cdf(as_share_model(model), bounds, ts)
+                numeric = _cdf(_Rectangle(as_share_model(model), bounds), ts)
                 for t, prob in zip(ts, numeric):
                     worst = max(worst, abs(closed_cdf(model, bounds, float(t)) - prob))
         assert worst <= 1e-12

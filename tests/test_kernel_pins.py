@@ -41,6 +41,17 @@ BOXES = {
     "point1": validate_bounds(0.25, 0.25, 0.1, 0.6),
     "point2": validate_bounds(0.1, 0.4, 0.3, 0.3),
 }
+# More boxes for the pins and the tests of kept values: with ±0 corners the
+# pins also hold which zero each clip of the kernel returns.
+KEPT_BOXES = {
+    **BOXES,
+    # case2 works on this box lifted into [1/4, 1/2) by a power of two.
+    "small": validate_bounds(0.01, 0.05, 0.02, 0.1),
+    "signed_zero": validate_bounds(-0.0, 0.2, -0.0, 0.8),
+    # At t = 0 case2's crossing of y = c is -0.0 here while a is 0.0, so a
+    # clip that kept the -0.0 through to the CDF would move the curve's bits.
+    "mixed_zero": validate_bounds(0.0, 0.2, -0.0, 0.8),
+}
 MODELS = {
     "nbs": "nbs",
     "case1": "case1",
@@ -131,12 +142,46 @@ PINS = {
         "6f9cb7221705de6a4bb0bc760f670fa5c211eaaa96401c5318f16712cc4358d8",
         "5ec17367681cf91633ee77b8d38bbf7196bca1d8b23e88b2f235d1cc46024cac",
     ),  # (0.385, 0.385, 0.49)
+    # The golden box with -0.0 for c, and for a, captured before any clip of
+    # the kernel was merged into one ufunc call: the golden box's bits.
+    ("mixed_zero", "nbs"): (
+        "423b19597c3d9bd7712714186ea4a20ffb830a8e7436022d5245a5c6edb221d3",
+        "1615802d61626f7e05d7bc3d270c9c9283de3933d7d7f8f4f7e2cc8fe6d7de8e",
+    ),  # (0.35, 0.35, 0.19999999999999996)
+    ("mixed_zero", "case1"): (
+        "5c6b92c2c85441b6d2e8bc4d4578d01abf3cb29f9a657b37acfb7c76db6ca13a",
+        "66455d7baba7624bb47b0389392dbf2c215a62a1ac44c35c4a74d9ecd866845d",
+    ),  # (0.27712503477624306, 0.30000000000000004, 0.19999999999999996)
+    ("mixed_zero", "case2"): (
+        "91452eb550f741115bb64248405e41fb4753a4695cf17246a1d93ba6a02fb1da",
+        "456335b2cdd107d164772182611401329a278bbbc18ac809c7528639908d413d",
+    ),  # (0.2, 0.25489263642584326, 0.2)
+    ("mixed_zero", "alpha0.3"): (
+        "b9f868c4f4daf573707984999b62458767e2e6b35142c0fe46663502f09bc9ab",
+        "85f38c86bbfb8f5a1394e18edef02a5acbea15c457a697158f9eca5d71229d52",
+    ),  # (0.25, 0.25, 0.2)
+    ("signed_zero", "nbs"): (
+        "423b19597c3d9bd7712714186ea4a20ffb830a8e7436022d5245a5c6edb221d3",
+        "1615802d61626f7e05d7bc3d270c9c9283de3933d7d7f8f4f7e2cc8fe6d7de8e",
+    ),  # (0.35, 0.35, 0.19999999999999996)
+    ("signed_zero", "case1"): (
+        "5c6b92c2c85441b6d2e8bc4d4578d01abf3cb29f9a657b37acfb7c76db6ca13a",
+        "66455d7baba7624bb47b0389392dbf2c215a62a1ac44c35c4a74d9ecd866845d",
+    ),  # (0.27712503477624306, 0.30000000000000004, 0.19999999999999996)
+    ("signed_zero", "case2"): (
+        "91452eb550f741115bb64248405e41fb4753a4695cf17246a1d93ba6a02fb1da",
+        "456335b2cdd107d164772182611401329a278bbbc18ac809c7528639908d413d",
+    ),  # (0.2, 0.25489263642584326, 0.2)
+    ("signed_zero", "alpha0.3"): (
+        "b9f868c4f4daf573707984999b62458767e2e6b35142c0fe46663502f09bc9ab",
+        "85f38c86bbfb8f5a1394e18edef02a5acbea15c457a697158f9eca5d71229d52",
+    ),  # (0.25, 0.25, 0.2)
 }
 
 
 @pytest.mark.parametrize("box, model", sorted(PINS))
 def test_curve_and_estimates_keep_their_bits(box, model):
-    bounds, share = BOXES[box], MODELS[model]
+    bounds, share = KEPT_BOXES[box], MODELS[model]
     curve = pdf_curve(share, bounds, 2001)
     values = repr(
         (
@@ -170,9 +215,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = posterior._cdf
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(posterior, "_cdf", counted)
     return calls
@@ -265,24 +310,19 @@ def test_each_command_does_a_fixed_amount_of_kernel_work(kernel_calls, tmp_path,
     entry = WORK_COUNTS[command]
     out = str(tmp_path / "out.csv")
     assert cli.main([out if arg == "{out}" else arg for arg in entry["argv"]]) == 0
-    work = (len(kernel_calls), sum(args[2].size for args in kernel_calls))
+    work = (len(kernel_calls), sum(args[1].size for args in kernel_calls))
     assert work == (entry["kernel_calls"], entry["kernel_points"])
 
 
 # --- the CDF values kept for cdf_at ---------------------------------------------
 
-KEPT_BOXES = {
-    **BOXES,
-    # case2 works on this box lifted into [1/4, 1/2) by a power of two.
-    "small": validate_bounds(0.01, 0.05, 0.02, 0.1),
-    "signed_zero": validate_bounds(-0.0, 0.2, -0.0, 0.8),
-}
 
 
 def _fresh(model, bounds, t) -> str:
     """F(t) from a kernel call of its own with nothing kept, as hex."""
     posterior._located = posterior._NOTHING
-    value = posterior._cdf(as_share_model(model), bounds, np.array([float(t)]))[0]
+    rect = posterior._Rectangle(as_share_model(model), bounds)
+    value = posterior._cdf(rect, np.array([float(t)]))[0]
     return float(value).hex()
 
 
@@ -320,6 +360,44 @@ def test_every_kept_value_is_the_kernels_own(box, model):
     points, kept = np.frombuffer(keys), np.frombuffer(values)
     assert points.size == kept.size
     assert [float(p).hex() for p in kept] == [_fresh(share, bounds, t) for t in points]
+
+
+@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_value_a_solve_reads_is_the_kernels_own(monkeypatch, box, model):
+    # Cold solves read every value from the kernel on the rectangle they
+    # prepared once: each median round's ladder, asked without the support
+    # mask, and each round of the mean's nodes.  Each value must have the
+    # bits of a one-point call of its own.
+    share, bounds = MODELS[model], KEPT_BOXES[box]
+    kernel, read = posterior._cdf, {}
+
+    def recorded(rect, ts, **kwargs):
+        values = kernel(rect, ts, **kwargs)
+        read.update(zip(ts.tolist(), values.tolist()))
+        return values
+
+    monkeypatch.setattr(posterior, "_cdf", recorded)
+    numeric_median(share, bounds)
+    numeric_mean(share, bounds)
+    monkeypatch.setattr(posterior, "_cdf", kernel)
+    points = sorted(read)
+    assert [read[t].hex() for t in points] == [_fresh(share, bounds, t) for t in points]
+
+
+def test_the_first_of_two_equally_close_points_is_the_median(monkeypatch):
+    # A kernel whose first ladder has two neighbours 2**-40 from 1/2, one
+    # below and one above: the first point as close is the answer.
+    def tied(rect, ts, inside=False):
+        middle = ts.size // 2
+        values = np.where(ts < ts[middle], 0.25, 0.75)
+        values[middle - 1 : middle + 1] = 0.5 - 2.0**-40, 0.5 + 2.0**-40
+        return values
+
+    bounds = BOXES["golden"]
+    ladder = posterior._median_ladder(*as_share_model("nbs").support(bounds), 0.0, 1.0)
+    monkeypatch.setattr(posterior, "_cdf", tied)
+    assert numeric_median("nbs", bounds) == ladder[len(ladder) // 2 - 1]
 
 
 def test_a_grid_point_mode_is_asked_of_the_kernel(kernel_calls):
@@ -384,7 +462,7 @@ def test_another_model_rectangle_or_point_misses(kernel_calls):
 
 def test_negative_zero_misses_where_zero_is_kept(kernel_calls):
     ops, bounds = as_share_model("case1"), BOXES["thin"]
-    zero = posterior._cdf(ops, bounds, np.zeros(1)).tolist()
+    zero = posterior._cdf(posterior._Rectangle(ops, bounds), np.zeros(1)).tolist()
     posterior._remember(ops, bounds, [0.0], zero)
     kernel_calls.clear()
     cdf_at(ops, bounds, 0.0)

@@ -284,7 +284,7 @@ class TestNumericMedian:
         assert abs(cdf_at(ModelKind.CASE2, bounds, median) - 0.5) <= 1e-9
 
     def test_cdf_jumping_across_half_raises(self, monkeypatch):
-        def jump(ops, bounds, ts):
+        def jump(rect, ts, inside=False):
             return np.where(ts < 0.3, 0.4, 0.6)
 
         monkeypatch.setattr(posterior, "_cdf", jump)
