@@ -51,6 +51,11 @@ def run(args) -> int:
                 f"{_MAX_D_GRID} points (--d-max / --d-step)"
             )
         d_grid = _grid(step, top)
+        if len(set(d_grid)) < len(d_grid):
+            raise ConfigError(
+                f"--d-step {step!r} is finer than the d grid's 12-decimal "
+                "rounding: two grid points round to the same d"
+            )
     table = family_sweep(
         config.model,
         config.risk,

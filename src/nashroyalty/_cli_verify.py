@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from itertools import product
 
 from ._cli_common import EXIT_MISMATCH, EXIT_OK
 from .bargaining import ModelKind, _require_count, as_share_model
@@ -57,7 +58,7 @@ def run(args) -> int:
     import numpy as np
 
     from .montecarlo import random_valid_bounds, sample_thetas
-    from .posterior import _cdf, _Rectangle, numeric_estimate
+    from .posterior import _cdf, _Rectangle, numeric_mean, numeric_median
 
     samples = _require_count("--samples", args.samples, 1, _MAX_SAMPLES)
     mc_n = _require_count("--mc-n", args.mc_n, 2, _MAX_MC_N)
@@ -66,49 +67,40 @@ def run(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tuples = [random_valid_bounds(rng) for _ in range(samples)]
 
-    risks = (RiskProfile.ABS, RiskProfile.MSE)
-    worst = {(model, risk): 0.0 for model in ModelKind for risk in risks}
-    worst_cdf = dict.fromkeys(ModelKind, 0.0)
-    stats = ("median", "mean", "cdf")
-    worst_ratio = {(model, stat): 0.0 for model in ModelKind for stat in stats}
+    # The worst value of every check, keyed in report order: the gaps found
+    # from the closed forms, then each model's gaps judged by their bounds.
+    worst = {
+        "found": dict.fromkeys(
+            [*product(ModelKind, ("abs", "mse")), *product(ModelKind, ["cdf"])], 0.0
+        ),
+        "judged": dict.fromkeys(product(ModelKind, ("median", "mean", "cdf")), 0.0),
+    }
     worst_z = 0.0
 
     for index, bounds in enumerate(tuples):
         for model in ModelKind:
-            closed = {
-                risk: estimate(model, risk, bounds).theta1 for risk in RiskProfile
-            }
-            numeric = {
-                risk: numeric_estimate(model, risk, bounds).theta1 for risk in risks
-            }
-            # The overpayment probability of each estimate, both ways.
-            ts = list(closed.values())
+            # The closed MAP, ABS (median) and MSE (mean) estimates.
+            ts = [estimate(model, risk, bounds).theta1 for risk in RiskProfile]
+            median, mean = numeric_median(model, bounds), numeric_mean(model, bounds)
+            # The overpayment probability of each closed estimate, both ways.
             rect = _Rectangle(as_share_model(model), bounds)
-            numeric_cdf = _cdf(rect, np.array(ts))
-            cdf_gaps = [
-                abs(closed_cdf(model, bounds, t) - float(prob))
-                for t, prob in zip(ts, numeric_cdf)
-            ]
-            worst_cdf[model] = max(worst_cdf[model], *cdf_gaps)
-            # Each statistic against its documented accuracy, judged by the
-            # closed forms: the median by the closed CDF there.
-            median, mean = numeric[RiskProfile.ABS], numeric[RiskProfile.MSE]
-            gaps = {
-                "median": abs(closed_cdf(model, bounds, median) - 0.5),
-                "mean": abs(closed[RiskProfile.MSE] - mean),
-                "cdf": max(cdf_gaps),
-            }
-            for stat, bound in _bounds(model, rect, closed[RiskProfile.MSE]).items():
-                ratio = gaps[stat] / bound
-                worst_ratio[model, stat] = max(worst_ratio[model, stat], ratio)
+            cdf = max(
+                abs(closed_cdf(model, bounds, t) - p)
+                for t, p in zip(ts, _cdf(rect, np.array(ts)).tolist())
+            )
+            found = {"abs": abs(ts[1] - median), "mse": abs(ts[2] - mean), "cdf": cdf}
+            # The median, mean and cdf gaps over their documented bounds,
+            # judged by the closed forms: the median by the closed CDF there.
+            gaps = abs(closed_cdf(model, bounds, median) - 0.5), found["mse"], cdf
+            bound = _bounds(model, rect, ts[2])
+            judged = {stat: gap / bound[stat] for stat, gap in zip(bound, gaps)}
+            for section, new in (("found", found), ("judged", judged)):
+                table = worst[section]
+                table |= {(model, c): max(table[model, c], v) for c, v in new.items()}
             draws = sample_thetas(model, bounds, mc_n, seed=seed + 1 + index)
             se = float(draws.std(ddof=1)) / (mc_n**0.5)
             if se > 0.0:
-                z = abs(float(draws.mean()) - numeric[RiskProfile.MSE]) / se
-                worst_z = max(worst_z, z)
-            for risk, value in numeric.items():
-                gap = abs(closed[risk] - value)
-                worst[(model, risk)] = max(worst[(model, risk)], gap)
+                worst_z = max(worst_z, abs(float(draws.mean()) - mean) / se)
 
     lines = [
         "verification report",
@@ -116,29 +108,20 @@ def run(args) -> int:
         f"  exact closed forms vs quadrature (tolerance {_EXACT_TOL:.1e}):",
     ]
     failures = []
-    exact = [(model, risk.value, gap) for (model, risk), gap in worst.items()]
-    exact += [(model, "cdf", gap) for model, gap in worst_cdf.items()]
-    for model, check, gap in exact:
-        lines.append(
-            f"    {model.value:<5} {check}: max |closed - numeric| = {gap:.3e}"
-        )
-        if gap > _EXACT_TOL:
-            failures.append(
-                f"{model.value} {check} exceeds {_EXACT_TOL:.1e} ({gap:.3e})"
-            )
+    for (m, c), g in worst["found"].items():
+        lines.append(f"    {m.value:<5} {c}: max |closed - numeric| = {g:.3e}")
+        if g > _EXACT_TOL:
+            failures.append(f"{m.value} {c} exceeds {_EXACT_TOL:.1e} ({g:.3e})")
     lines.append(
         "  quadrature vs its documented accuracy (worst gap / bound, limit 1):"
     )
+    ratios = worst["judged"].items()
     for model in ModelKind:
-        ratios = [(stat, worst_ratio[model, stat]) for stat in stats]
-        lines.append(
-            f"    {model.value:<5} " + "  ".join(f"{s} {r:.3e}" for s, r in ratios)
-        )
-        failures += [
-            f"{model.value} {stat} gap is {ratio:.3e} times its documented bound"
-            for stat, ratio in ratios
-            if not ratio <= 1.0
-        ]
+        row = "  ".join(f"{s} {r:.3e}" for (m, s), r in ratios if m is model)
+        lines.append(f"    {model.value:<5} {row}")
+    for (m, s), r in ratios:
+        if not r <= 1.0:
+            failures.append(f"{m.value} {s} gap is {r:.3e} times its documented bound")
     lines.append("  monte carlo mean vs quadrature mean:")
     lines.append(f"    worst |difference| / standard error = {worst_z:.2f}")
     if worst_z > _MC_Z_LIMIT:

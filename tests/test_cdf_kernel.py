@@ -59,15 +59,23 @@ def _ref_d1_threshold(model: ModelKind, y: float, t: float) -> float:
     return math.inf if t >= 1.0 else t * y / (1.0 - t)
 
 
+def _ref_share(model: ModelKind, x: float, y: float) -> float:
+    if model is ModelKind.NBS:
+        return (1.0 + x - y) / 2.0
+    if model is ModelKind.CASE1:
+        return (1.0 + 2.0 * (x - y) - x * x + y * y) / 2.0
+    return x / (x + y)
+
+
 def reference_cdf(model: ModelKind, bounds, t: float) -> float:
     """P{theta <= t} by one adaptive ``quad`` over d1 (rectangles with a < b
-    and c < d)."""
-    lo, hi = as_share_model(model).support(bounds)
-    if t < lo:
-        return 0.0
-    if t >= hi:
-        return 1.0
+    and c < d).  The share rises in d1 and falls in d2, so its support runs
+    from the corner (a, d) to the corner (b, c)."""
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
+    if t < _ref_share(model, a, d):
+        return 0.0
+    if t >= _ref_share(model, b, c):
+        return 1.0
     height = d - c
 
     def cross_len(x: float) -> float:

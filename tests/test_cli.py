@@ -634,6 +634,8 @@ class TestSweepCommand:
             (["--d-max", "nan"], "--d-max"),
             (["--d-max", "-1"], "--d-max"),
             (["--d-step", "1e-300"], "10001 points"),
+            # Rounded to 12 decimals, 11 points hold only the d values 0, 1e-12.
+            (["--d-step", "1e-13", "--d-max", "1e-12"], "--d-step 1e-13 is finer"),
         ],
     )
     def test_bad_grid_sizes_exit_2(self, capsys, tmp_path, flags, named):
@@ -808,8 +810,16 @@ class TestVerifyCommand:
         code, out, err = run(capsys, self.ARGS)
         assert (code, err) == (1, "")
         (result,) = [line for line in out.splitlines() if line.startswith("result:")]
-        assert result.startswith("result: FAIL: ")
-        assert "exceeds 0.0e+00 (" in result
+        assert result == (
+            "result: FAIL: nbs mse exceeds 0.0e+00 (1.110e-16); "
+            "case1 abs exceeds 0.0e+00 (8.734e-11); "
+            "case1 mse exceeds 0.0e+00 (1.110e-16); "
+            "case2 abs exceeds 0.0e+00 (6.661e-16); "
+            "case2 mse exceeds 0.0e+00 (6.661e-16); "
+            "nbs cdf exceeds 0.0e+00 (4.441e-16); "
+            "case1 cdf exceeds 0.0e+00 (1.055e-15); "
+            "case2 cdf exceeds 0.0e+00 (2.220e-16)"
+        )
 
     @pytest.mark.parametrize(
         "constant, value", [("_MEDIAN_TOL", 1e-6), ("_CDF_TOL", 1e-8)]
@@ -824,8 +834,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, self.ARGS)
         assert (code, err) == (1, "")
         (result,) = [line for line in out.splitlines() if line.startswith("result:")]
-        assert result.startswith("result: FAIL: case1 median gap is ")
-        assert "exceeds 1.0e-05" not in result
+        case1_ratio = {"_MEDIAN_TOL": "4.371e+02", "_CDF_TOL": "8.849e+00"}[constant]
+        assert result == (
+            f"result: FAIL: case1 median gap is {case1_ratio} times its "
+            "documented bound; case2 median gap is 4.049e+00 times its "
+            "documented bound"
+        )
 
     def test_a_shifted_monte_carlo_mean_fails_with_exit_1(self, capsys, monkeypatch):
         # Shares shifted by 0.02 put the worst mean 46 standard errors off.
@@ -838,7 +852,9 @@ class TestVerifyCommand:
         code, out, err = run(capsys, self.ARGS)
         assert (code, err) == (1, "")
         (result,) = [line for line in out.splitlines() if line.startswith("result:")]
-        assert result.startswith("result: FAIL: monte carlo mean exceeds 5 standard")
+        assert result == (
+            "result: FAIL: monte carlo mean exceeds 5 standard errors (45.95)"
+        )
 
 
 class TestReferenceCommand:

@@ -63,19 +63,28 @@ def grid_bounds(draw):
     return validate_bounds(a16 / 16.0, b16 / 16.0, c16 / 16.0, d16 / 16.0)
 
 
+def _share(model: ModelKind, x: float, y: float) -> float:
+    """Party 1's share at payoffs (x, y), written out apart from the package."""
+    if model is ModelKind.NBS:
+        return (1.0 + x - y) / 2.0
+    if model is ModelKind.CASE1:
+        return (1.0 + 2.0 * (x - y) - x * x + y * y) / 2.0
+    return x / (x + y)
+
+
 def quadrature_mean(model: ModelKind, bounds) -> float:
     """Independent expectation of the share by direct numerical integration."""
     a, b, c, d = bounds.a, bounds.b, bounds.c, bounds.d
     if a == b and c == d:
-        return theta_model(model, a, c)
+        return _share(model, a, c)
     if a == b:
-        value, _ = integrate.quad(lambda y: theta_model(model, a, y), c, d)
+        value, _ = integrate.quad(lambda y: _share(model, a, y), c, d)
         return value / (d - c)
     if c == d:
-        value, _ = integrate.quad(lambda x: theta_model(model, x, c), a, b)
+        value, _ = integrate.quad(lambda x: _share(model, x, c), a, b)
         return value / (b - a)
     value, _ = integrate.dblquad(
-        lambda y, x: theta_model(model, x, y), a, b, c, d, epsabs=1e-12
+        lambda y, x: _share(model, x, y), a, b, c, d, epsabs=1e-12
     )
     return value / (bounds.width1 * bounds.width2)
 
