@@ -50,12 +50,12 @@ def run(args) -> int:
                 f"a d grid up to {top!r} in steps of {step!r} has more than "
                 f"{_MAX_D_GRID} points (--d-max / --d-step)"
             )
-        d_grid = _grid(step, top)
-        if len(set(d_grid)) < len(d_grid):
+        if round(step, 12) != step:  # else the rounded grid is uneven
             raise ConfigError(
-                f"--d-step {step!r} is finer than the d grid's 12-decimal "
-                "rounding: two grid points round to the same d"
+                "--d-step must have at most 12 decimals, the d grid's "
+                f"rounding, got {step!r}"
             )
+        d_grid = _grid(step, top)
     table = family_sweep(
         config.model,
         config.risk,

@@ -21,7 +21,6 @@ tests judge the crossings against references of their own.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 
 import numpy as np
@@ -142,18 +141,6 @@ _MODE_TIE_TOL = 1e-9
 # geometric midpoint.
 _DECADES_RATIO = 2.0**32
 
-# The CDF values the engine located on its last rectangle, kept for cdf_at
-# and for the solvers' first rounds: (model, bits of the rectangle, bits of
-# the points t in the order kept, bits of F at each).  Bits, since -0.0 ==
-# 0.0 yet the kernel may tell them apart.  Replaced whole and never written
-# (it holds only bytes), so threads may share it: a race only loses a value.
-# At most the mode's three probe points, the median's first ladder, the
-# mean's first-round nodes on at most three t-panels, and the median found.
-_KEPT = 3 + (len(_MEDIAN_OFFSETS) + 2) + 3 * _NODES.size + 1
-_NOTHING = (None, b"", b"", b"")
-_located = _NOTHING
-_box_bits = struct.Struct("4d").pack
-
 
 def _every(mask: np.ndarray) -> bool:
     # np.all passes through Python-level wrappers, a few times slower on
@@ -233,13 +220,14 @@ def _panels(left: np.ndarray, right: np.ndarray) -> tuple:
 def _panel_sums(fn, nodes: np.ndarray, half: np.ndarray, rows):
     """Each panel's 24-point sum and its distance to the 12-point sum."""
     # numpy's own reductions give one row the same bits whatever other rows
-    # share the call, so a CDF value does not depend on its batch (see _cdf),
-    # and cdf_at's kept values rest on that.  A BLAS product does not keep
-    # it: with numpy 2.4.6 and OpenBLAS 0.3.31, on 277 panel rows of six
-    # medians, ``values @ W`` (the two weight vectors as columns) gave other
-    # bits than the row alone on 189 rows, and ``values[:, :24] @ w`` on
-    # 176.  np.einsum and np.vecdot differed on none, but vecdot calls BLAS
-    # ddot, so its bits may depend on the CPU.
+    # share the call, so a CDF value does not depend on its batch (see _cdf):
+    # cdf_at at a point returns the bits that a solve or the curve read
+    # there.  A BLAS product does not keep it: with numpy 2.4.6 and OpenBLAS
+    # 0.3.31, on 277 panel rows of six medians, ``values @ W`` (the two
+    # weight vectors as columns) gave other bits than the row alone on 189
+    # rows, and ``values[:, :24] @ w`` on 176.  np.einsum and np.vecdot
+    # differed on none, but vecdot calls BLAS ddot, so its bits may depend
+    # on the CPU.
     values = fn(nodes, rows)
     values *= _WEIGHTS
     fine = np.add.reduce(values[:, :24], axis=1)
@@ -355,63 +343,18 @@ def _cdf(rect: _Rectangle, ts: np.ndarray, inside: bool = False) -> np.ndarray:
     return out
 
 
-def _remember(ops, bounds: PayoffBounds, ts, values) -> None:
-    """Keep ``values``, the kernel's at the points ``ts`` of ``bounds``, after
-    those kept on the same rectangle and model while at most ``_KEPT`` in all."""
-    global _located
-    box = _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
-    keys = np.asarray(ts, dtype=float).tobytes()
-    found = np.asarray(values, dtype=float).tobytes()
-    kept_ops, kept_box, kept_keys, kept_values = _located
-    if kept_box == box and kept_ops == ops and len(kept_keys) + len(keys) <= 8 * _KEPT:
-        keys, found = kept_keys + keys, kept_values + found
-    _located = (ops, box, keys, found)
-
-
-def _recall(ops, bounds: PayoffBounds, ts: np.ndarray) -> np.ndarray | None:
-    """The kept values at the points ``ts``, as a new flat array, or None
-    unless they were kept in one run, in this order.
-
-    A run, since one search of the kept bits finds it in a few calls
-    however many points it holds; every caller asks for one point, or for
-    a run that :func:`pdf_curve` kept whole.
-    """
-    kept_ops, kept_box, keys, values = _located
-    if (
-        len(keys) < 8 * ts.size
-        or kept_box != _box_bits(bounds.a, bounds.b, bounds.c, bounds.d)
-        or kept_ops != ops
-    ):
-        return None
-    wanted = ts.tobytes()
-    start = keys.find(wanted)
-    while start % 8 and start > 0:  # a run starts on a point's first byte
-        start = keys.find(wanted, start + 1)
-    if start < 0:
-        return None
-    return np.frombuffer(values, count=ts.size, offset=start).copy()
-
-
 def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     """P{theta <= t} under independent uniform payoffs on the rectangle.
 
     Accurate to 1e-12 absolute (see :func:`_cdf`); raises
     :class:`NumericalAccuracyError` when the quadrature cannot reach that.
-    The engine keeps the values it located on the last rectangle asked
-    about, at most 131 (see :func:`pdf_curve`): among them the corner
-    probe of :func:`pdf_curve`, which holds a mode at the corner image,
-    and the point :func:`numeric_median` returned.  At one of those
-    points, with the same model and a rectangle of the same bits, the kept
-    value is returned; it is the kernel's own, since a value does not
-    depend on the other points of its call.  Anywhere else the kernel is
-    called.
+    One kernel call of its own: the value has the bits that the curve or a
+    solver read at ``t``, since a value does not depend on the other points
+    of its call.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
-    kept = _recall(ops, bounds, np.array([t]))
-    if kept is not None:
-        return float(kept[0])
     return float(_cdf(_Rectangle(ops, bounds), np.array([t]))[0])
 
 
@@ -463,15 +406,8 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     the true peak of these models sits at that corner image; otherwise the
     largest tied grid point is.  The slopes come from the corner probe:
     the CDF at the corner image and one grid step to either side, those in
-    [0, 1], located in the grid's own kernel call.
-
-    That call also locates the CDF at the points that the other estimates
-    read first, and keeps those and the probe for them and for
-    :func:`cdf_at` (replacing the values kept on another rectangle): the
-    first round of :func:`numeric_median`, at most 19 points, and the
-    first round of :func:`numeric_mean`, 36 nodes on each of at most
-    three t-panels.  A caller that wants only the curve or the mode so
-    pays for at most 127 points more than the grid, in the same call.
+    [0, 1], located in the grid's own kernel call, which holds the grid
+    and the probe only.
     """
     ops = as_share_model(model)
     bounds = _require_bounds(bounds)
@@ -483,28 +419,22 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
             "the distribution has no density curve"
         )
     # np.linspace(0, 1, n_points) without its Python wrapper: the same steps,
-    # followed by the mode's corner probe and the solvers' first rounds.
+    # followed by the mode's corner probe.
     step = 1.0 / (n_points - 1)
     corner = ops.at(bounds.b, bounds.d)  # in [0, 1]: only an end can drop out
     probe = [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
-    rect = _Rectangle(ops, bounds)  # the solvers' rectangle and support
-    ladder = _median_ladder(rect.lo, rect.hi, 0.0, 1.0)
-    nodes = _panels(*_mean_panels(ops, rect.bounds, rect.lo, rect.hi))[3].ravel()
-    ts = np.arange(n_points + len(probe) + len(ladder) + nodes.size, dtype=float)
+    ts = np.arange(n_points + len(probe), dtype=float)
     thetas = ts[:n_points]
     thetas *= step
     thetas[-1] = 1.0
-    located = ts[n_points:]
-    located[: len(probe) + len(ladder)] = probe + ladder
-    located[len(probe) + len(ladder) :] = nodes
-    values = _cdf(rect, ts)
-    _remember(ops, bounds, located, values[n_points:])
+    ts[n_points:] = probe
+    values = _cdf(_Rectangle(ops, bounds), ts)
     cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
     peak = float(pdf.max())
     tied = np.flatnonzero(pdf >= peak - _MODE_TIE_TOL)
-    probs = values[n_points : n_points + len(probe)].tolist()
+    probs = values[n_points:].tolist()
     # Slopes into the corner and out of it.
     slopes = ((q - p) / step for p, q in zip(probs, probs[1:]))
     at_corner = any(slope >= peak - _MODE_TIE_TOL for slope in slopes)
@@ -565,28 +495,22 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     Returns the support's midpoint outright when the support is at most
     a few ulps wide, as for a point mass.  A bracket [lo, hi] with lo > 0
     that spans many decades (hi > 2**32 lo) also tries its geometric
-    midpoint each round.  The first round, on the whole support, reads the
-    values :func:`pdf_curve` kept for this model and rectangle, and calls
-    the kernel only when they are not kept.  The CDF at the point returned
-    is kept for :func:`cdf_at`.  The rectangle is prepared for the kernel
-    once (see :func:`_cdf`), and each round's points, which lie inside the
-    support, skip the kernel's support mask; a round returns the first
-    point closest to 1/2 and keeps the last point below and the first above.
+    midpoint each round.  Every round is one kernel call on the rectangle
+    prepared once for the solve (see :func:`_cdf`), and its points, which
+    lie inside the support, skip the kernel's support mask; a round returns
+    the first point closest to 1/2 and keeps the last point below and the
+    first above.
     """
-    ops = as_share_model(model)
-    box = _require_bounds(bounds)
-    rect = _Rectangle(ops, box)
+    rect = _Rectangle(as_share_model(model), _require_bounds(bounds))
     lo, hi = rect.lo, rect.hi
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
     bounds = rect.bounds  # its widths set the target
     target = max(_MEDIAN_TOL, _tolerance(bounds.width1, bounds.width2, hi - lo))
     f_lo, f_hi = 0.0, 1.0
-    ts = np.array(_median_ladder(lo, hi, f_lo, f_hi))
-    values = _recall(ops, box, ts)
     for _ in range(100):  # each round at least halves the bracket
-        if values is None:
-            values = _cdf(rect, ts, inside=True)  # a ladder lies in (lo, hi)
+        ts = np.array(_median_ladder(lo, hi, f_lo, f_hi))
+        values = _cdf(rect, ts, inside=True)  # a ladder lies in (lo, hi)
         # The first point closest to 1/2, the last below it, the first above.
         gap, below, above = math.inf, None, None
         for t, p in zip(ts.tolist(), values.tolist()):
@@ -597,7 +521,6 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
             elif p > 0.5 and above is None:
                 above = t, p
         if gap <= target:
-            _remember(ops, box, [closest[0]], [closest[1]])
             return closest[0]
         if below is not None:
             lo, f_lo = below
@@ -605,7 +528,6 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
             hi, f_hi = above
         if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
             break
-        ts, values = np.array(_median_ladder(lo, hi, f_lo, f_hi)), None
     raise NumericalAccuracyError(
         f"the median bracket closed at [{lo!r}, {hi!r}] with CDF values "
         f"{f_lo!r} and {f_hi!r}, none within {target:.1e} of 1/2"
@@ -631,26 +553,18 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     The CDF is smooth between the images of the rectangle's corners, so
     the integral runs on t-panels split there, under the CDF's error rule
     with ten times its target (1e-11 per unit t, or the roundoff floor
-    over the support's width when that is narrower still).  The first
-    round's nodes read the values :func:`pdf_curve` kept for this model
-    and rectangle, and call the kernel only when they are not kept; every
-    call reads the rectangle prepared once for the solve (see
-    :func:`_cdf`).  A deterministic share returns its value.
+    over the support's width when that is narrower still).  Each round of
+    t nodes is one kernel call on the rectangle prepared once for the
+    solve (see :func:`_cdf`).  A deterministic share returns its value.
     """
     ops = as_share_model(model)
-    box = _require_bounds(bounds)
-    rect = _Rectangle(ops, box)
+    rect = _Rectangle(ops, _require_bounds(bounds))
     bounds, lo, hi = rect.bounds, rect.lo, rect.hi  # its widths set the target
     if lo == hi:
         return lo
 
     def cdf(ts, rows):
-        flat = ts.ravel()
-        # rows is a full slice only in the first round.
-        values = _recall(ops, box, flat) if isinstance(rows, slice) else None
-        if values is None:
-            values = _cdf(rect, flat)
-        return values.reshape(ts.shape)
+        return _cdf(rect, ts.ravel()).reshape(ts.shape)
 
     # A support only a few thousand ulps wide also rounds the t nodes.
     tol = _MEAN_TOL_FACTOR * _tolerance(bounds.width1, bounds.width2, hi - lo)

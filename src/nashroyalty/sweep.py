@@ -91,9 +91,11 @@ def _grid(step: float, top: float) -> tuple[float, ...]:
 
 def _floats(name: str, values, check=_as_float) -> tuple[float, ...]:
     """The entries of ``values`` as floats, each passed through ``check``;
-    names ``values`` when it is empty or not a sequence, or the entry that
-    is not a number."""
+    names ``values`` when it is empty or not a sequence (a string or bytes
+    is one of characters), or the entry that is not a number."""
     try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
         entries = iter(values)
     except TypeError:
         message = f"{name} must be a sequence of numbers, got {values!r}"

@@ -210,7 +210,7 @@ def _bits(values) -> bytes:
 
 
 def _alone(model, bounds, ts) -> np.ndarray:
-    # One kernel call per point: cdf_at may answer from the values it kept.
+    # One kernel call per point, on the rectangle prepared once.
     rect = _Rectangle(as_share_model(model), bounds)
     return np.array([_cdf(rect, np.array([float(t)]))[0] for t in ts])
 

@@ -635,7 +635,9 @@ class TestSweepCommand:
             (["--d-max", "-1"], "--d-max"),
             (["--d-step", "1e-300"], "10001 points"),
             # Rounded to 12 decimals, 11 points hold only the d values 0, 1e-12.
-            (["--d-step", "1e-13", "--d-max", "1e-12"], "--d-step 1e-13 is finer"),
+            (["--d-step", "1e-13", "--d-max", "1e-12"], "--d-step must have at most"),
+            # Rounded to 12 decimals, the steps are 2e-12 and 1e-12 by turns.
+            (["--d-step", "1.5e-12", "--d-max", "1.2e-11"], "got 1.5e-12"),
         ],
     )
     def test_bad_grid_sizes_exit_2(self, capsys, tmp_path, flags, named):

@@ -6,13 +6,13 @@ had a 1-D formula of its own for each point-mass side; a change that should
 leave every value alone must keep them.  The kernel-call counts guard the
 engine's cost without timing it: a change that adds ``_cdf`` calls has to
 update them on purpose, and ``work_counts.json`` holds each CLI command's
-calls and points the same way.  The CDF values the engine keeps for
-``cdf_at`` are held to the bits of a kernel call of their own.
+calls and points the same way.  Every CDF value that the curve or a solve
+reads is held to the bits of a one-point kernel call, which is what
+``cdf_at`` makes.
 """
 
 import hashlib
 import json
-import math
 import sys
 import threading
 from pathlib import Path
@@ -41,9 +41,9 @@ BOXES = {
     "point1": validate_bounds(0.25, 0.25, 0.1, 0.6),
     "point2": validate_bounds(0.1, 0.4, 0.3, 0.3),
 }
-# More boxes for the pins and the tests of kept values: with ±0 corners the
+# More boxes for the pins and the tests of single values: with ±0 corners the
 # pins also hold which zero each clip of the kernel returns.
-KEPT_BOXES = {
+PIN_BOXES = {
     **BOXES,
     # case2 works on this box lifted into [1/4, 1/2) by a power of two.
     "small": validate_bounds(0.01, 0.05, 0.02, 0.1),
@@ -181,7 +181,7 @@ PINS = {
 
 @pytest.mark.parametrize("box, model", sorted(PINS))
 def test_curve_and_estimates_keep_their_bits(box, model):
-    bounds, share = KEPT_BOXES[box], MODELS[model]
+    bounds, share = PIN_BOXES[box], MODELS[model]
     curve = pdf_curve(share, bounds, 2001)
     values = repr(
         (
@@ -237,14 +237,14 @@ def test_estimates_make_a_fixed_number_of_kernel_calls(kernel_calls, box, estima
 
 # Kernel calls of the posterior command's whole computation: the curve, its
 # mode, the median, the mean and cdf_at at each of the three; columns nbs,
-# case1, case2, alpha0.3.  The curve's call also locates the median's and
-# the mean's first rounds, two calls that the solvers made of their own.
+# case1, case2, alpha0.3.  Each is the curve's one call, the two solves'
+# calls of CALLS and cdf_at's three.
 OP_CALLS = {
-    "golden": (1, 6, 4, 1),
-    "inner": (1, 5, 5, 2),
-    "point1": (2, 5, 5, 1),
-    "point2": (2, 4, 5, 1),
-    "thin": (2, 13, 4, 1),
+    "golden": (6, 10, 8, 6),
+    "inner": (6, 9, 9, 6),
+    "point1": (6, 9, 9, 6),
+    "point2": (6, 8, 9, 6),
+    "thin": (6, 17, 8, 6),
 }
 
 
@@ -264,39 +264,27 @@ def test_the_posterior_computation_makes_a_fixed_number_of_kernel_calls(
 ):
     counts = []
     for share in MODELS.values():
-        posterior._located = posterior._NOTHING
         kernel_calls.clear()
         _posterior_op(share, BOXES[box])
         counts.append(len(kernel_calls))
     assert tuple(counts) == OP_CALLS[box]
 
 
-@pytest.mark.parametrize("box", sorted(BOXES))
-@pytest.mark.parametrize("model", sorted(MODELS))
-def test_after_the_curve_each_solver_makes_one_call_fewer(kernel_calls, box, model):
-    # Their first rounds read what the curve's call kept, in the bits of
-    # the cold solves that CALLS counts.
-    share, bounds = MODELS[model], BOXES[box]
-    column = list(MODELS).index(model)
-    cold = []
-    for estimator in (numeric_median, numeric_mean):
-        posterior._located = posterior._NOTHING
-        cold.append(estimator(share, bounds))
-    pdf_curve(share, bounds)
-    for estimator, value in zip((numeric_median, numeric_mean), cold):
-        kernel_calls.clear()
-        assert estimator(share, bounds).hex() == value.hex()
-        assert len(kernel_calls) == CALLS[box, estimator][column] - 1
-
-
-@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("box", sorted(PIN_BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
-    # The curve's call also locates the mode's corner probe.
-    curve = pdf_curve(MODELS[model], BOXES[box])
+    # The curve's call holds its grid and then the mode's corner probe, which
+    # holds the mode on these boxes, and nothing more.
+    share, bounds = MODELS[model], PIN_BOXES[box]
+    curve = pdf_curve(share, bounds)
     assert len(kernel_calls) == 1
-    mode_from_curve(curve)
+    mode = mode_from_curve(curve).value
     assert len(kernel_calls) == 1
+    probe = _probe(share, bounds, curve)
+    ts = kernel_calls[0][1]
+    assert ts.size == curve.thetas.size + len(probe)
+    assert ts[curve.thetas.size :].tolist() == probe
+    assert mode in probe
 
 
 # Kernel calls and points of whole CLI commands: verify at its defaults, the
@@ -314,13 +302,11 @@ def test_each_command_does_a_fixed_amount_of_kernel_work(kernel_calls, tmp_path,
     assert work == (entry["kernel_calls"], entry["kernel_points"])
 
 
-# --- the CDF values kept for cdf_at ---------------------------------------------
-
+# --- each value as a call of its own ----------------------------------------
 
 
 def _fresh(model, bounds, t) -> str:
-    """F(t) from a kernel call of its own with nothing kept, as hex."""
-    posterior._located = posterior._NOTHING
+    """F(t) from a kernel call of its own, as hex."""
     rect = posterior._Rectangle(as_share_model(model), bounds)
     value = posterior._cdf(rect, np.array([float(t)]))[0]
     return float(value).hex()
@@ -333,43 +319,15 @@ def _probe(model, bounds, curve) -> list:
     return [t for t in (corner - step, corner, corner + step) if 0.0 <= t <= 1.0]
 
 
-@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
-@pytest.mark.parametrize("model", sorted(MODELS))
-def test_kept_values_are_the_kernels_own(kernel_calls, box, model):
-    # The probe, which holds the corner mode, and the median.
-    share, bounds = MODELS[model], KEPT_BOXES[box]
-    curve = pdf_curve(share, bounds)
-    mode = mode_from_curve(curve).value
-    median = numeric_median(share, bounds)
-    points = [*_probe(share, bounds, curve), mode, median]
-    assert mode in points[:3]
-    kernel_calls.clear()
-    kept = [cdf_at(share, bounds, t).hex() for t in points]
-    assert kernel_calls == []
-    assert kept == [_fresh(share, bounds, t) for t in points]
-
-
-@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
-@pytest.mark.parametrize("model", sorted(MODELS))
-def test_every_kept_value_is_the_kernels_own(box, model):
-    # All that a posterior computation keeps: the probe, both solvers'
-    # first rounds and the median.
-    share, bounds = MODELS[model], KEPT_BOXES[box]
-    _posterior_op(share, bounds)
-    _, _, keys, values = posterior._located
-    points, kept = np.frombuffer(keys), np.frombuffer(values)
-    assert points.size == kept.size
-    assert [float(p).hex() for p in kept] == [_fresh(share, bounds, t) for t in points]
-
-
-@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("box", sorted(PIN_BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_every_value_a_solve_reads_is_the_kernels_own(monkeypatch, box, model):
-    # Cold solves read every value from the kernel on the rectangle they
-    # prepared once: each median round's ladder, asked without the support
-    # mask, and each round of the mean's nodes.  Each value must have the
-    # bits of a one-point call of its own.
-    share, bounds = MODELS[model], KEPT_BOXES[box]
+    # Solves read every value from the kernel on the rectangle they prepared
+    # once: each median round's ladder, asked without the support mask, and
+    # each round of the mean's nodes; a curve reads its grid and its corner
+    # probe in one call.  Each value must have the bits of a one-point call
+    # of its own, which is what cdf_at at that point returns.
+    share, bounds = MODELS[model], PIN_BOXES[box]
     kernel, read = posterior._cdf, {}
 
     def recorded(rect, ts, **kwargs):
@@ -378,6 +336,7 @@ def test_every_value_a_solve_reads_is_the_kernels_own(monkeypatch, box, model):
         return values
 
     monkeypatch.setattr(posterior, "_cdf", recorded)
+    pdf_curve(share, bounds, 101)
     numeric_median(share, bounds)
     numeric_mean(share, bounds)
     monkeypatch.setattr(posterior, "_cdf", kernel)
@@ -413,7 +372,7 @@ def test_a_grid_point_mode_is_asked_of_the_kernel(kernel_calls):
 
 def test_a_built_curve_keeps_nothing_of_its_own(kernel_calls):
     # A curve is a record any caller can build: its mode is the one it
-    # states, and its cdf, here not the CDF, is never a kept value.
+    # states, and cdf_at never reads its cdf, here not the CDF.
     model, bounds = FixedAlphaModel(0.5), BOXES["golden"]
     mode = ModeResult(value=0.5, plateau=False)
     curve = posterior.PosteriorCurve(
@@ -428,91 +387,32 @@ def test_a_built_curve_keeps_nothing_of_its_own(kernel_calls):
     assert len(kernel_calls) == 1
 
 
-@pytest.mark.parametrize("box", sorted(KEPT_BOXES))
+@pytest.mark.parametrize("box", sorted(PIN_BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_the_map_estimate_is_the_curves_mode(box, model):
-    share, bounds = MODELS[model], KEPT_BOXES[box]
+    share, bounds = MODELS[model], PIN_BOXES[box]
     value = numeric_estimate(share, "map", bounds).theta1
     assert value.hex() == pdf_curve(share, bounds).mode.value.hex()
 
 
-def test_another_model_rectangle_or_point_misses(kernel_calls):
-    bounds = BOXES["golden"]
-    alpha = FixedAlphaModel(0.3)
-    mode = mode_from_curve(pdf_curve(alpha, bounds)).value
-    assert mode == 0.2
-    kernel_calls.clear()
-    # An equal model hits, even as an instance of its own.
-    assert cdf_at(FixedAlphaModel(0.3), bounds, mode) == cdf_at(alpha, bounds, mode)
-    assert kernel_calls == []
-    misses = [
-        (FixedAlphaModel(0.31), bounds, mode),
-        ("nbs", bounds, mode),
-        (alpha, BOXES["inner"], mode),
-        (alpha, KEPT_BOXES["signed_zero"], mode),  # equal, but not in its bits
-        (alpha, bounds, math.nextafter(mode, 1.0)),
-    ]
-    for model, box, t in misses:
-        cdf_at(model, box, t)
-    assert len(kernel_calls) == len(misses)
-    kernel_calls.clear()
-    cdf_at(alpha, bounds, mode)  # no miss replaced the record
-    assert kernel_calls == []
-
-
-def test_negative_zero_misses_where_zero_is_kept(kernel_calls):
-    ops, bounds = as_share_model("case1"), BOXES["thin"]
-    zero = posterior._cdf(posterior._Rectangle(ops, bounds), np.zeros(1)).tolist()
-    posterior._remember(ops, bounds, [0.0], zero)
-    kernel_calls.clear()
-    cdf_at(ops, bounds, 0.0)
-    assert kernel_calls == []
-    cdf_at(ops, bounds, -0.0)
-    assert len(kernel_calls) == 1
-
-
 def test_a_mode_makes_no_kernel_call_whatever_was_asked_before(kernel_calls):
-    # The curve carries its mode, so another rectangle's curve since, which
-    # replaces the kept values, leaves it alone.
+    # The curve carries its mode, so another rectangle's curve since leaves
+    # it alone.
     bounds = BOXES["inner"]
     curve = pdf_curve("case2", bounds)
     kept = repr(mode_from_curve(curve))
-    pdf_curve("case2", BOXES["golden"])  # keeps the golden box's values instead
+    pdf_curve("case2", BOXES["golden"])
     kernel_calls.clear()
     assert repr(mode_from_curve(curve)) == kept
     assert kernel_calls == []
 
 
-def test_at_most_131_values_are_kept():
-    # The three probe points, at most 19 of the median's first ladder, 36
-    # nodes on each of at most three t-panels of the mean, and the median.
-    bounds = BOXES["golden"]
-    for n_points in (2001, 1001, 101):
-        mode_from_curve(pdf_curve("case1", bounds, n_points))
-        numeric_median("case1", bounds)
-        assert np.frombuffer(posterior._located[3]).size <= posterior._KEPT == 131
-
-
-def test_the_record_is_replaced_whole_and_never_written():
-    # What lets threads share it: a reader that took the record once holds
-    # one model, rectangle and set of values that belong together.
-    bounds = BOXES["golden"]
-    pdf_curve("case1", bounds)
-    before = posterior._located
-    keys, values = before[2], before[3]
-    assert (type(keys), type(values)) == (bytes, bytes)  # immutable
-    numeric_median("case1", bounds)
-    pdf_curve("nbs", bounds)
-    assert posterior._located is not before
-    assert before[2:] == (keys, values)
-
-
-def test_threads_sharing_the_record_read_only_their_own_values():
+def test_threads_read_only_their_own_values():
     # On the golden box nbs and case1 share the corner image t = 0.2 (to
     # roundoff) but not its CDF value.  Threads build each model's curve,
-    # take its mode and ask cdf_at there, switching every few bytecodes, so
-    # that each keeps values over the other's: one kept for the wrong
-    # model would read as a wrong answer.
+    # take its mode and ask cdf_at there, switching every few bytecodes:
+    # a value that one thread's call shared with another's would read as a
+    # wrong answer.
     bounds = BOXES["golden"]
     curves = {model: pdf_curve(model, bounds, 101) for model in ("nbs", "case1")}
     modes = {model: mode_from_curve(curve).value for model, curve in curves.items()}

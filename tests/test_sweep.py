@@ -137,10 +137,12 @@ class TestGridConstruction:
         with pytest.raises(OutOfRangeError, match="entry of c_values must lie in"):
             family_sweep("case1", "abs", 0.0, 0.2, c_values=[0.0, c], d_grid=[0.0])
 
+    # A string or bytes would be swept as its characters: "01" as c = 0, 1.
+    @pytest.mark.parametrize("values", [5, "01", b"0"])
     @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
-    def test_a_grid_that_is_not_iterable_is_named(self, grid):
+    def test_a_grid_that_is_not_iterable_is_named(self, grid, values):
         with pytest.raises(OutOfRangeError, match=f"{grid} must be a sequence"):
-            family_sweep("nbs", "abs", 0.0, 0.2, **{grid: 5})
+            family_sweep("nbs", "abs", 0.0, 0.2, **{grid: values})
 
     @pytest.mark.parametrize("grid", ["c_values", "d_grid"])
     def test_an_empty_grid_is_named(self, grid):
