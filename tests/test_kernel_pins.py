@@ -13,6 +13,7 @@ reads is held to the bits of a one-point kernel call, which is what
 
 import hashlib
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -270,6 +271,21 @@ def test_the_posterior_computation_makes_a_fixed_number_of_kernel_calls(
     assert tuple(counts) == OP_CALLS[box]
 
 
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_after_the_curve_each_solver_makes_all_its_calls(kernel_calls, box, model):
+    # The curve leaves nothing for the solvers to read: each makes the calls
+    # of CALLS and returns the bits of a solve with no curve before it.
+    share, bounds = MODELS[model], BOXES[box]
+    column = list(MODELS).index(model)
+    cold = [estimator(share, bounds) for estimator in (numeric_median, numeric_mean)]
+    pdf_curve(share, bounds)
+    for estimator, value in zip((numeric_median, numeric_mean), cold):
+        kernel_calls.clear()
+        assert estimator(share, bounds).hex() == value.hex()
+        assert len(kernel_calls) == CALLS[box, estimator][column]
+
+
 @pytest.mark.parametrize("box", sorted(PIN_BOXES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
@@ -342,6 +358,72 @@ def test_every_value_a_solve_reads_is_the_kernels_own(monkeypatch, box, model):
     monkeypatch.setattr(posterior, "_cdf", kernel)
     points = sorted(read)
     assert [read[t].hex() for t in points] == [_fresh(share, bounds, t) for t in points]
+
+
+@pytest.mark.parametrize("box", sorted(PIN_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_cdf_at_the_probe_and_median_is_the_kernels_own(kernel_calls, box, model):
+    # The probe, which holds the corner mode, and the median: after the curve
+    # and the solve, cdf_at still makes one call at each point.
+    share, bounds = MODELS[model], PIN_BOXES[box]
+    curve = pdf_curve(share, bounds)
+    mode = mode_from_curve(curve).value
+    median = numeric_median(share, bounds)
+    points = [*_probe(share, bounds, curve), mode, median]
+    assert mode in points[:3]
+    kernel_calls.clear()
+    values = [cdf_at(share, bounds, t).hex() for t in points]
+    assert len(kernel_calls) == len(points)
+    assert values == [_fresh(share, bounds, t) for t in points]
+
+
+def _module_state() -> dict:
+    """Each global of the posterior module by identity, arrays by their bytes."""
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else id(value)
+        for name, value in vars(posterior).items()
+    }
+
+
+@pytest.mark.parametrize("box", sorted(PIN_BOXES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_posterior_computation_leaves_the_module_as_it_was(box, model):
+    # The engine holds no values between calls: a whole computation binds no
+    # global of the module anew and writes into none of its arrays.
+    share, bounds = MODELS[model], PIN_BOXES[box]
+    before = _module_state()
+    _, values, at = _posterior_op(share, bounds)
+    assert _module_state() == before
+    assert [v.hex() for v in at] == [_fresh(share, bounds, t) for t in values]
+
+
+def test_another_model_rectangle_or_point_asks_the_kernel(kernel_calls):
+    bounds = BOXES["golden"]
+    alpha = FixedAlphaModel(0.3)
+    mode = mode_from_curve(pdf_curve(alpha, bounds)).value
+    assert mode == 0.2
+    asked = [
+        (alpha, bounds, mode),
+        (FixedAlphaModel(0.3), bounds, mode),
+        (FixedAlphaModel(0.31), bounds, mode),
+        ("nbs", bounds, mode),
+        (alpha, BOXES["inner"], mode),
+        (alpha, PIN_BOXES["signed_zero"], mode),
+        (alpha, bounds, math.nextafter(mode, 1.0)),
+    ]
+    kernel_calls.clear()
+    values = [cdf_at(model, box, t).hex() for model, box, t in asked]
+    assert len(kernel_calls) == len(asked)
+    assert values == [_fresh(model, box, t) for model, box, t in asked]
+    # An equal model, even as an instance of its own, has the same value.
+    assert values[0] == values[1]
+
+
+def test_zero_and_negative_zero_each_ask_the_kernel(kernel_calls):
+    bounds = BOXES["thin"]
+    values = [cdf_at("case1", bounds, t).hex() for t in (0.0, -0.0, 0.0)]
+    assert len(kernel_calls) == 3
+    assert values == [_fresh("case1", bounds, t) for t in (0.0, -0.0, 0.0)]
 
 
 def test_the_first_of_two_equally_close_points_is_the_median(monkeypatch):
