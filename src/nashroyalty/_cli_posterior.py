@@ -10,34 +10,27 @@ from ._cli_common import EXIT_OK, _add_scenario_arguments, _describe, _scenario_
 
 
 def run(args) -> int:
-    from .posterior import cdf_at, numeric_mean, numeric_median, pdf_curve
+    import numpy as np
+
+    from .posterior import _cdf, _curve, _mean, _median, _Rectangle
     from .sweep import write_rows
 
     config = _scenario_from(args, need_risk=False)
     model = config.model
-    bounds = config.bounds
-    curve = pdf_curve(model, bounds, config.grid_points)
-
+    rect = _Rectangle(model, config.bounds)
+    curve = _curve(rect, config.grid_points)
+    mode = curve.mode
+    values = mode.value, _median(rect), _mean(rect)
+    probs = _cdf(rect, np.array(values)).tolist()
+    # Written only once every value is in hand: an engine error leaves no file.
     write_rows(args.out, "theta,pdf,cdf", zip(curve.thetas, curve.pdf, curve.cdf))
 
-    mode = curve.mode
-    median = numeric_median(model, bounds)
-    mean = numeric_mean(model, bounds)
-    print(
-        f"wrote posterior curve ({config.grid_points} grid points) to {args.out}"
-    )
+    print(f"wrote posterior curve ({config.grid_points} grid points) to {args.out}")
     print(f"model: {_describe(model)}")
-    plateau_note = " [plateau]" if mode.plateau else ""
-    for label, value, extra in (
-        ("mode   (MAP)", mode.value, plateau_note),
-        ("median (ABS)", median, ""),
-        ("mean   (MSE)", mean, ""),
-    ):
-        prob = cdf_at(model, bounds, value)
-        print(
-            f"  {label}: {value:.3f}{extra}  "
-            f"overpayment probability: {prob:.3f}"
-        )
+    labels = "mode   (MAP)", "median (ABS)", "mean   (MSE)"
+    notes = " [plateau]" if mode.plateau else "", "", ""
+    for label, value, note, prob in zip(labels, values, notes, probs):
+        print(f"  {label}: {value:.3f}{note}  overpayment probability: {prob:.3f}")
     return EXIT_OK
 
 

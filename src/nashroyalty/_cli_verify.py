@@ -8,7 +8,7 @@ import math
 from itertools import product
 
 from ._cli_common import EXIT_MISMATCH, EXIT_OK
-from .bargaining import ModelKind, _require_count, as_share_model
+from .bargaining import ModelKind, _require_count
 from .estimators import RiskProfile, closed_cdf, estimate
 
 _EXACT_TOL = 1e-5
@@ -58,7 +58,7 @@ def run(args) -> int:
     import numpy as np
 
     from .montecarlo import random_valid_bounds, sample_thetas
-    from .posterior import _cdf, _Rectangle, numeric_mean, numeric_median
+    from .posterior import _cdf, _mean, _median, _Rectangle
 
     samples = _require_count("--samples", args.samples, 1, _MAX_SAMPLES)
     mc_n = _require_count("--mc-n", args.mc_n, 2, _MAX_MC_N)
@@ -81,9 +81,9 @@ def run(args) -> int:
         for model in ModelKind:
             # The closed MAP, ABS (median) and MSE (mean) estimates.
             ts = [estimate(model, risk, bounds).theta1 for risk in RiskProfile]
-            median, mean = numeric_median(model, bounds), numeric_mean(model, bounds)
+            rect = _Rectangle(model, bounds)
+            median, mean = _median(rect), _mean(rect)
             # The overpayment probability of each closed estimate, both ways.
-            rect = _Rectangle(as_share_model(model), bounds)
             cdf = max(
                 abs(closed_cdf(model, bounds, t) - p)
                 for t, p in zip(ts, _cdf(rect, np.array(ts)).tolist())

@@ -247,18 +247,20 @@ def _tolerance(*lengths: float) -> float:
 
 
 class _Rectangle:
-    """A payoff rectangle prepared for the kernel, once per solve: all that
-    a kernel call reads of the box.
+    """A (model, bounds) pair prepared for the kernel: all that a kernel
+    call reads of the box.
 
-    The model's ``rescaled`` box, its support [lo, hi], the height d - c,
-    the rows ``[[c], [d]]`` where the level sets are crossed and, unless
-    the share is deterministic, the band's error target ``tol``.
+    The share model, its ``rescaled`` box (which validates ``bounds``),
+    its support [lo, hi], the height d - c, the rows ``[[c], [d]]`` where
+    the level sets are crossed and, unless the share is deterministic, the
+    band's error target ``tol``.  Every command prepares one per (box,
+    model) and passes it to the curve, both solves and the kernel.
     """
 
     __slots__ = ("ops", "bounds", "lo", "hi", "height", "rows", "tol")
 
-    def __init__(self, ops, bounds: PayoffBounds) -> None:
-        self.ops = ops
+    def __init__(self, model, bounds: PayoffBounds) -> None:
+        self.ops = ops = as_share_model(model)
         self.bounds = bounds = ops.rescaled(bounds)
         self.lo, self.hi = ops.support(bounds)
         self.height = bounds.d - bounds.c
@@ -322,8 +324,9 @@ def _cdf(rect: _Rectangle, ts: np.ndarray, inside: bool = False) -> np.ndarray:
     whatever other points share the call, and whether or not ``inside`` is
     given.  The rectangle is the model's ``rescaled`` one: a case2
     rectangle whose largest bound is below 1/4 is first lifted into
-    [1/4, 1/2) by an exact power of two.  A solver prepares its
-    :class:`_Rectangle` once and passes it to every call.
+    [1/4, 1/2) by an exact power of two.  Each command prepares one
+    :class:`_Rectangle` per (box, model), and ``posterior`` reads its three
+    overpayment probabilities in one call; :func:`cdf_at` makes its own.
     """
     lo, hi = rect.lo, rect.hi
     if lo == hi:  # deterministic share: CDF is a step
@@ -352,10 +355,10 @@ def cdf_at(model, bounds: PayoffBounds, t: float) -> float:
     solver read at ``t``, since a value does not depend on the other points
     of its call.
     """
-    ops = as_share_model(model)
+    model = as_share_model(model)
     bounds = _require_bounds(bounds)
     t = _require_unit("t", t)
-    return float(_cdf(_Rectangle(ops, bounds), np.array([t]))[0])
+    return float(_cdf(_Rectangle(model, bounds), np.array([t]))[0])
 
 
 class ModeResult(_Record):
@@ -409,10 +412,15 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     [0, 1], located in the grid's own kernel call, which holds the grid
     and the probe only.
     """
-    ops = as_share_model(model)
+    model = as_share_model(model)
     bounds = _require_bounds(bounds)
     n_points = _require_count("n_points", n_points, 3, _MAX_COUNT)
-    lo, hi = ops.support(bounds)
+    return _curve(_Rectangle(model, bounds), n_points)
+
+
+def _curve(rect: _Rectangle, n_points: int) -> PosteriorCurve:
+    """:func:`pdf_curve` on a prepared rectangle and a valid ``n_points``."""
+    ops, bounds, lo, hi = rect.ops, rect.bounds, rect.lo, rect.hi
     if lo == hi:
         raise DegenerateDistributionError(
             f"the share is deterministically {lo!r} on these bounds; "
@@ -428,7 +436,7 @@ def pdf_curve(model, bounds: PayoffBounds, n_points: int = 2001) -> PosteriorCur
     thetas *= step
     thetas[-1] = 1.0
     ts[n_points:] = probe
-    values = _cdf(_Rectangle(ops, bounds), ts)
+    values = _cdf(rect, ts)
     cdf = values[:n_points]
     pdf = _gradient(cdf, thetas)
     np.maximum(pdf, 0.0, out=pdf)  # clip quadrature noise
@@ -501,7 +509,11 @@ def numeric_median(model, bounds: PayoffBounds) -> float:
     the first point closest to 1/2 and keeps the last point below and the
     first above.
     """
-    rect = _Rectangle(as_share_model(model), _require_bounds(bounds))
+    return _median(_Rectangle(model, bounds))
+
+
+def _median(rect: _Rectangle) -> float:
+    """:func:`numeric_median` on a prepared rectangle."""
     lo, hi = rect.lo, rect.hi
     if hi - lo <= 4.0 * math.ulp(0.5 * (lo + hi)):
         return 0.5 * (lo + hi)
@@ -557,8 +569,11 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
     t nodes is one kernel call on the rectangle prepared once for the
     solve (see :func:`_cdf`).  A deterministic share returns its value.
     """
-    ops = as_share_model(model)
-    rect = _Rectangle(ops, _require_bounds(bounds))
+    return _mean(_Rectangle(model, bounds))
+
+
+def _mean(rect: _Rectangle) -> float:
+    """:func:`numeric_mean` on a prepared rectangle."""
     bounds, lo, hi = rect.bounds, rect.lo, rect.hi  # its widths set the target
     if lo == hi:
         return lo
@@ -568,7 +583,7 @@ def numeric_mean(model, bounds: PayoffBounds) -> float:
 
     # A support only a few thousand ulps wide also rounds the t nodes.
     tol = _MEAN_TOL_FACTOR * _tolerance(bounds.width1, bounds.width2, hi - lo)
-    area = _integrate(cdf, *_mean_panels(ops, bounds, lo, hi), tol)
+    area = _integrate(cdf, *_mean_panels(rect.ops, bounds, lo, hi), tol)
     return _clip01(hi - float(area.sum()))
 
 
@@ -592,13 +607,13 @@ def numeric_estimate(
     """
     risk = as_risk_profile(risk)
     n_points = _require_count("n_points", n_points, 3, _MAX_COUNT)
-    lo, hi = as_share_model(model).support(_require_bounds(bounds))
-    if lo == hi:  # a deterministic share: every estimate is its one value
-        value = lo
+    rect = _Rectangle(model, bounds)
+    if rect.lo == rect.hi:  # a deterministic share: every estimate is its one value
+        value = rect.lo
     elif risk is RiskProfile.MAP:
-        value = pdf_curve(model, bounds, n_points).mode.value
+        value = _curve(rect, n_points).mode.value
     elif risk is RiskProfile.ABS:
-        value = numeric_median(model, bounds)
+        value = _median(rect)
     else:
-        value = numeric_mean(model, bounds)
+        value = _mean(rect)
     return EstimateResult(value, 1.0 - value, NOTE_NUMERIC)

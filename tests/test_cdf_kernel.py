@@ -150,7 +150,7 @@ def test_kernel_matches_scalar_quad_reference(model, bounds):
     # The reference's crossings are its own, so it also judges the closed
     # form, which reads the same ShareModel crossings as the kernel.
     ts = _probe_points(model, bounds)
-    batched = _cdf(_Rectangle(as_share_model(model), bounds), ts)
+    batched = _cdf(_Rectangle(model, bounds), ts)
     reference = np.array([reference_cdf(model, bounds, float(t)) for t in ts])
     assert np.max(np.abs(batched - reference)) <= 1e-11
     closed = np.array([closed_cdf(model, bounds, float(t)) for t in ts])
@@ -193,7 +193,7 @@ def test_mean_on_singular_and_thin_edge_boxes(model, bounds):
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_a_value_does_not_depend_on_its_batch(model):
     ts = np.linspace(0.0, 1.0, 257)
-    batched = _cdf(_Rectangle(as_share_model(model), GOLDEN), ts)
+    batched = _cdf(_Rectangle(model, GOLDEN), ts)
     alone = np.array([cdf_at(model, GOLDEN, float(t)) for t in ts[::16]])
     assert np.array_equal(batched[::16], alone)
 
@@ -211,7 +211,7 @@ def _bits(values) -> bytes:
 
 def _alone(model, bounds, ts) -> np.ndarray:
     # One kernel call per point, on the rectangle prepared once.
-    rect = _Rectangle(as_share_model(model), bounds)
+    rect = _Rectangle(model, bounds)
     return np.array([_cdf(rect, np.array([float(t)]))[0] for t in ts])
 
 
@@ -223,7 +223,7 @@ def test_a_call_over_the_support_matches_each_point_alone(model, bounds):
     # the points that settle alone return from the first round.  They all
     # lie inside the support, so the call may also skip the support mask,
     # as the median's rounds do.
-    rect = _Rectangle(as_share_model(model), bounds)
+    rect = _Rectangle(model, bounds)
     ts = np.random.default_rng(7).permutation(np.linspace(rect.lo, rect.hi, 35)[1:-1])
     alone = _bits(_alone(model, bounds, ts))
     assert _bits(_cdf(rect, ts)) == alone
@@ -235,7 +235,7 @@ def test_a_call_over_the_support_matches_each_point_alone(model, bounds):
 def test_a_chunked_call_matches_each_point_alone(model, bounds):
     # More points than one chunk holds, some of them outside the support.
     ts = np.linspace(0.0, 1.0, 2 * posterior._CHUNK + 3)
-    batched = _cdf(_Rectangle(as_share_model(model), bounds), ts)
+    batched = _cdf(_Rectangle(model, bounds), ts)
     assert _bits(batched) == _bits(_alone(model, bounds, ts))
 
 
@@ -582,7 +582,7 @@ MODELS = st.sampled_from(list(ModelKind))
 @given(grid_boxes(), MODELS, PROBS)
 def test_cdf_is_a_monotone_probability(bounds, model, ts):
     ts = np.sort(np.array(ts))
-    values = _cdf(_Rectangle(as_share_model(model), bounds), ts)
+    values = _cdf(_Rectangle(model, bounds), ts)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values) >= -2e-12)
 
@@ -602,5 +602,5 @@ def test_exchanging_the_parties_reflects_the_cdf(bounds, model, ts):
 def test_cdf_stays_in_unit_interval_on_any_valid_box(bounds, model, ts):
     if model is ModelKind.CASE2 and bounds.b == 0.0 and bounds.d == 0.0:
         return  # the share is undefined on the origin rectangle
-    values = _cdf(_Rectangle(as_share_model(model), bounds), np.array(ts))
+    values = _cdf(_Rectangle(model, bounds), np.array(ts))
     assert np.all((values >= 0.0) & (values <= 1.0))

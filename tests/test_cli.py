@@ -674,27 +674,47 @@ class TestSweepCommand:
 
 
 class TestNumericalHealth:
-    def test_missed_error_target_exits_5(self, capsys, monkeypatch, tmp_path):
+    # Every command that solves for a median reaches the engine's one median
+    # solver, posterior._median; "{config}" and "{out}" stand for files.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A perception-fixed weight is estimated by the numeric engine.
+            ["estimate", "--config", "{config}"],
+            ["posterior", "--model", "case1", "--a", "0", "--b", "0.2", "--c", "0",
+             "--d", "0.8", "--out", "{out}"],
+            ["verify", "--samples", "1"],
+            ["sweep", "--engine", "numeric", "--model", "case1", "--risk", "abs",
+             "--a", "0", "--b", "0.2", "--c", "0", "--d", "0", "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missed_error_target_exits_5(self, capsys, monkeypatch, tmp_path, argv):
         def fail(*args):
             raise NumericalAccuracyError("quadrature missed its error target")
 
-        # A perception-fixed weight is estimated by the numeric engine.
-        monkeypatch.setattr(posterior, "numeric_median", fail)
+        monkeypatch.setattr(posterior, "_median", fail)
         config = tmp_path / "perception.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "bounds": {"a": 0.0, "b": 0.2, "c": 0.0, "d": 0.8},
-                    "risk": "abs",
-                    "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
-                }
-            ),
-            encoding="utf-8",
-        )
-        code, out, err = run(capsys, ["estimate", "--config", str(config)])
+        if "{config}" in argv:
+            config.write_text(
+                json.dumps(
+                    {
+                        "bounds": {"a": 0.0, "b": 0.2, "c": 0.0, "d": 0.8},
+                        "risk": "abs",
+                        "perceptions": {"p11": 0.5, "p12": 0.7, "p21": 0.4, "p22": 0.4},
+                    }
+                ),
+                encoding="utf-8",
+            )
+        files = {"{config}": str(config), "{out}": str(tmp_path / "out.csv")}
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
         assert code == 5
         assert out == ""
         assert "error: quadrature missed its error target" in err
+        # No output file: posterior and sweep write only once every value is in.
+        assert [path.name for path in tmp_path.iterdir()] == (
+            ["perception.json"] if "{config}" in argv else []
+        )
 
     def test_unexpected_exception_exits_6_with_its_traceback(self, capsys, monkeypatch):
         def crash(args):

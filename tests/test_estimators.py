@@ -520,7 +520,7 @@ class TestClosedCdf:
                 ts = np.array([0.0, lo, *inner, hi, 1.0])
                 # cdf_at's kernel, batched: a value does not depend on its
                 # batch (test_cdf_kernel).
-                numeric = _cdf(_Rectangle(as_share_model(model), bounds), ts)
+                numeric = _cdf(_Rectangle(model, bounds), ts)
                 for t, prob in zip(ts, numeric):
                     worst = max(worst, abs(closed_cdf(model, bounds, float(t)) - prob))
         assert worst <= 1e-12

@@ -236,10 +236,12 @@ def test_estimates_make_a_fixed_number_of_kernel_calls(kernel_calls, box, estima
     assert tuple(counts) == CALLS[box, estimator]
 
 
-# Kernel calls of the posterior command's whole computation: the curve, its
-# mode, the median, the mean and cdf_at at each of the three; columns nbs,
-# case1, case2, alpha0.3.  Each is the curve's one call, the two solves'
-# calls of CALLS and cdf_at's three.
+# Kernel calls of the benchmark posterior workload's op, which makes public
+# calls: the curve, its mode, the median, the mean and cdf_at at each of the
+# three; columns nbs, case1, case2, alpha0.3.  Each is the curve's one call,
+# the two solves' calls of CALLS and cdf_at's three.  The posterior command
+# no longer makes this sequence: it reads its three probabilities in one
+# call (see work_counts.json).
 OP_CALLS = {
     "golden": (6, 10, 8, 6),
     "inner": (6, 9, 9, 6),
@@ -303,19 +305,33 @@ def test_curve_and_mode_make_one_kernel_call_each(kernel_calls, box, model):
     assert mode in probe
 
 
-# Kernel calls and points of whole CLI commands: verify at its defaults, the
-# posterior command on the golden box, numeric sweeps on its a, b and
-# reference.  "{out}" stands for the output file.
+# Kernel calls and points, and rectangles prepared, of whole CLI commands:
+# verify at its defaults, the posterior command on the golden box, numeric
+# sweeps on its a, b and reference.  "{out}" stands for the output file.
 WORK_COUNTS = json.loads(Path(__file__).with_name("work_counts.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(WORK_COUNTS))
-def test_each_command_does_a_fixed_amount_of_kernel_work(kernel_calls, tmp_path, command):
+def test_each_command_does_a_fixed_amount_of_kernel_work(
+    kernel_calls, monkeypatch, tmp_path, command
+):
+    rectangles = []
+    prepare = posterior._Rectangle
+
+    def counted(*args):
+        rectangles.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(posterior, "_Rectangle", counted)
     entry = WORK_COUNTS[command]
     out = str(tmp_path / "out.csv")
     assert cli.main([out if arg == "{out}" else arg for arg in entry["argv"]]) == 0
-    work = (len(kernel_calls), sum(args[1].size for args in kernel_calls))
-    assert work == (entry["kernel_calls"], entry["kernel_points"])
+    work = (
+        len(kernel_calls),
+        sum(args[1].size for args in kernel_calls),
+        len(rectangles),
+    )
+    assert work == (entry["kernel_calls"], entry["kernel_points"], entry["rectangles"])
 
 
 # --- each value as a call of its own ----------------------------------------
@@ -323,7 +339,7 @@ def test_each_command_does_a_fixed_amount_of_kernel_work(kernel_calls, tmp_path,
 
 def _fresh(model, bounds, t) -> str:
     """F(t) from a kernel call of its own, as hex."""
-    rect = posterior._Rectangle(as_share_model(model), bounds)
+    rect = posterior._Rectangle(model, bounds)
     value = posterior._cdf(rect, np.array([float(t)]))[0]
     return float(value).hex()
 
